@@ -372,10 +372,9 @@ def compare_methods(
     n0: int = 10,
     n_dirs: int = None,
     mesh0: TriangleMesh = None,
-    threads: int = None,
 ) -> MethodComparison:
     """Run the stabilized and plain methods on identical meshes/quadratures."""
-    common = dict(tol=tol, max_iter=max_iter, threads=threads)
+    common = dict(tol=tol, max_iter=max_iter)
     sd = convergence_study(
         case,
         levels,

@@ -58,7 +58,6 @@ _CONFIG_TYPES = {
     "max_iter": int,
     "out": str,
     "mesh": str,
-    "deterministic": bool,
     "dump_schedule": int,
     "level": int,
 }
@@ -69,7 +68,6 @@ def _add_common(p):
     p.add_argument("--out", default=".", help="output directory (default: .)")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--deterministic", action="store_true", default=False)
 
 
 def _add_case(p):
@@ -134,10 +132,7 @@ def _parse_config_file(path):
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             typ = _CONFIG_TYPES[key]
             try:
-                if typ is bool:
-                    values[key] = val.lower() in ("1", "true", "yes", "on")
-                else:
-                    values[key] = typ(val)
+                values[key] = typ(val)
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from err
     return values
@@ -222,7 +217,6 @@ def _cmd_solve(args):
         c_bar=args.c_bar,
         tol=args.tol,
         max_iter=args.max_iter,
-        deterministic=args.deterministic,
     )
     sol, report = solve(problem, mesh, config)
 
@@ -263,7 +257,6 @@ def _cmd_convergence(args):
         c_bar=args.c_bar,
         tol=args.tol,
         max_iter=args.max_iter,
-        deterministic=args.deterministic,
     )
     mesh0 = load_mesh(args.mesh) if args.mesh is not None else None
     table = convergence_study(

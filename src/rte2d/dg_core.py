@@ -46,13 +46,6 @@ def quad_points(mesh: TriangleMesh, rule: TriangleRule):
     return np.einsum("qs,kst->kqt", rule.points, mesh.vertices[mesh.triangles])
 
 
-def edge_quad_points(mesh: TriangleMesh, edges, t):
-    """Points along given edge ids at parameters t in [0, 1]: (ne, np, 2)."""
-    a = mesh.vertices[mesh.edge_vertices[edges, 0]]
-    b = mesh.vertices[mesh.edge_vertices[edges, 1]]
-    return a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-
-
 @dataclass
 class LocalSystem:
     A: np.ndarray  # (3, 3)

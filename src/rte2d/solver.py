@@ -9,8 +9,7 @@ and the loop stops once the relative weighted-L2 update drops below tol.
 The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .dg_core import DGSolution, ElementBasis, element_basis
 from .errors import AssumptionError, NonConvergenceError
 from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
 from .quadrature import edge_rule, triangle_rule
-from .sweep import build_kernel, build_schedule, space_tables, thread_count
+from .sweep import build_kernel, build_schedule, space_tables
 
 
 @dataclass
@@ -47,8 +46,6 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 1000
     delta_mode: str = "global"  # or "local": delta_K = c_bar * h_K
-    deterministic: bool = True
-    threads: int = None  # None -> RTE_THREADS environment variable
 
     def __post_init__(self):
         if self.method not in ("dodsd", "dodg"):
@@ -123,7 +120,8 @@ def scattering_source(sol: DGSolution, G, sigma_s, l: int):
 def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = None):
     """Run source iteration to convergence; returns (DGSolution, SolveReport).
 
-    Raises NonConvergenceError when max_iter is hit, AssumptionError when the
+    Raises NonConvergenceError when max_iter is hit or an iterate is not
+    finite (the residual history is attached), AssumptionError when the
     sampled coefficients violate sigma_s >= 0 or sigma_t - sigma_s > 0.
     """
     if config is None:
@@ -146,86 +144,61 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         )
 
     delta = delta_value(config, mesh)
-    kernels = []
-    for l in range(nl):
-        sched = build_schedule(mesh, quad.directions[l])
-        fv = np.asarray(problem.f(pts[..., 0], pts[..., 1], l), dtype=float)
-        fv = np.broadcast_to(fv, pts.shape[:2])
-        if problem.inflow is None:
-            inflow_l = None
-        else:
-            inflow_l = (lambda ll: lambda x, y: problem.inflow(x, y, ll))(l)
-        kernels.append(build_kernel(tables, sched, delta, f_vals=fv, inflow_data=inflow_l))
-
+    schedules = [build_schedule(mesh, omega) for omega in quad.directions]
+    px, py = pts[..., 0], pts[..., 1]
+    f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
+    g = problem.inflow
+    inflow = None if g is None else [lambda x, y, l=l: g(x, y, l) for l in range(nl)]
+    kernel = build_kernel(tables, schedules, delta, f_vals=f_vals, inflow_data=inflow)
+    del f_vals
     delta_used = float(np.max(delta))
-    threads = config.threads if config.threads is not None else thread_count()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    def run_directions(fn):
-        if pool is None:
-            for l in range(nl):
-                fn(l)
-        else:
-            list(pool.map(fn, range(nl)))
+    if not ss.any():
+        # no scattering: the directions decouple and one sweep is exact
+        report = SolveReport(
+            iterations=1, residual_history=(), converged=True, delta_used=delta_used
+        )
+        return DGSolution(kernel.run(), mesh, quad), report
 
-    try:
-        coeffs = np.zeros((nl, nt, 3))
-        if not ss.any():
-            # no scattering: the directions decouple and one sweep is exact
-            run_directions(lambda l: coeffs.__setitem__(l, kernels[l].run()))
-            report = SolveReport(
-                iterations=1, residual_history=(), converged=True, delta_used=delta_used
+    G = scatter_matrix(problem.phase, quad)
+    wss = tables.areaw * ss
+    bary = tables.rule.points
+    coeffs = np.zeros((nl, nt, 3))
+    history = []
+    for j in range(1, config.max_iter + 1):
+        s_pts = (G @ np.einsum("lkj,qj->lkq", coeffs, bary).reshape(nl, -1)).reshape(nl, nt, -1)
+        s_pts *= wss
+        new = kernel.run(kernel.volume_rhs(s_pts))
+        num = weighted_norm(new - coeffs, quad.weights, mesh.tri_area)
+        den = weighted_norm(new, quad.weights, mesh.tri_area)
+        coeffs = new
+        if not (np.isfinite(num) and np.isfinite(den)):
+            history.append(float("nan"))
+            raise NonConvergenceError(
+                f"source iteration produced a non-finite iterate at iteration {j}",
+                residual_history=tuple(history),
             )
-            return DGSolution(coeffs, mesh, quad), report
-
-        G = scatter_matrix(problem.phase, quad)
-        wss = tables.areaw * ss
-        bary = tables.rule.points
-        history = []
-        converged = False
-        iterations = 0
-        for j in range(1, config.max_iter + 1):
-            u_pts = np.einsum("lkj,qj->lkq", coeffs, bary)
-            s_pts = (G @ u_pts.reshape(nl, -1)).reshape(nl, nt, -1)
-            new = np.empty_like(coeffs)
-
-            def one(l):
-                kern = kernels[l]
-                new[l] = kern.run(kern.volume_rhs(wss * s_pts[l]))
-
-            run_directions(one)
-            num = weighted_norm(new - coeffs, quad.weights, mesh.tri_area)
-            den = weighted_norm(new, quad.weights, mesh.tri_area)
-            coeffs = new
-            iterations = j
-            if den == 0.0:
-                if num == 0.0:
-                    converged = True
-                    break
-                history.append(np.inf)
-                continue
-            r = num / den
-            if r == 0.0:
-                # exact fixed point; a zero entry would break the history's
-                # positivity so the residual is not recorded
-                converged = True
+        if den == 0.0:
+            if num == 0.0:
                 break
-            history.append(r)
-            if r <= config.tol:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    if not converged:
+            history.append(np.inf)
+            continue
+        r = num / den
+        if r == 0.0:
+            # exact fixed point; a zero entry would break the history's
+            # positivity so the residual is not recorded
+            break
+        history.append(r)
+        if r <= config.tol:
+            break
+    else:
         raise NonConvergenceError(
             f"source iteration did not converge in {config.max_iter} iterations "
             f"(last residual {history[-1]:.3e})",
             residual_history=tuple(history),
         )
     report = SolveReport(
-        iterations=iterations,
+        iterations=j,
         residual_history=tuple(history),
         converged=True,
         delta_used=delta_used,

@@ -7,7 +7,6 @@ every element's upwind neighbors are solved before it; elements inside one
 layer are mutually independent.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +109,7 @@ def sweep_direction(
     """Solve one direction by walking the schedule element by element.
 
     Reference implementation built on the per-element assembly; the batched
-    DirectionKernel below is the production path and is tested against this
+    SweepKernel below is the production path and is tested against this
     one. `source_l` and `inflow_data` are callables of (x, y). `delta` may
     be a scalar or a per-element array. Writes P1 coefficients into `out`
     (allocated when None) and returns it.
@@ -217,65 +216,84 @@ def space_tables(
     )
 
 
-@dataclass
-class DirectionKernel:
-    """Batched single-direction transport solve.
+def _volume_rhs(qw, bary, delta_k, d):
+    return qw @ bary + (delta_k * qw.sum(axis=-1))[..., None] * d
 
-    Everything that does not change across source iterations is factored
-    here: inverted local matrices, neighbor-trace coupling blocks, and the
-    fixed right-hand side (volume source + inflow boundary data). Only the
-    scattering part of the right-hand side is supplied per solve.
+
+@dataclass(frozen=True)
+class SweepKernel:
+    """Batched transport solve of a stack of directions.
+
+    Everything fixed across source iterations is factored here; only the
+    scattering rhs is supplied per solve. The (direction, element) pairs sit
+    in (layer, direction, element) order, so layer i of every direction is
+    the slice bounds[i]:bounds[i+1]; its pairs depend only on earlier layers
+    of their own direction, so one step solves the whole slice. A kernel of
+    one direction is a stack of one without the leading direction axis on
+    d, fixed_rhs and the arrays run/volume_rhs take and return.
     """
 
-    schedule: SweepSchedule
+    schedules: tuple
     delta_k: np.ndarray  # (nt,)
-    d: np.ndarray  # (nt, 3) omega . grad(phi)
-    inv_a: np.ndarray  # (nt, 3, 3)
-    coup: np.ndarray  # (nt, 3, 3, 3) neighbor-coefficient -> rhs maps
-    nbr_pad: np.ndarray  # (nt, 3) neighbor ids with BOUNDARY -> nt
-    fixed_rhs: np.ndarray  # (nt, 3)
+    d: np.ndarray  # (nl, nt, 3) omega . grad(phi)
+    fixed_rhs: np.ndarray  # (nl, nt, 3) volume source + inflow boundary data
     bary: np.ndarray  # (nq, 3)
+    order: np.ndarray  # (n,) pair index l * nt + k at each sweep position
+    pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
+    bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
+    inv_a: np.ndarray  # (n, 3, 3) inverted local matrices, in sweep order
+    fold: np.ndarray  # (n, 3, 9) inv_a @ coupling: upwind coefficients -> own
+    nbr: np.ndarray  # (n, 3) sweep position of the upwind neighbour, n if none
+
+    @property
+    def schedule(self) -> SweepSchedule:
+        """The schedule of a one-direction kernel (ValueError for a stack)."""
+        (sched,) = self.schedules
+        return sched
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
-        """RHS of a volume source given area-weighted point values (nt, nq)."""
-        return qw @ self.bary + (self.delta_k * qw.sum(axis=1))[:, None] * self.d
+        """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
+        return _volume_rhs(qw, self.bary, self.delta_k, self.d)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
-        nt = self.d.shape[0]
+        """One sweep of every direction with rhs fixed_rhs (+ scatter_rhs)."""
         rhs = self.fixed_rhs if scatter_rhs is None else self.fixed_rhs + scatter_rhs
-        c = np.zeros((nt + 1, 3))
-        for layer in self.schedule.layers:
-            b = rhs[layer] + np.einsum(
-                "ksij,ksj->ki", self.coup[layer], c[self.nbr_pad[layer]]
-            )
-            c[layer] = np.einsum("kij,kj->ki", self.inv_a[layer], b)
-        return c[:nt]
+        n = self.order.size
+        c = np.empty((n + 1, 3))
+        c[n] = 0.0
+        np.einsum("kij,kj->ki", self.inv_a, rhs.reshape(n, 3)[self.order], out=c[:n])
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            g = c[self.nbr[lo:hi]].reshape(hi - lo, 9)
+            c[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
+        return c[self.pos].reshape(self.fixed_rhs.shape)
 
 
-def build_kernel(
-    tables: SpaceTables,
-    schedule: SweepSchedule,
-    delta,
-    f_vals=None,
-    inflow_data=None,
-) -> DirectionKernel:
-    """Assemble the batched kernel for one direction.
+def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
+    """Adjugate inverses of a (n, 3, 3) batch; StabilityError on a block
+    that is near-singular relative to its largest entry."""
+    r0, r1, r2 = a[:, 0], a[:, 1], a[:, 2]
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
+    det = (r0 * adj[:, :, 0]).sum(axis=1)
+    scale = np.abs(a).reshape(-1, 9).max(axis=1)
+    bad = np.abs(det) < 1e-20 * scale**3
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        msg = f"near-singular local system at element {k} (|det|={abs(det[k]):.3e})"
+        raise StabilityError(msg, element=k, direction=direction)
+    return adj / det[:, None, None]
 
-    f_vals: fixed volume source at the table's quadrature points (nt, nq),
-    or None for zero. inflow_data: callable (x, y) for the inflow boundary
-    trace, or None for homogeneous data.
-    """
+
+def _direction_system(tables, schedule, delta_k, f_vals, inflow_data):
+    """One direction's d, local matrices, neighbour coupling blocks, fixed rhs."""
     mesh = tables.mesh
     nt = mesh.n_triangles
-    omega = schedule.omega
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (nt,)).copy()
-    d = tables.basis.grad @ omega  # (nt, 3)
+    d = tables.basis.grad @ schedule.omega  # (nt, 3)
     bary = tables.rule.points
 
     test = bary[None, :, :] + delta_k[:, None, None] * d[:, None, :]  # (nt, nq, 3)
     trial = d[:, None, :] + tables.sigma_t[:, :, None] * bary[None, :, :]
     wtrial = tables.areaw[:, :, None] * trial
-    a = np.einsum("kqj,kqi->kij", wtrial, test)
+    a = np.matmul(test.transpose(0, 2, 1), wtrial)  # a[k, i, j] = sum_q test_i wtrial_j
 
     inflow = schedule.inflow
     interior = mesh.tri_neighbors != BOUNDARY
@@ -283,7 +301,6 @@ def build_kernel(
     elen = mesh.edge_length[mesh.tri_edges]
 
     coup = np.zeros((nt, 3, 3, 3))
-    nbr_pad = np.where(mesh.tri_neighbors == BOUNDARY, nt, mesh.tri_neighbors)
     for s in range(3):
         m = inflow[:, s]
         if not m.any():
@@ -307,30 +324,9 @@ def build_kernel(
             coup[k_idx, s, i1, j0] = wi / 3.0
             coup[k_idx, s, i1, j1] = wi / 6.0
 
-    det = np.linalg.det(a)
-    scale = np.abs(a).reshape(nt, 9).max(axis=1)
-    bad = np.abs(det) < 1e-20 * scale**3
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise StabilityError(
-            f"near-singular local system at element {k} (|det|={abs(det[k]):.3e})",
-            element=k,
-        )
-    inv_a = np.linalg.inv(a)
-
     fixed = np.zeros((nt, 3))
-    kernel = DirectionKernel(
-        schedule=schedule,
-        delta_k=delta_k,
-        d=d,
-        inv_a=inv_a,
-        coup=coup,
-        nbr_pad=nbr_pad,
-        fixed_rhs=fixed,
-        bary=bary,
-    )
     if f_vals is not None:
-        fixed += kernel.volume_rhs(tables.areaw * f_vals)
+        fixed += _volume_rhs(tables.areaw * f_vals, bary, delta_k, d)
     if inflow_data is not None:
         bmask = inflow & ~interior
         if bmask.any():
@@ -346,14 +342,61 @@ def build_kernel(
             c1 = w * ((tw * tq)[None, :] * g).sum(axis=1)
             np.add.at(fixed, (ks, ss), c0)
             np.add.at(fixed, (ks, (ss + 1) % 3), c1)
-    return kernel
+    return d, a, coup, fixed
 
 
-def thread_count() -> int:
-    """Worker count for the direction loop, from the RTE_THREADS variable."""
-    raw = os.environ.get("RTE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
+def build_kernel(tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=None):
+    """Assemble the sweep kernel of one direction or of a stack of them.
+
+    schedule: one SweepSchedule, or a sequence of them for a stack. For one
+    direction, f_vals is the fixed volume source at the table's quadrature
+    points (nt, nq), or None for zero, and inflow_data a callable (x, y) for
+    the inflow boundary trace, or None for homogeneous data. For a stack,
+    both are per-direction sequences of those (or None for all directions).
+    """
+    one = isinstance(schedule, SweepSchedule)
+    schedules = (schedule,) if one else tuple(schedule)
+    if one:
+        f_vals, inflow_data = (f_vals,), (inflow_data,)
+    nl = len(schedules)
+    nt = tables.mesh.n_triangles
+    n = nl * nt
+    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (nt,)).copy()
+
+    layer_of = np.concatenate([s.layer_of for s in schedules])
+    order = np.argsort(layer_of, kind="stable")
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    bounds = tuple(int(x) for x in np.concatenate([[0], np.cumsum(np.bincount(layer_of))]))
+
+    # each direction's blocks go straight into their sweep-order slots
+    d = np.empty((nl, nt, 3))
+    fixed = np.empty((nl, nt, 3))
+    inv_a = np.empty((n, 3, 3))
+    fold = np.empty((n, 3, 9))
+    fold_isj = fold.reshape(n, 3, 3, 3)
+    nbr = np.empty((n, 3), dtype=np.int64)
+    for l, sched in enumerate(schedules):
+        f_l = None if f_vals is None else f_vals[l]
+        g_l = None if inflow_data is None else inflow_data[l]
+        d[l], a, coup, fixed[l] = _direction_system(tables, sched, delta_k, f_l, g_l)
+        slots = pos[l * nt : (l + 1) * nt]
+        inv = inverse_3x3(a, direction=l)
+        inv_a[slots] = inv
+        fold_isj[slots] = np.matmul(inv[:, None], coup).transpose(0, 2, 1, 3)
+        up = sched.upwind
+        nbr[slots] = np.where(up >= 0, pos[l * nt + np.maximum(up, 0)], n)
+
+    return SweepKernel(
+        schedules=schedules,
+        delta_k=delta_k,
+        d=d[0] if one else d,
+        fixed_rhs=fixed[0] if one else fixed,
+        bary=tables.rule.points,
+        order=order,
+        pos=pos,
+        bounds=bounds,
+        inv_a=inv_a,
+        fold=fold,
+        nbr=nbr,
+    )

@@ -185,6 +185,17 @@ def test_solve_nonconvergence_raises():
     assert exc.value.residual_history[0] == pytest.approx(1.0)
 
 
+def test_solve_stops_at_non_finite_iterate():
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(4)
+    f = lambda x, y, l: np.where(x < 0.5, np.nan, 1.0)
+    with pytest.raises(NonConvergenceError, match="non-finite") as exc:
+        solve(isotropic_problem(quad, f=f), mesh)
+    hist = exc.value.residual_history
+    assert 1 <= len(hist) <= 2
+    assert np.isnan(hist[-1])
+
+
 def test_solve_rejects_bad_coefficients():
     mesh = build_structured_unit_square(2)
     quad = trapezoid_circle(4)

@@ -4,6 +4,7 @@ import pytest
 from rte2d import (
     BOUNDARY,
     NO_UPWIND,
+    StabilityError,
     SweepCycleError,
     build_mesh,
     build_schedule,
@@ -12,9 +13,10 @@ from rte2d import (
     classify_edges,
     space_tables,
     sweep_direction,
-    thread_count,
+    trapezoid_circle,
     triangle_rule,
 )
+from rte2d.sweep import inverse_3x3
 from helpers import perturbed_mesh, unit_direction
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -208,10 +210,82 @@ def test_kernel_scatter_rhs_additivity():
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("RTE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("RTE_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("RTE_THREADS", "bogus")
-    assert thread_count() == 1
+@pytest.mark.parametrize("structured,delta_kind,with_inflow", [
+    (True, "global", True),  # directions share dependency graphs
+    (False, "zero", True),  # every direction has its own graph
+    (False, "local", False),
+])
+def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_kind, with_inflow):
+    mesh = build_structured_unit_square(4) if structured else perturbed_mesh(4, seed=14)
+    quad = trapezoid_circle(12 if structured else 8)
+    nl = quad.n_directions
+    scheds = [build_schedule(mesh, quad.directions[l]) for l in range(nl)]
+    n_graphs = len({s.inflow.tobytes() for s in scheds})
+    assert (n_graphs < nl) if structured else (n_graphs == nl)
+    delta = {"global": mesh.h, "zero": 0.0, "local": 0.7 * mesh.tri_h}[delta_kind]
+
+    sigma_t = lambda x, y: 3.0 + x + 0.5 * y
+    fs = [lambda x, y, l=l: 1.0 + np.sin(2.0 * x + l) * y for l in range(nl)]
+    gs = [lambda x, y, l=l: 0.5 + x - 0.25 * l * y for l in range(nl)]
+    scats = [lambda x, y, l=l: 1.0 + np.cos(l) * x * y for l in range(nl)]
+    if not with_inflow:
+        gs = [None] * nl
+
+    tables = space_tables(mesh, sigma_t)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    f_vals = [f(px, py) for f in fs]
+    s_vals = np.stack([s(px, py) for s in scats])
+    stack = build_kernel(
+        tables, scheds, delta, f_vals=f_vals, inflow_data=gs if with_inflow else None
+    )
+    for scatter in (False, True):
+        got = stack.run(stack.volume_rhs(tables.areaw * s_vals) if scatter else None)
+        assert got.shape == (nl, mesh.n_triangles, 3)
+        for l in range(nl):
+            kern = build_kernel(tables, scheds[l], delta, f_vals=f_vals[l], inflow_data=gs[l])
+            one = kern.run(kern.volume_rhs(tables.areaw * s_vals[l]) if scatter else None)
+            np.testing.assert_allclose(got[l], one, atol=1e-12)
+            src = fs[l]
+            if scatter:
+                src = lambda x, y, f=fs[l], s=scats[l]: f(x, y) + s(x, y)
+            ref = sweep_direction(
+                mesh, scheds[l], quad.directions[l], delta, sigma_t, src, gs[l],
+                tri_rule=triangle_rule(4), edge_npts=4,
+            )
+            np.testing.assert_allclose(got[l], ref, atol=1e-12)
+
+
+def test_stacked_sweep_steps_are_global_layers():
+    mesh = perturbed_mesh(5, seed=15)
+    quad = trapezoid_circle(6)
+    nt = mesh.n_triangles
+    scheds = [build_schedule(mesh, omega) for omega in quad.directions]
+    kern = build_kernel(space_tables(mesh, const(1.0)), scheds, 0.1)
+    n_steps = len(kern.bounds) - 1
+    assert n_steps == max(s.n_layers for s in scheds)
+    assert n_steps < sum(s.n_layers for s in scheds)
+    # step i is layer i of every direction, in (direction, element) order
+    for i in range(n_steps):
+        want = [l * nt + s.layers[i] for l, s in enumerate(scheds) if i < s.n_layers]
+        np.testing.assert_array_equal(
+            kern.order[kern.bounds[i] : kern.bounds[i + 1]], np.concatenate(want)
+        )
+    one = build_kernel(space_tables(mesh, const(1.0)), scheds[0], 0.1)
+    assert len(one.bounds) - 1 == one.schedule.n_layers == scheds[0].n_layers
+    with pytest.raises(ValueError):
+        kern.schedule
+
+
+def test_inverse_3x3_matches_linalg():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((500, 3, 3)) + 4.0 * np.eye(3)
+    np.testing.assert_allclose(inverse_3x3(a), np.linalg.inv(a), rtol=1e-12, atol=1e-14)
+
+
+def test_inverse_3x3_rejects_singular_block():
+    a = np.tile(np.eye(3), (4, 1, 1))
+    a[2, 2] = a[2, 0] + a[2, 1]  # rank 2
+    with pytest.raises(StabilityError) as exc:
+        inverse_3x3(a, direction=7)
+    assert exc.value.element == 2
+    assert exc.value.direction == 7
