@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularQuadrature, PhaseFunction, scatter_matrix
+from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
 from .dg_core import DGSolution, ElementBasis, element_basis
 from .errors import AssumptionError, NonConvergenceError
 from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
@@ -80,9 +80,10 @@ def delta_value(config: SolverConfig, mesh: TriangleMesh):
 def weighted_norm(coeffs, quad_weights, tri_area) -> float:
     """sqrt(sum_l w_l sum_K ||v^l||^2_{0,K}) for P1 coefficients (L+1, nt, 3)."""
     # c^T M c with M = (area/12)(I + ones): sum c_i^2 + (sum c_i)^2, scaled.
-    c2 = (coeffs**2).sum(axis=2) + coeffs.sum(axis=2) ** 2
-    per_lk = (tri_area[None, :] / 12.0) * c2
-    return float(np.sqrt((quad_weights[:, None] * per_lk).sum()))
+    # Matmuls instead of sum(axis=2): reductions over a length-3 axis are slow.
+    s = coeffs @ np.ones(3)
+    c2 = np.einsum("lki,lki->lk", coeffs, coeffs) + s * s
+    return float(np.sqrt(quad_weights @ (c2 @ (tri_area / 12.0))))
 
 
 def _locate(mesh: TriangleMesh, basis: ElementBasis, x, y):
@@ -122,7 +123,9 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
 
     Raises NonConvergenceError when max_iter is hit or an iterate is not
     finite (the residual history is attached), AssumptionError when the
-    sampled coefficients violate sigma_s >= 0 or sigma_t - sigma_s > 0.
+    sampled coefficients violate sigma_s >= 0, sigma_t - sigma_s > 0 or,
+    with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
+    > 0, m being the row-sum bound of the scatter matrix.
     """
     if config is None:
         config = SolverConfig()
@@ -143,32 +146,34 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             f"sigma_t - sigma_s must be positive (sampled minimum {gap:.3e})"
         )
 
+    scattering = bool(ss.any())
+    if scattering:
+        G = scatter_matrix(problem.phase, quad)
+        m = m_bound(G)
+        c0p = float((tables.sigma_t - m * ss).min())
+        if c0p <= 0.0:
+            raise AssumptionError(
+                f"c0' = min(sigma_t - m sigma_s) = {c0p:.4g} must be positive; m = {m:.4g} "
+                f"is the row-sum bound of the scatter matrix of {problem.phase}, {nl} directions"
+            )
+
     delta = delta_value(config, mesh)
     schedules = [build_schedule(mesh, omega) for omega in quad.directions]
     px, py = pts[..., 0], pts[..., 1]
     f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
     g = problem.inflow
     inflow = None if g is None else [lambda x, y, l=l: g(x, y, l) for l in range(nl)]
-    kernel = build_kernel(tables, schedules, delta, f_vals=f_vals, inflow_data=inflow)
+    kernel = build_kernel(
+        tables, schedules, delta, f_vals=f_vals, inflow_data=inflow,
+        scatter_w=tables.areaw * ss if scattering else None,
+    )
     del f_vals
     delta_used = float(np.max(delta))
 
-    if not ss.any():
-        # no scattering: the directions decouple and one sweep is exact
-        report = SolveReport(
-            iterations=1, residual_history=(), converged=True, delta_used=delta_used
-        )
-        return DGSolution(kernel.run(), mesh, quad), report
-
-    G = scatter_matrix(problem.phase, quad)
-    wss = tables.areaw * ss
-    bary = tables.rule.points
     coeffs = np.zeros((nl, nt, 3))
     history = []
     for j in range(1, config.max_iter + 1):
-        s_pts = (G @ np.einsum("lkj,qj->lkq", coeffs, bary).reshape(nl, -1)).reshape(nl, nt, -1)
-        s_pts *= wss
-        new = kernel.run(kernel.volume_rhs(s_pts))
+        new = kernel.run_scattered(G @ coeffs.reshape(nl, -1)) if scattering else kernel.run()
         num = weighted_norm(new - coeffs, quad.weights, mesh.tri_area)
         den = weighted_norm(new, quad.weights, mesh.tri_area)
         coeffs = new
@@ -178,6 +183,8 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
                 f"source iteration produced a non-finite iterate at iteration {j}",
                 residual_history=tuple(history),
             )
+        if not scattering:
+            break  # the directions decouple and one sweep is exact
         if den == 0.0:
             if num == 0.0:
                 break

@@ -224,26 +224,28 @@ def _volume_rhs(qw, bary, delta_k, d):
 class SweepKernel:
     """Batched transport solve of a stack of directions.
 
-    Everything fixed across source iterations is factored here; only the
-    scattering rhs is supplied per solve. The (direction, element) pairs sit
+    Everything fixed across source iterations is factored here; per solve
+    only the scattering source comes in, as a rhs (run) or as the P1
+    coefficients G @ u (run_scattered). The (direction, element) pairs sit
     in (layer, direction, element) order, so layer i of every direction is
     the slice bounds[i]:bounds[i+1]; its pairs depend only on earlier layers
     of their own direction, so one step solves the whole slice. A kernel of
-    one direction is a stack of one without the leading direction axis on
-    d, fixed_rhs and the arrays run/volume_rhs take and return.
+    one direction is a stack of one without the leading direction axis on d
+    and on the arrays its methods take and return.
     """
 
     schedules: tuple
     delta_k: np.ndarray  # (nt,)
     d: np.ndarray  # (nl, nt, 3) omega . grad(phi)
-    fixed_rhs: np.ndarray  # (nl, nt, 3) volume source + inflow boundary data
     bary: np.ndarray  # (nq, 3)
     order: np.ndarray  # (n,) pair index l * nt + k at each sweep position
     pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
     bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
     inv_a: np.ndarray  # (n, 3, 3) inverted local matrices, in sweep order
-    fold: np.ndarray  # (n, 3, 9) inv_a @ coupling: upwind coefficients -> own
-    nbr: np.ndarray  # (n, 3) sweep position of the upwind neighbour, n if none
+    b0: np.ndarray  # (n, 3) inv_a @ (volume source + inflow data), sweep order
+    fold: np.ndarray  # (n, 3, 6) inv_a @ coupling to the 2 upwind coefficients per edge
+    nbr: np.ndarray  # (n, 6) int32 flat index of those coefficients, 3n if none
+    scat: np.ndarray = None  # (n, 3, 3) inv_a @ scattering moments, sweep order
 
     @property
     def schedule(self) -> SweepSchedule:
@@ -256,16 +258,26 @@ class SweepKernel:
         return _volume_rhs(qw, self.bary, self.delta_k, self.d)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
-        """One sweep of every direction with rhs fixed_rhs (+ scatter_rhs)."""
-        rhs = self.fixed_rhs if scatter_rhs is None else self.fixed_rhs + scatter_rhs
+        """One sweep of every direction with the fixed rhs (+ scatter_rhs)."""
+        return self._sweep(self.inv_a, scatter_rhs)
+
+    def run_scattered(self, gc: np.ndarray) -> np.ndarray:
+        """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i,
+        given gc = G @ u as P1 coefficients (nl, nt * 3); needs scatter_w."""
+        return self._sweep(self.scat, gc)
+
+    def _sweep(self, blocks, x):
+        """Sweep from b0 + blocks @ x, x in pair order (nothing added if None)."""
         n = self.order.size
-        c = np.empty((n + 1, 3))
-        c[n] = 0.0
-        np.einsum("kij,kj->ki", self.inv_a, rhs.reshape(n, 3)[self.order], out=c[:n])
+        c = np.zeros(3 * (n + 1))  # zero padding row: the "no neighbour" target
+        cs = c.reshape(n + 1, 3)
+        cs[:n] = self.b0
+        if x is not None:
+            cs[:n] += np.einsum("kij,kj->ki", blocks, x.reshape(n, 3).take(self.order, axis=0))
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            g = c[self.nbr[lo:hi]].reshape(hi - lo, 9)
-            c[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
-        return c[self.pos].reshape(self.fixed_rhs.shape)
+            g = c.take(self.nbr[lo:hi])
+            cs[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
+        return cs.take(self.pos, axis=0).reshape(self.d.shape)
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
@@ -300,7 +312,7 @@ def _direction_system(tables, schedule, delta_k, f_vals, inflow_data):
     absdot = -schedule.dot  # positive on inflow edges
     elen = mesh.edge_length[mesh.tri_edges]
 
-    coup = np.zeros((nt, 3, 3, 3))
+    coup = np.zeros((nt, 3, 3, 2))  # [k, s, i, t]: neighbour's coefficient opp + t on edge s
     for s in range(3):
         m = inflow[:, s]
         if not m.any():
@@ -316,13 +328,11 @@ def _direction_system(tables, schedule, delta_k, f_vals, inflow_data):
         if mi.any():
             k_idx = np.flatnonzero(mi)
             wi = elen[mi, s] * absdot[mi, s]
-            sp = tables.opp_local[mi, s]
-            j0, j1 = sp, (sp + 1) % 3
-            # neighbor traces run against the edge param: phi_j0 = t, phi_j1 = 1-t
-            coup[k_idx, s, i0, j0] = wi / 6.0
-            coup[k_idx, s, i0, j1] = wi / 3.0
-            coup[k_idx, s, i1, j0] = wi / 3.0
-            coup[k_idx, s, i1, j1] = wi / 6.0
+            # neighbor traces run against the edge param: phi_opp = t, phi_opp+1 = 1-t
+            coup[k_idx, s, i0, 0] = wi / 6.0
+            coup[k_idx, s, i0, 1] = wi / 3.0
+            coup[k_idx, s, i1, 0] = wi / 3.0
+            coup[k_idx, s, i1, 1] = wi / 6.0
 
     fixed = np.zeros((nt, 3))
     if f_vals is not None:
@@ -345,7 +355,9 @@ def _direction_system(tables, schedule, delta_k, f_vals, inflow_data):
     return d, a, coup, fixed
 
 
-def build_kernel(tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=None):
+def build_kernel(
+    tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=None, scatter_w=None
+):
     """Assemble the sweep kernel of one direction or of a stack of them.
 
     schedule: one SweepSchedule, or a sequence of them for a stack. For one
@@ -353,6 +365,8 @@ def build_kernel(tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=
     points (nt, nq), or None for zero, and inflow_data a callable (x, y) for
     the inflow boundary trace, or None for homogeneous data. For a stack,
     both are per-direction sequences of those (or None for all directions).
+    scatter_w, the area-weighted sigma_s at the quadrature points (nt, nq),
+    enables run_scattered.
     """
     one = isinstance(schedule, SweepSchedule)
     schedules = (schedule,) if one else tuple(schedule)
@@ -362,6 +376,7 @@ def build_kernel(tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=
     nt = tables.mesh.n_triangles
     n = nl * nt
     delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (nt,)).copy()
+    bary = tables.rule.points
 
     layer_of = np.concatenate([s.layer_of for s in schedules])
     order = np.argsort(layer_of, kind="stable")
@@ -369,34 +384,46 @@ def build_kernel(tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=
     pos[order] = np.arange(n)
     bounds = tuple(int(x) for x in np.concatenate([[0], np.cumsum(np.bincount(layer_of))]))
 
+    # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta_k d s_k^T) gc
+    if scatter_w is not None:
+        s_vec = scatter_w @ bary  # (nt, 3)
+        s_mat = np.matmul(bary.T * scatter_w[:, None, :], bary)  # (nt, 3, 3)
+
     # each direction's blocks go straight into their sweep-order slots
     d = np.empty((nl, nt, 3))
-    fixed = np.empty((nl, nt, 3))
     inv_a = np.empty((n, 3, 3))
-    fold = np.empty((n, 3, 9))
-    fold_isj = fold.reshape(n, 3, 3, 3)
-    nbr = np.empty((n, 3), dtype=np.int64)
+    b0 = np.empty((n, 3))
+    fold = np.empty((n, 3, 6))
+    nbr = np.empty((n, 6), dtype=np.int32)
+    scat = None if scatter_w is None else np.empty((n, 3, 3))
+    opp = tables.opp_local
     for l, sched in enumerate(schedules):
         f_l = None if f_vals is None else f_vals[l]
         g_l = None if inflow_data is None else inflow_data[l]
-        d[l], a, coup, fixed[l] = _direction_system(tables, sched, delta_k, f_l, g_l)
+        d[l], a, coup, fixed = _direction_system(tables, sched, delta_k, f_l, g_l)
         slots = pos[l * nt : (l + 1) * nt]
         inv = inverse_3x3(a, direction=l)
         inv_a[slots] = inv
-        fold_isj[slots] = np.matmul(inv[:, None], coup).transpose(0, 2, 1, 3)
+        b0[slots] = np.einsum("kij,kj->ki", inv, fixed)
+        fold[slots] = np.matmul(inv[:, None], coup).transpose(0, 2, 1, 3).reshape(nt, 3, 6)
         up = sched.upwind
-        nbr[slots] = np.where(up >= 0, pos[l * nt + np.maximum(up, 0)], n)
+        flat = 3 * pos[l * nt + np.maximum(up, 0)][..., None] + (opp[..., None] + [0, 1]) % 3
+        nbr[slots] = np.where(up[..., None] >= 0, flat, 3 * n).reshape(nt, 6)
+        if scat is not None:
+            m = s_mat + (delta_k[:, None] * d[l])[:, :, None] * s_vec[:, None, :]
+            scat[slots] = np.matmul(inv, m)
 
     return SweepKernel(
         schedules=schedules,
         delta_k=delta_k,
         d=d[0] if one else d,
-        fixed_rhs=fixed[0] if one else fixed,
-        bary=tables.rule.points,
+        bary=bary,
         order=order,
         pos=pos,
         bounds=bounds,
         inv_a=inv_a,
+        b0=b0,
         fold=fold,
         nbr=nbr,
+        scat=scat,
     )

@@ -10,6 +10,7 @@ from rte2d import (
     SolverConfig,
     TransportProblem,
     apply_ah,
+    build_kernel,
     build_schedule,
     build_structured_unit_square,
     delta_value,
@@ -19,6 +20,7 @@ from rte2d import (
     scatter_matrix,
     scattering_source,
     solve,
+    space_tables,
     sweep_direction,
     trapezoid_circle,
     triangle_rule,
@@ -132,6 +134,49 @@ def test_solve_matches_reference_source_iteration():
     np.testing.assert_allclose(sol.coeffs, coeffs, atol=1e-9)
 
 
+def test_solve_matches_point_source_iteration():
+    # the folded scattering moments against a plain source iteration that
+    # evaluates sigma_s * G u at the quadrature points and sweeps direction by direction
+    mesh = perturbed_mesh(4, seed=26)
+    quad = trapezoid_circle(8)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    problem = TransportProblem(
+        sigma_t=lambda x, y: 4.0 + x * y,
+        sigma_s=lambda x, y: 2.0 + np.sin(3.0 * x) * y,
+        phase=PhaseFunction.henyey_greenstein(0.5),
+        f=lambda x, y, l: 1.0 + np.cos(l + x) * y,
+        quad=quad,
+        inflow=lambda x, y, l: 0.5 + 0.1 * l * x,
+    )
+    cfg = SolverConfig(tol=1e-12)
+    sol, report = solve(problem, mesh, cfg)
+    assert 10 < report.iterations < 100
+
+    tables = space_tables(mesh, problem.sigma_t)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    wss = tables.areaw * problem.sigma_s(px, py)
+    G = scatter_matrix(problem.phase, quad)
+    kernels = [
+        build_kernel(
+            tables, build_schedule(mesh, quad.directions[l]), mesh.h,
+            f_vals=problem.f(px, py, l), inflow_data=lambda x, y, l=l: problem.inflow(x, y, l),
+        )
+        for l in range(nl)
+    ]
+    coeffs = np.zeros((nl, nt, 3))
+    for j in range(1, cfg.max_iter + 1):
+        s_pts = np.einsum("ij,jkq->ikq", G, np.einsum("lkj,qj->lkq", coeffs, tables.rule.points))
+        new = np.stack([k.run(k.volume_rhs(wss * s_pts[l])) for l, k in enumerate(kernels)])
+        r = weighted_norm(new - coeffs, quad.weights, mesh.tri_area) / weighted_norm(
+            new, quad.weights, mesh.tri_area
+        )
+        coeffs = new
+        if r <= cfg.tol:
+            break
+    assert j == report.iterations
+    np.testing.assert_allclose(sol.coeffs, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
+
+
 def test_solve_residual_history_properties():
     mesh = build_structured_unit_square(4)
     quad = trapezoid_circle(8)
@@ -194,6 +239,31 @@ def test_solve_stops_at_non_finite_iterate():
     hist = exc.value.residual_history
     assert 1 <= len(hist) <= 2
     assert np.isnan(hist[-1])
+
+
+def test_solve_without_scattering_rejects_non_finite_sweep():
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(20)
+    f = lambda x, y, l: np.where(x < 0.5, np.nan, 1.0)
+    with pytest.raises(NonConvergenceError, match="non-finite") as exc:
+        solve(isotropic_problem(quad, sigma_s=0.0, f=f), mesh)
+    hist = exc.value.residual_history
+    assert len(hist) == 1 and np.isnan(hist[0])
+
+
+def test_solve_rejects_discrete_coercivity_violation():
+    # sigma_t - sigma_s > 0, but m ~ 9.98 makes sigma_t - m sigma_s negative
+    mesh = build_structured_unit_square(2)
+    quad = trapezoid_circle(20)
+    problem = isotropic_problem(quad, sigma_t=10.0, sigma_s=5.0)
+    problem.phase = PhaseFunction.henyey_greenstein(0.99)
+    m = m_bound(scatter_matrix(problem.phase, quad))
+    assert m == pytest.approx(9.983, abs=1e-3)
+    with pytest.raises(AssumptionError, match="c0'") as exc:
+        solve(problem, mesh, SolverConfig(max_iter=5))
+    msg = str(exc.value)
+    assert f"m = {m:.4g}" in msg
+    assert f"= {10.0 - 5.0 * m:.4g} must be positive" in msg
 
 
 def test_solve_rejects_bad_coefficients():

@@ -4,6 +4,7 @@ import pytest
 from rte2d import (
     BOUNDARY,
     NO_UPWIND,
+    PhaseFunction,
     StabilityError,
     SweepCycleError,
     build_mesh,
@@ -11,13 +12,15 @@ from rte2d import (
     build_kernel,
     build_structured_unit_square,
     classify_edges,
+    scatter_matrix,
+    scattering_source,
     space_tables,
     sweep_direction,
     trapezoid_circle,
     triangle_rule,
 )
 from rte2d.sweep import inverse_3x3
-from helpers import perturbed_mesh, unit_direction
+from helpers import perturbed_mesh, random_solution, unit_direction
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
@@ -225,28 +228,50 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     delta = {"global": mesh.h, "zero": 0.0, "local": 0.7 * mesh.tri_h}[delta_kind]
 
     sigma_t = lambda x, y: 3.0 + x + 0.5 * y
+    sigma_s = lambda x, y: 0.5 + x * (1.0 - y)
     fs = [lambda x, y, l=l: 1.0 + np.sin(2.0 * x + l) * y for l in range(nl)]
     gs = [lambda x, y, l=l: 0.5 + x - 0.25 * l * y for l in range(nl)]
-    scats = [lambda x, y, l=l: 1.0 + np.cos(l) * x * y for l in range(nl)]
     if not with_inflow:
         gs = [None] * nl
 
     tables = space_tables(mesh, sigma_t)
     px, py = tables.points[..., 0], tables.points[..., 1]
     f_vals = [f(px, py) for f in fs]
-    s_vals = np.stack([s(px, py) for s in scats])
+    scatter_w = tables.areaw * sigma_s(px, py)
     stack = build_kernel(
-        tables, scheds, delta, f_vals=f_vals, inflow_data=gs if with_inflow else None
+        tables, scheds, delta, f_vals=f_vals, inflow_data=gs if with_inflow else None,
+        scatter_w=scatter_w,
     )
-    for scatter in (False, True):
-        got = stack.run(stack.volume_rhs(tables.areaw * s_vals) if scatter else None)
+
+    # "points": a per-direction volume source; "moments": the lagged scattering
+    # sigma_s * sum_i G[l, i] u^i of a random field, fed to run_scattered as G @ u
+    u = random_solution(mesh, quad, seed=5)
+    G = scatter_matrix(PhaseFunction.henyey_greenstein(0.4), quad)
+    gu_pts = np.einsum("ij,jkq->ikq", G, np.einsum("lkj,qj->lkq", u.coeffs, tables.rule.points))
+    sources = {
+        None: (None, None),
+        "points": (
+            [lambda x, y, l=l: 1.0 + np.cos(l) * x * y for l in range(nl)],
+            np.stack([1.0 + np.cos(l) * px * py for l in range(nl)]),
+        ),
+        "moments": (
+            [scattering_source(u, G, sigma_s, l) for l in range(nl)],
+            sigma_s(px, py) * gu_pts,
+        ),
+    }
+    for kind, (scats, s_vals) in sources.items():
+        got = stack.run(None if kind is None else stack.volume_rhs(tables.areaw * s_vals))
+        if kind == "moments":
+            folded = stack.run_scattered(G @ u.coeffs.reshape(nl, -1))
+            np.testing.assert_allclose(folded, got, atol=1e-12)
+            got = folded
         assert got.shape == (nl, mesh.n_triangles, 3)
         for l in range(nl):
             kern = build_kernel(tables, scheds[l], delta, f_vals=f_vals[l], inflow_data=gs[l])
-            one = kern.run(kern.volume_rhs(tables.areaw * s_vals[l]) if scatter else None)
+            one = kern.run(None if kind is None else kern.volume_rhs(tables.areaw * s_vals[l]))
             np.testing.assert_allclose(got[l], one, atol=1e-12)
             src = fs[l]
-            if scatter:
+            if kind is not None:
                 src = lambda x, y, f=fs[l], s=scats[l]: f(x, y) + s(x, y)
             ref = sweep_direction(
                 mesh, scheds[l], quad.directions[l], delta, sigma_t, src, gs[l],
