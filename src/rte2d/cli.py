@@ -35,7 +35,7 @@ from .errors import (
 )
 from .mesh import build_structured_unit_square, load_mesh, refine_regular
 from .solver import SolverConfig, solve
-from .sweep import build_schedule
+from .sweep import build_schedules
 
 ERROR_CODES = (
     (NonConvergenceError, "nonconvergence", 3),
@@ -224,7 +224,7 @@ def _cmd_solve(args):
         l = args.dump_schedule
         if not 0 <= l < quad.n_directions:
             raise ValueError(f"--dump-schedule index {l} outside 0..{quad.n_directions - 1}")
-        sched = build_schedule(mesh, quad.directions[l])
+        sched = build_schedules(mesh, quad.directions[l : l + 1])[0]
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:
             for layer in sched.layers:

@@ -136,28 +136,38 @@ def assemble_local(
     return LocalSystem(A=A, b=b)
 
 
+# One singularity criterion for every local 3x3 system: a block is singular
+# unless |det| > SINGULAR_RTOL * s^3, s being its largest absolute entry.
+SINGULAR_RTOL = 1e-20
+
+
+def check_nonsingular(a: np.ndarray, det: np.ndarray, element=None, direction=None):
+    """StabilityError at the first (n, 3, 3) block of a whose determinant
+    det fails the criterion; element names it (default: its batch index)."""
+    scale = np.abs(a).reshape(-1, 9).max(axis=1)
+    bad = ~(np.abs(det) > SINGULAR_RTOL * scale**3)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        k = i if element is None else element
+        where = f"element {k}" + ("" if direction is None else f", direction {direction}")
+        raise StabilityError(
+            f"near-singular local system at {where} (|det| {abs(det[i]):.3e}, "
+            f"scale {scale[i]:.3e})",
+            element=k,
+            direction=direction,
+        )
+
+
 def solve_local(sys: LocalSystem, element=None, direction=None) -> np.ndarray:
-    """Direct 3x3 solve with partial pivoting and an explicit pivot guard."""
+    """Direct 3x3 solve with partial pivoting, guarded by check_nonsingular."""
     A = np.array(sys.A, dtype=float)
     b = np.array(sys.b, dtype=float)
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        raise StabilityError("zero local matrix", element=element, direction=direction)
-    perm = [0, 1, 2]
+    check_nonsingular(A[None], np.linalg.det(A)[None], element=element, direction=direction)
     for col in range(3):
         p = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[p, col]) < 1e-14 * scale:
-            raise StabilityError(
-                f"singular local system (pivot {A[p, col]:.3e} vs scale {scale:.3e})"
-                + (f" at element {element}" if element is not None else "")
-                + (f", direction {direction}" if direction is not None else ""),
-                element=element,
-                direction=direction,
-            )
         if p != col:
             A[[col, p]] = A[[p, col]]
             b[[col, p]] = b[[p, col]]
-            perm[col], perm[p] = perm[p], perm[col]
         for row in range(col + 1, 3):
             f = A[row, col] / A[col, col]
             A[row, col:] -= f * A[col, col:]

@@ -18,7 +18,7 @@ from .dg_core import DGSolution, ElementBasis, element_basis
 from .errors import AssumptionError, NonConvergenceError
 from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
 from .quadrature import edge_rule, triangle_rule
-from .sweep import build_kernel, build_schedule, space_tables
+from .sweep import EPS_N, build_kernel, build_schedules, space_tables
 
 
 @dataclass
@@ -94,7 +94,12 @@ def _locate(mesh: TriangleMesh, basis: ElementBasis, x, y):
     lam12 = np.einsum("knt,kjt->knj", disp, basis.grad[:, 1:])
     lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
     k = lam.min(axis=2).argmax(axis=0)
-    return k, lam[k, np.arange(pts.shape[0])]
+    lam = lam[k, np.arange(pts.shape[0])]
+    out = lam.min(axis=1) < -1e-12
+    if out.any():
+        x0, y0 = pts[np.argmax(out)]
+        raise ValueError(f"point ({x0:.6g}, {y0:.6g}) lies outside the mesh")
+    return k, lam
 
 
 def scattering_source(sol: DGSolution, G, sigma_s, l: int):
@@ -118,14 +123,26 @@ def scattering_source(sol: DGSolution, G, sigma_s, l: int):
     return source
 
 
+def _require_finite(name, vals, pts):
+    """AssumptionError naming the quantity if a sample vals (at pts) is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x, y = pts[np.unravel_index(np.argmax(bad), bad.shape)]
+        raise AssumptionError(
+            f"{name} has {int(bad.sum())} non-finite samples, the first at ({x:.6g}, {y:.6g})"
+        )
+
+
 def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = None):
     """Run source iteration to convergence; returns (DGSolution, SolveReport).
 
     Raises NonConvergenceError when max_iter is hit or an iterate is not
-    finite (the residual history is attached), AssumptionError when the
-    sampled coefficients violate sigma_s >= 0, sigma_t - sigma_s > 0 or,
-    with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
-    > 0, m being the row-sum bound of the scatter matrix.
+    finite (the residual history is attached), AssumptionError before any
+    set-up when a sample of sigma_t, sigma_s, f or the inflow data is not
+    finite, or the sampled coefficients violate sigma_s >= 0, sigma_t -
+    sigma_s > 0 or, with scattering, the discrete coercivity c0' =
+    min(sigma_t - m sigma_s) > 0, m being the row-sum bound of the scatter
+    matrix.
     """
     if config is None:
         config = SolverConfig()
@@ -135,9 +152,24 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     basis = element_basis(mesh)
     tables = space_tables(mesh, problem.sigma_t, basis=basis)
     pts = tables.points
+    px, py = pts[..., 0], pts[..., 1]
 
-    ss = np.asarray(problem.sigma_s(pts[..., 0], pts[..., 1]), dtype=float)
-    ss = np.broadcast_to(ss, pts.shape[:2])
+    ss = np.broadcast_to(np.asarray(problem.sigma_s(px, py), dtype=float), px.shape)
+    f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
+    _require_finite("sigma_t", tables.sigma_t, pts)
+    _require_finite("sigma_s", ss, pts)
+    for l in range(nl):
+        _require_finite(f"f (direction {l})", f_vals[l], pts)
+    g = problem.inflow
+    if g is not None:
+        # the inflow boundary points the kernel samples g at
+        be = mesh.boundary_edges
+        ev = mesh.vertices[mesh.edge_vertices[be]]
+        bpts = ev[:, :1] + tables.edge_t[None, :, None] * (ev[:, 1:] - ev[:, :1])
+        for l, omega in enumerate(quad.directions):
+            bp = bpts[mesh.edge_normal[be] @ omega < -EPS_N]
+            gl = np.asarray(g(bp[..., 0], bp[..., 1], l), dtype=float)
+            _require_finite(f"inflow data (direction {l})", np.broadcast_to(gl, bp.shape[:2]), bp)
     if (ss < 0).any():
         raise AssumptionError("sigma_s must be nonnegative")
     gap = float((tables.sigma_t - ss).min())
@@ -158,10 +190,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             )
 
     delta = delta_value(config, mesh)
-    schedules = [build_schedule(mesh, omega) for omega in quad.directions]
-    px, py = pts[..., 0], pts[..., 1]
-    f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
-    g = problem.inflow
+    schedules = build_schedules(mesh, quad.directions)
     inflow = None if g is None else [lambda x, y, l=l: g(x, y, l) for l in range(nl)]
     kernel = build_kernel(
         tables, schedules, delta, f_vals=f_vals, inflow_data=inflow,
@@ -213,57 +242,38 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     return DGSolution(coeffs, mesh, quad), report
 
 
-def _form_pieces(sol_u, sol_v, problem, mesh, G, edge_npts=4, tri_degree=6):
-    """Per-direction ingredients shared by apply_ah and the triple norm.
+def _form_tables(problem, mesh, delta):
+    """Degree-6 volume tables of the global forms: bary, weights, sigma_t, sigma_s, delta_K."""
+    rule = triangle_rule(6)
+    pts = np.einsum("qs,kst->kqt", rule.points, mesh.vertices[mesh.triangles])
+    x, y = pts[..., 0], pts[..., 1]
+    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
+    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
+    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    return rule.points, mesh.tri_area[:, None] * rule.weights, st, ss, delta_k
 
-    Yields (l, w_l, dict) with elementwise volume values and edge traces.
-    """
-    quad = sol_u.quad
-    basis = element_basis(mesh)
-    rule = triangle_rule(tri_degree)
-    bary = rule.points
-    pts = np.einsum("qs,kst->kqt", bary, mesh.vertices[mesh.triangles])
-    areaw = mesh.tri_area[:, None] * rule.weights[None, :]
-    st = np.broadcast_to(
-        np.asarray(problem.sigma_t(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-    )
-    ss = np.broadcast_to(
-        np.asarray(problem.sigma_s(pts[..., 0], pts[..., 1]), dtype=float), pts.shape[:2]
-    )
-    tq, tw = edge_rule(edge_npts)
-    opp = opposite_local_edge(mesh)
-    interior = mesh.tri_neighbors != BOUNDARY
+
+def _form_directions(quad, mesh, eps_n):
+    """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
+    of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
+    grad = element_basis(mesh).grad
     elen = mesh.edge_length[mesh.tri_edges]
-
-    u_all = np.einsum("lkj,qj->lkq", sol_u.coeffs, bary)  # (nl, nt, nq)
-    s_all = (G @ u_all.reshape(quad.n_directions, -1)).reshape(u_all.shape)
-
-    for l in range(quad.n_directions):
-        omega = quad.directions[l]
+    boundary = mesh.tri_neighbors == BOUNDARY
+    for l, omega in enumerate(quad.directions):
         dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
-        d = basis.grad @ omega
-        yield l, quad.weights[l], {
-            "omega": omega,
-            "dot": dot,
-            "d": d,
-            "bary": bary,
-            "areaw": areaw,
-            "st": st,
-            "ss": ss,
-            "tq": tq,
-            "tw": tw,
-            "opp": opp,
-            "interior": interior,
-            "elen": elen,
-            "u_pts": u_all[l],
-            "s_pts": s_all[l],
-        }
+        w_in = np.where(dot < -eps_n, -elen * dot, 0.0)
+        w_out = np.where((dot > eps_n) & boundary, elen * dot, 0.0)
+        yield l, quad.weights[l], grad @ omega, w_in, w_out
 
 
-def _edge_trace(coeffs, s, t):
-    """P1 trace along local edge s at params t: (n_masked, n_t)."""
-    s1 = (s + 1) % 3
-    return np.outer(coeffs[:, s], 1.0 - t) + np.outer(coeffs[:, s1], t)
+def _edge_traces(c, mesh, opp, tq):
+    """Own and upwind traces (nt, 3, nt_pts) of a P1 field c (nt, 3) at the edge
+    params tq of every local edge; the upwind trace is zero across the boundary."""
+    own = c[:, :, None] * (1.0 - tq) + np.roll(c, -1, axis=1)[:, :, None] * tq
+    nb = np.maximum(mesh.tri_neighbors, 0)
+    # the neighbour runs against the edge param: its phi_opp = t
+    up = c[nb, opp][..., None] * tq + c[nb, (opp + 1) % 3][..., None] * (1.0 - tq)
+    return own, np.where((mesh.tri_neighbors != BOUNDARY)[..., None], up, 0.0)
 
 
 def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta, eps_n=1e-12) -> float:
@@ -275,44 +285,20 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta, eps_n=1e-12) ->
     if u.mesh is not mesh or v.mesh is not mesh:
         raise ValueError("u, v must live on the given mesh")
     G = scatter_matrix(problem.phase, u.quad)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
+    u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
+    s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
+    opp = opposite_local_edge(mesh)
+    tq, tw = edge_rule(4)
     total = 0.0
-    for l, wl, p in _form_pieces(u, v, problem, mesh, G):
-        cu = u.coeffs[l]
-        cv = v.coeffs[l]
-        du = (p["d"] * cu).sum(axis=1)  # omega . grad u, constant per element
-        dv = (p["d"] * cv).sum(axis=1)
-        u_q = p["u_pts"]
-        v_q = cv @ p["bary"].T
-        test = v_q + delta_k[:, None] * dv[:, None]
-        vol = (p["areaw"] * (du[:, None] + p["st"] * u_q) * test).sum()
-        scat = (p["areaw"] * p["ss"] * p["s_pts"] * test).sum()
-
-        jump = 0.0
-        inflow = p["dot"] < -eps_n
-        for s in range(3):
-            m = inflow[:, s]
-            if not m.any():
-                continue
-            w_e = p["elen"][m, s] * (-p["dot"][m, s])
-            u_plus = _edge_trace(cu[m], s, p["tq"])
-            v_plus = _edge_trace(cv[m], s, p["tq"])
-            mi = m & p["interior"][:, s]
-            if mi.any():
-                nbr = mesh.tri_neighbors[mi, s]
-                sp = p["opp"][mi, s]
-                sp1 = (sp + 1) % 3
-                # neighbor runs against the edge param: phi_sp = t
-                u_minus = cu[nbr, sp, None] * p["tq"][None, :] + cu[nbr, sp1, None] * (
-                    1.0 - p["tq"][None, :]
-                )
-                take = mi[m]  # positions of interior-inflow rows inside m
-                u_jump = u_plus.copy()
-                u_jump[take] -= u_minus
-            else:
-                u_jump = u_plus
-            jump += (w_e[:, None] * u_jump * v_plus * p["tw"][None, :]).sum()
-        total += wl * (vol + jump - scat)
+    for l, wl, d, w_in, _ in _form_directions(u.quad, mesh, eps_n):
+        cu, cv = u.coeffs[l], v.coeffs[l]
+        du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
+        test = cv @ bary.T + (delta_k * (d * cv).sum(axis=1))[:, None]
+        vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
+        u_own, u_up = _edge_traces(cu, mesh, opp, tq)
+        v_own, _ = _edge_traces(cv, mesh, opp, tq)
+        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ tw).sum())
     return float(total)
 
 
@@ -324,39 +310,15 @@ def triple_norm_stability(
         raise AssumptionError(
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
         )
-    G = scatter_matrix(problem.phase, v.quad)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
+    opp = opposite_local_edge(mesh)
+    tq, tw = edge_rule(4)
     total = 0.0
-    for l, wl, p in _form_pieces(v, v, problem, mesh, G):
+    for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh, eps_n):
         cv = v.coeffs[l]
-        dv = (p["d"] * cv).sum(axis=1)
-        v_q = p["u_pts"]
-        l2 = (p["areaw"] * v_q**2).sum()
-        grad = (delta_k * mesh.tri_area * dv**2).sum()
-
-        inflow = p["dot"] < -eps_n
-        outflow_b = (p["dot"] > eps_n) & ~p["interior"]
-        jump = 0.0
-        out_term = 0.0
-        for s in range(3):
-            m = inflow[:, s]
-            if m.any():
-                w_e = p["elen"][m, s] * (-p["dot"][m, s])
-                v_jump = _edge_trace(cv[m], s, p["tq"])
-                mi = m & p["interior"][:, s]
-                if mi.any():
-                    nbr = mesh.tri_neighbors[mi, s]
-                    sp = p["opp"][mi, s]
-                    sp1 = (sp + 1) % 3
-                    v_minus = cv[nbr, sp, None] * p["tq"][None, :] + cv[
-                        nbr, sp1, None
-                    ] * (1.0 - p["tq"][None, :])
-                    v_jump[mi[m]] -= v_minus
-                jump += (w_e[:, None] * v_jump**2 * p["tw"][None, :]).sum()
-            mo = outflow_b[:, s]
-            if mo.any():
-                w_e = p["elen"][mo, s] * p["dot"][mo, s]
-                v_minus = _edge_trace(cv[mo], s, p["tq"])
-                out_term += (w_e[:, None] * v_minus**2 * p["tw"][None, :]).sum()
-        total += wl * (c0_prime * l2 + out_term + grad + jump)
+        l2 = (areaw * (cv @ bary.T) ** 2).sum()
+        grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
+        own, up = _edge_traces(cv, mesh, opp, tq)
+        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ tw).sum()
+        total += wl * (c0_prime * l2 + grad + faces)
     return float(np.sqrt(total))

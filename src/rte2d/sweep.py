@@ -15,11 +15,12 @@ from .dg_core import (
     EDGE_MASS_2,
     ElementBasis,
     assemble_local,
+    check_nonsingular,
     element_basis,
     solve_local,
 )
 from .errors import StabilityError, SweepCycleError
-from .mesh import BOUNDARY, TriangleMesh, classify_edges, opposite_local_edge
+from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
 from .quadrature import TriangleRule, edge_rule, triangle_rule
 
 EPS_N = 1e-12
@@ -51,46 +52,71 @@ class SweepSchedule:
         return len(self.layers)
 
 
-def build_schedule(mesh: TriangleMesh, omega, eps_n: float = EPS_N) -> SweepSchedule:
-    cls = classify_edges(mesh, omega, eps_n=eps_n)
-    nt = mesh.n_triangles
-    inflow = cls.inflow
-    interior = mesh.tri_neighbors != BOUNDARY
+def build_schedules(mesh: TriangleMesh, directions, eps_n: float = EPS_N) -> list:
+    """One SweepSchedule per direction, all peeled in one loop.
 
-    upwind = np.full((nt, 3), NO_UPWIND, dtype=np.int64)
-    upwind[inflow] = BOUNDARY
-    dep = inflow & interior
-    upwind[dep] = mesh.tri_neighbors[dep]
+    The (direction, element) pairs are numbered l * nt + k, so one step of
+    the loop peels layer i of every direction: max_l n_layers(l) steps in
+    all. Each schedule equals the one its direction would get alone.
+    """
+    om = np.asarray(directions, dtype=float)
+    if om.ndim != 2 or om.shape[1] != 2 or (abs(np.hypot(om[:, 0], om[:, 1]) - 1.0) > 1e-12).any():
+        raise ValueError("omega must be a unit 2-vector")
+    nl, nt = om.shape[0], mesh.n_triangles
+    nbr = mesh.tri_neighbors
+    interior = nbr != BOUNDARY
+    normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2), gathered once
+    dot = np.empty((nl, nt, 3))
+    for l in range(nl):
+        dot[l] = (normals @ om[l]) * mesh.tri_edge_sign
+    inflow = dot < -eps_n
+    upwind = np.where(inflow, nbr, NO_UPWIND)  # nbr is BOUNDARY across the boundary
+    indeg = (inflow & interior).sum(axis=2).ravel()
+    # the pair downwind of each edge, -1 if none
+    targets = np.where((dot > eps_n) & interior, nbr + (np.arange(nl) * nt)[:, None, None], -1)
+    targets = targets.reshape(-1, 3)
 
-    indeg = dep.sum(axis=1)
-    outgoing = (cls.omega_dot_n > eps_n) & interior
-    layer_of = np.full(nt, -1, dtype=np.int64)
-    layers = []
+    layer_of = np.full(nl * nt, -1, dtype=np.int64)
+    steps = []
     current = np.flatnonzero(indeg == 0)
-    assigned = 0
     while current.size:
-        layers.append(current)
-        layer_of[current] = len(layers) - 1
-        assigned += current.size
-        ks, ss = np.nonzero(outgoing[current])
-        targets = mesh.tri_neighbors[current[ks], ss]
-        np.subtract.at(indeg, targets, 1)
-        cand = np.unique(targets)
-        current = cand[(indeg[cand] == 0) & (layer_of[cand] < 0)]
-    if assigned != nt:
-        stuck = np.flatnonzero(layer_of < 0)
+        layer_of[current] = len(steps)
+        steps.append(current)
+        t = targets[current].ravel()
+        t = t[t >= 0]
+        np.subtract.at(indeg, t, 1)
+        t = t[indeg[t] == 0]  # ready, once per upwind edge: sort, drop repeats
+        t.sort()
+        current = np.concatenate((t[:1], t[1:][t[1:] != t[:-1]]))
+    stuck = np.flatnonzero(layer_of < 0)
+    if stuck.size:
+        l = int(stuck[0] // nt)
+        ks = stuck[stuck // nt == l] - l * nt
         raise SweepCycleError(
-            f"sweep dependency graph has a cycle touching {stuck.size} elements",
-            elements=tuple(int(k) for k in stuck[:20]),
+            f"sweep dependency graph of direction {l}, omega = ({om[l, 0]:.6g}, "
+            f"{om[l, 1]:.6g}), has a cycle touching {ks.size} elements",
+            elements=tuple(int(k) for k in ks[:20]),
         )
-    return SweepSchedule(
-        omega=np.asarray(omega, dtype=float),
-        layers=tuple(layers),
-        layer_of=layer_of,
-        upwind=upwind,
-        inflow=inflow,
-        dot=cls.omega_dot_n,
-    )
+    # layers are views of one array of element ids: the ids outlive the call,
+    # and one block keeps them from splitting the heap's free space (peak RSS)
+    pairs = np.concatenate(steps)  # by (layer, direction, element)
+    elements, dirs = pairs % nt, pairs // nt
+    cuts = np.flatnonzero(np.diff(layer_of[pairs] * nl + dirs)) + 1
+    layers = [[] for _ in range(nl)]
+    starts, ends = [0, *cuts.tolist()], [*cuts.tolist(), pairs.size]
+    for a, b, l in zip(starts, ends, dirs[starts].tolist()):
+        layers[l].append(elements[a:b])
+    layer_of = layer_of.reshape(nl, nt)
+    return [
+        SweepSchedule(omega=om[l], layers=tuple(layers[l]), layer_of=layer_of[l],
+                      upwind=upwind[l], inflow=inflow[l], dot=dot[l])
+        for l in range(nl)
+    ]
+
+
+def build_schedule(mesh: TriangleMesh, omega, eps_n: float = EPS_N) -> SweepSchedule:
+    """The schedule of one direction, from the same peel as build_schedules."""
+    return build_schedules(mesh, [omega], eps_n=eps_n)[0]
 
 
 def sweep_direction(
@@ -281,78 +307,50 @@ class SweepKernel:
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
-    """Adjugate inverses of a (n, 3, 3) batch; StabilityError on a block
-    that is near-singular relative to its largest entry."""
-    r0, r1, r2 = a[:, 0], a[:, 1], a[:, 2]
-    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=2)
-    det = (r0 * adj[:, :, 0]).sum(axis=1)
-    scale = np.abs(a).reshape(-1, 9).max(axis=1)
-    bad = np.abs(det) < 1e-20 * scale**3
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        msg = f"near-singular local system at element {k} (|det|={abs(det[k]):.3e})"
-        raise StabilityError(msg, element=k, direction=direction)
-    return adj / det[:, None, None]
+    """Adjugate inverses of a (n, 3, 3) batch from explicit cofactors;
+    StabilityError on a block that check_nonsingular rejects."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a.reshape(-1, 9).T
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    check_nonsingular(a, det, direction=direction)
+    adj = np.stack([
+        c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11,
+        c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12,
+        c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10,
+    ], axis=1)
+    return (adj / det[:, None]).reshape(-1, 3, 3)
 
 
-def _direction_system(tables, schedule, delta_k, f_vals, inflow_data):
-    """One direction's d, local matrices, neighbour coupling blocks, fixed rhs."""
+# The inflow edge s as weights of its |e| |omega . n|: its edge mass in the
+# local matrix (rows and columns s, s + 1), and its coupling to the upwind
+# neighbour's coefficients opp, opp + 1 (columns 2s, 2s + 1 of the 3x6
+# block), whose trace runs against the edge parameter.
+_EDGE_MASS = np.zeros((3, 3, 3))
+_EDGE_COUPLING = np.zeros((3, 3, 6))
+for _s in range(3):
+    _i = [_s, (_s + 1) % 3]
+    _EDGE_MASS[_s][np.ix_(_i, _i)] = EDGE_MASS_2
+    _EDGE_COUPLING[_s][np.ix_(_i, [2 * _s, 2 * _s + 1])] = EDGE_MASS_2[:, ::-1]
+
+
+def _inflow_rhs(tables, schedule, inflow_data, elen):
+    """Inflow boundary data against the local basis on inflow boundary edges (nt, 3)."""
     mesh = tables.mesh
-    nt = mesh.n_triangles
-    d = tables.basis.grad @ schedule.omega  # (nt, 3)
-    bary = tables.rule.points
-
-    test = bary[None, :, :] + delta_k[:, None, None] * d[:, None, :]  # (nt, nq, 3)
-    trial = d[:, None, :] + tables.sigma_t[:, :, None] * bary[None, :, :]
-    wtrial = tables.areaw[:, :, None] * trial
-    a = np.matmul(test.transpose(0, 2, 1), wtrial)  # a[k, i, j] = sum_q test_i wtrial_j
-
-    inflow = schedule.inflow
-    interior = mesh.tri_neighbors != BOUNDARY
-    absdot = -schedule.dot  # positive on inflow edges
-    elen = mesh.edge_length[mesh.tri_edges]
-
-    coup = np.zeros((nt, 3, 3, 2))  # [k, s, i, t]: neighbour's coefficient opp + t on edge s
-    for s in range(3):
-        m = inflow[:, s]
-        if not m.any():
-            continue
-        w = elen[m, s] * absdot[m, s]
-        i0, i1 = s, (s + 1) % 3
-        a[m, i0, i0] += w * EDGE_MASS_2[0, 0]
-        a[m, i0, i1] += w * EDGE_MASS_2[0, 1]
-        a[m, i1, i0] += w * EDGE_MASS_2[1, 0]
-        a[m, i1, i1] += w * EDGE_MASS_2[1, 1]
-
-        mi = m & interior[:, s]
-        if mi.any():
-            k_idx = np.flatnonzero(mi)
-            wi = elen[mi, s] * absdot[mi, s]
-            # neighbor traces run against the edge param: phi_opp = t, phi_opp+1 = 1-t
-            coup[k_idx, s, i0, 0] = wi / 6.0
-            coup[k_idx, s, i0, 1] = wi / 3.0
-            coup[k_idx, s, i1, 0] = wi / 3.0
-            coup[k_idx, s, i1, 1] = wi / 6.0
-
-    fixed = np.zeros((nt, 3))
-    if f_vals is not None:
-        fixed += _volume_rhs(tables.areaw * f_vals, bary, delta_k, d)
-    if inflow_data is not None:
-        bmask = inflow & ~interior
-        if bmask.any():
-            tq, tw = tables.edge_t, tables.edge_w
-            ks, ss = np.nonzero(bmask)
-            p0 = mesh.vertices[mesh.triangles[ks, ss]]
-            p1 = mesh.vertices[mesh.triangles[ks, (ss + 1) % 3]]
-            pts = p0[:, None, :] + tq[None, :, None] * (p1 - p0)[:, None, :]
-            g = np.asarray(inflow_data(pts[..., 0], pts[..., 1]), dtype=float)
-            g = np.broadcast_to(g, pts.shape[:2])
-            w = elen[ks, ss] * absdot[ks, ss]
-            c0 = w * ((tw * (1.0 - tq))[None, :] * g).sum(axis=1)
-            c1 = w * ((tw * tq)[None, :] * g).sum(axis=1)
-            np.add.at(fixed, (ks, ss), c0)
-            np.add.at(fixed, (ks, (ss + 1) % 3), c1)
-    return d, a, coup, fixed
+    fixed = np.zeros((mesh.n_triangles, 3))
+    ks, ss = np.nonzero(schedule.inflow & (mesh.tri_neighbors == BOUNDARY))
+    if ks.size:
+        tq, tw = tables.edge_t, tables.edge_w
+        p0 = mesh.vertices[mesh.triangles[ks, ss]]
+        p1 = mesh.vertices[mesh.triangles[ks, (ss + 1) % 3]]
+        pts = p0[:, None, :] + tq[None, :, None] * (p1 - p0)[:, None, :]
+        g = np.asarray(inflow_data(pts[..., 0], pts[..., 1]), dtype=float)
+        g = np.broadcast_to(g, pts.shape[:2])
+        w = -elen[ks, ss] * schedule.dot[ks, ss]
+        np.add.at(fixed, (ks, ss), w * ((tw * (1.0 - tq))[None, :] * g).sum(axis=1))
+        np.add.at(fixed, (ks, (ss + 1) % 3), w * ((tw * tq)[None, :] * g).sum(axis=1))
+    return fixed
 
 
 def build_kernel(
@@ -367,27 +365,41 @@ def build_kernel(
     both are per-direction sequences of those (or None for all directions).
     scatter_w, the area-weighted sigma_s at the quadrature points (nt, nq),
     enables run_scattered.
+
+    With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t
+    u, v + delta omega . grad v) is M_sigma + s1 d^T + delta d (W d +
+    s_sigma)^T in the element moments M_sigma = sum_q w sigma_t phi phi^T,
+    s1 = sum_q w phi, W = sum_q w and s_sigma = sum_q w sigma_t phi, plus
+    the inflow edge masses; only d changes between directions.
     """
     one = isinstance(schedule, SweepSchedule)
     schedules = (schedule,) if one else tuple(schedule)
     if one:
         f_vals, inflow_data = (f_vals,), (inflow_data,)
+    mesh = tables.mesh
     nl = len(schedules)
-    nt = tables.mesh.n_triangles
+    nt = mesh.n_triangles
     n = nl * nt
     delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (nt,)).copy()
     bary = tables.rule.points
 
     layer_of = np.concatenate([s.layer_of for s in schedules])
-    order = np.argsort(layer_of, kind="stable")
+    # stable radix sort on the narrowest integer type that holds the layers
+    order = np.argsort(layer_of.astype(np.min_scalar_type(layer_of.max())), kind="stable")
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
     bounds = tuple(int(x) for x in np.concatenate([[0], np.cumsum(np.bincount(layer_of))]))
 
+    w = tables.areaw
+    wst = w * tables.sigma_t
+    m_sig = np.matmul(bary.T * wst[:, None, :], bary)  # (nt, 3, 3)
+    s1, s_sig, w_sum = w @ bary, wst @ bary, w.sum(axis=1)
     # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta_k d s_k^T) gc
     if scatter_w is not None:
         s_vec = scatter_w @ bary  # (nt, 3)
         s_mat = np.matmul(bary.T * scatter_w[:, None, :], bary)  # (nt, 3, 3)
+    elen = mesh.edge_length[mesh.tri_edges]
+    interior = mesh.tri_neighbors != BOUNDARY
 
     # each direction's blocks go straight into their sweep-order slots
     d = np.empty((nl, nt, 3))
@@ -396,22 +408,32 @@ def build_kernel(
     fold = np.empty((n, 3, 6))
     nbr = np.empty((n, 6), dtype=np.int32)
     scat = None if scatter_w is None else np.empty((n, 3, 3))
-    opp = tables.opp_local
+    grad = tables.basis.grad
+    nbr_local = (tables.opp_local[..., None] + [0, 1]) % 3  # upwind coefficients per edge
     for l, sched in enumerate(schedules):
-        f_l = None if f_vals is None else f_vals[l]
-        g_l = None if inflow_data is None else inflow_data[l]
-        d[l], a, coup, fixed = _direction_system(tables, sched, delta_k, f_l, g_l)
+        om = sched.omega
+        d[l] = dl = grad[..., 0] * om[0] + grad[..., 1] * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
+        ddl = delta_k[:, None] * dl
+        edge_w = np.where(sched.inflow, -elen * sched.dot, 0.0)
+        a = m_sig + s1[:, :, None] * dl[:, None, :]
+        a += ddl[:, :, None] * (w_sum[:, None] * dl + s_sig)[:, None, :]
+        a += (edge_w @ _EDGE_MASS.reshape(3, 9)).reshape(nt, 3, 3)
+        fixed = np.zeros((nt, 3))
+        if f_vals is not None and f_vals[l] is not None:
+            fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl)
+        if inflow_data is not None and inflow_data[l] is not None:
+            fixed += _inflow_rhs(tables, sched, inflow_data[l], elen)
+        coupling = np.where(interior, edge_w, 0.0) @ _EDGE_COUPLING.reshape(3, 18)
+
         slots = pos[l * nt : (l + 1) * nt]
-        inv = inverse_3x3(a, direction=l)
-        inv_a[slots] = inv
+        inv_a[slots] = inv = inverse_3x3(a, direction=l)
         b0[slots] = np.einsum("kij,kj->ki", inv, fixed)
-        fold[slots] = np.matmul(inv[:, None], coup).transpose(0, 2, 1, 3).reshape(nt, 3, 6)
-        up = sched.upwind
-        flat = 3 * pos[l * nt + np.maximum(up, 0)][..., None] + (opp[..., None] + [0, 1]) % 3
-        nbr[slots] = np.where(up[..., None] >= 0, flat, 3 * n).reshape(nt, 6)
+        fold[slots] = np.matmul(inv, coupling.reshape(nt, 3, 6))
         if scat is not None:
-            m = s_mat + (delta_k[:, None] * d[l])[:, :, None] * s_vec[:, None, :]
-            scat[slots] = np.matmul(inv, m)
+            scat[slots] = np.matmul(inv, s_mat + ddl[:, :, None] * s_vec[:, None, :])
+        up = sched.upwind
+        flat = 3 * slots[np.maximum(up, 0)][..., None] + nbr_local
+        nbr[slots] = np.where(up[..., None] >= 0, flat, 3 * n).reshape(nt, 6)
 
     return SweepKernel(
         schedules=schedules,

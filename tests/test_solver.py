@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,19 @@ def test_scattering_source_isotropic_constant():
     x = np.array([0.21, 0.64])
     y = np.array([0.33, 0.9])
     np.testing.assert_allclose(src(x, y), 0.25, atol=1e-13)
+
+
+def test_scattering_source_rejects_point_outside_mesh():
+    mesh = build_structured_unit_square(2)
+    quad = trapezoid_circle(4)
+    sol = project_exact(lambda x, y, t: np.ones(np.shape(x)), mesh, quad)
+    G = scatter_matrix(PhaseFunction.henyey_greenstein(0.0), quad)
+    src = scattering_source(sol, G, const(1.0), 0)
+    # corners and edges of the square are inside
+    x, y = np.array([0.0, 1.0, 0.3]), np.array([0.0, 1.0, 0.6])
+    np.testing.assert_allclose(src(x, y), 1.0, atol=1e-13)
+    with pytest.raises(ValueError, match="outside the mesh"):
+        src(np.array([0.5, 1.25]), np.array([0.5, 0.5]))
 
 
 def test_scattering_source_matches_direct_sum():
@@ -230,11 +245,16 @@ def test_solve_nonconvergence_raises():
     assert exc.value.residual_history[0] == pytest.approx(1.0)
 
 
+# finite data whose solution overflows: the iterate guard's only way in,
+# now that non-finite samples are rejected before any set-up
+OVERFLOWING_F = lambda x, y, l: np.where(x < 0.5, 1e308, 1.0)
+
+
 def test_solve_stops_at_non_finite_iterate():
     mesh = build_structured_unit_square(4)
     quad = trapezoid_circle(4)
-    f = lambda x, y, l: np.where(x < 0.5, np.nan, 1.0)
-    with pytest.raises(NonConvergenceError, match="non-finite") as exc:
+    f = OVERFLOWING_F
+    with pytest.raises(NonConvergenceError, match="non-finite") as exc, np.errstate(all="ignore"):
         solve(isotropic_problem(quad, f=f), mesh)
     hist = exc.value.residual_history
     assert 1 <= len(hist) <= 2
@@ -244,11 +264,44 @@ def test_solve_stops_at_non_finite_iterate():
 def test_solve_without_scattering_rejects_non_finite_sweep():
     mesh = build_structured_unit_square(4)
     quad = trapezoid_circle(20)
-    f = lambda x, y, l: np.where(x < 0.5, np.nan, 1.0)
-    with pytest.raises(NonConvergenceError, match="non-finite") as exc:
+    f = OVERFLOWING_F
+    with pytest.raises(NonConvergenceError, match="non-finite") as exc, np.errstate(all="ignore"):
         solve(isotropic_problem(quad, sigma_s=0.0, f=f), mesh)
     hist = exc.value.residual_history
     assert len(hist) == 1 and np.isnan(hist[0])
+
+
+def nan_left(v):
+    return lambda x, y, *l: np.where(x < 0.5, np.nan, v)
+
+
+@pytest.mark.parametrize("name,field", [
+    ("sigma_t", "sigma_t"),  # NaN slips past sigma_t - sigma_s > 0 and c0' > 0
+    ("sigma_s", "sigma_s"),
+    ("f (direction 0)", "f"),
+    ("inflow data (direction 0)", "inflow"),
+])
+def test_solve_rejects_non_finite_samples_before_set_up(monkeypatch, name, field):
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(4)  # direction 0 = +x enters at x = 0
+    problem = isotropic_problem(quad, inflow=lambda x, y, l: np.ones(np.shape(x)))
+    setattr(problem, field, nan_left({"sigma_t": 3.0, "sigma_s": 0.5}.get(field, 1.0)))
+
+    def no_set_up(*args, **kwargs):
+        raise AssertionError("set-up ran on non-finite input")
+
+    monkeypatch.setattr("rte2d.solver.build_schedules", no_set_up)
+    monkeypatch.setattr("rte2d.solver.build_kernel", no_set_up)
+    with pytest.raises(AssumptionError, match=rf"^{re.escape(name)} has \d+ non-finite"):
+        solve(problem, mesh)
+
+
+def test_solve_ignores_non_finite_inflow_data_on_outflow_edges():
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(2)  # +x and -x; NaN only where each one leaves
+    inflow = lambda x, y, l: np.where((x > 0.5) == (l == 0), np.nan, 1.0)
+    sol, report = solve(isotropic_problem(quad, sigma_s=0.0, inflow=inflow), mesh)
+    assert np.isfinite(sol.coeffs).all()
 
 
 def test_solve_rejects_discrete_coercivity_violation():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rte2d import (
     SweepCycleError,
     build_mesh,
     build_schedule,
+    build_schedules,
     build_kernel,
     build_structured_unit_square,
     classify_edges,
@@ -57,6 +60,45 @@ def test_schedule_matches_brute_force(theta):
     omega = unit_direction(theta)
     sched = build_schedule(mesh, omega)
     np.testing.assert_array_equal(sched.layer_of, brute_force_layers(mesh, omega))
+
+
+def test_build_schedules_match_brute_force_for_every_direction():
+    mesh = perturbed_mesh(6, seed=16)
+    quad = trapezoid_circle(20)
+    scheds = build_schedules(mesh, quad.directions)
+    assert len(scheds) == quad.n_directions
+    interior = mesh.tri_neighbors != BOUNDARY
+    for omega, sched in zip(quad.directions, scheds):
+        layer_of = brute_force_layers(mesh, omega)
+        np.testing.assert_array_equal(sched.layer_of, layer_of)
+        assert len(sched.layers) == layer_of.max() + 1
+        for i, layer in enumerate(sched.layers):
+            np.testing.assert_array_equal(layer, np.flatnonzero(layer_of == i))
+        cls = classify_edges(mesh, omega)
+        for k in range(mesh.n_triangles):
+            for s in range(3):
+                want = NO_UPWIND
+                if cls.inflow[k, s]:
+                    want = mesh.tri_neighbors[k, s] if interior[k, s] else BOUNDARY
+                assert sched.upwind[k, s] == want
+        np.testing.assert_array_equal(sched.inflow, cls.inflow)
+        np.testing.assert_array_equal(sched.dot, cls.omega_dot_n)
+        np.testing.assert_array_equal(sched.omega, omega)
+
+
+def test_build_schedules_names_the_cyclic_direction():
+    # flipping one side's sign of the shared diagonal makes both triangles
+    # see it as inflow (a 2-cycle) or both as outflow, by direction
+    mesh = build_mesh(SQUARE, TWO_TRIANGLES)
+    s = int(np.flatnonzero(mesh.tri_neighbors[0] == 1)[0])
+    sign = mesh.tri_edge_sign.copy()
+    sign[0, s] *= -1
+    bad = dataclasses.replace(mesh, tri_edge_sign=sign)
+    ok, cyc = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    assert [list(l) for l in build_schedules(bad, [ok])[0].layers] == [[0, 1]]
+    with pytest.raises(SweepCycleError, match="direction 1, omega = \\(-1, 0\\)") as exc:
+        build_schedules(bad, [ok, cyc])
+    assert sorted(exc.value.elements) == [0, 1]
 
 
 def test_schedule_layers_partition_and_order():
@@ -227,7 +269,9 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     assert (n_graphs < nl) if structured else (n_graphs == nl)
     delta = {"global": mesh.h, "zero": 0.0, "local": 0.7 * mesh.tri_h}[delta_kind]
 
-    sigma_t = lambda x, y: 3.0 + x + 0.5 * y
+    # sigma_t varies within and between elements, with a jump across x + y = 1:
+    # the kernel sees it only through the moments sum_q w sigma_t phi (phi^T)
+    sigma_t = lambda x, y: 3.0 + x + 0.5 * y + np.where(x + y > 1.0, 2.0 + np.sin(7.0 * x * y), 0.0)
     sigma_s = lambda x, y: 0.5 + x * (1.0 - y)
     fs = [lambda x, y, l=l: 1.0 + np.sin(2.0 * x + l) * y for l in range(nl)]
     gs = [lambda x, y, l=l: 0.5 + x - 0.25 * l * y for l in range(nl)]
