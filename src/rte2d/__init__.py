@@ -11,12 +11,14 @@ from .analysis import (
     ErrorReport,
     ManufacturedCase,
     MethodComparison,
+    apply_ah,
     case_problem,
     case_quadrature,
     compare_methods,
     convergence_study,
     error_norms,
     make_case,
+    triple_norm_stability,
 )
 from .angular import (
     AngularQuadrature,
@@ -27,17 +29,7 @@ from .angular import (
     scatter_matrix,
     trapezoid_circle,
 )
-from .dg_core import (
-    DGSolution,
-    ElementBasis,
-    LocalSystem,
-    assemble_local,
-    element_basis,
-    eval_field,
-    project_exact,
-    solve_local,
-    zero_solution,
-)
+from .dg_core import DGSolution, ElementBasis, element_basis, project_exact
 from .errors import (
     AssumptionError,
     MeshError,
@@ -62,11 +54,8 @@ from .solver import (
     SolveReport,
     SolverConfig,
     TransportProblem,
-    apply_ah,
     delta_value,
-    scattering_source,
     solve,
-    triple_norm_stability,
     weighted_norm,
 )
 from .sweep import (
@@ -78,7 +67,6 @@ from .sweep import (
     build_schedule,
     build_schedules,
     space_tables,
-    sweep_direction,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +81,6 @@ __all__ = [
     "EdgeClassification",
     "ElementBasis",
     "ErrorReport",
-    "LocalSystem",
     "ManufacturedCase",
     "MeshError",
     "MethodComparison",
@@ -110,7 +97,6 @@ __all__ = [
     "TriangleMesh",
     "TriangleRule",
     "apply_ah",
-    "assemble_local",
     "build_kernel",
     "build_mesh",
     "build_schedule",
@@ -125,7 +111,6 @@ __all__ = [
     "edge_rule",
     "element_basis",
     "error_norms",
-    "eval_field",
     "gauss_legendre_sphere",
     "load_mesh",
     "m_bound",
@@ -136,14 +121,10 @@ __all__ = [
     "refine_regular",
     "save_mesh",
     "scatter_matrix",
-    "scattering_source",
     "solve",
-    "solve_local",
     "space_tables",
-    "sweep_direction",
     "trapezoid_circle",
     "triangle_rule",
     "triple_norm_stability",
     "weighted_norm",
-    "zero_solution",
 ]

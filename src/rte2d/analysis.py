@@ -1,4 +1,4 @@
-"""Manufactured solutions, reporting error norms, and convergence studies.
+"""Manufactured solutions, error norms, global forms, and convergence studies.
 
 Four test problems on the unit square, all with sigma_t = 10, sigma_s = 0.1.
 Cases 1-3 use the Henyey-Greenstein phase (eta = 0.2, 0.5, 0.9) and the
@@ -11,7 +11,12 @@ boundary trace supplies the inflow data.
 
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
-jump on inflow edges; eh is their root-sum-square.
+jump on inflow edges; eh is their root-sum-square. The stability norm
+`triple_norm_stability` and the bilinear form `apply_ah` are made of the
+same pieces, so all three walk the faces the same way: one pass per
+direction (`_form_directions`: d = grad(phi) . omega and the edge weights
+|e| |omega . n| of inflow and outflow boundary edges) and one trace helper
+(`_edge_traces`: own and upwind traces on every local edge at once).
 """
 
 import math
@@ -19,12 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularQuadrature, PhaseFunction, trapezoid_circle
-from .dg_core import DGSolution, element_basis
+from .angular import AngularQuadrature, PhaseFunction, scatter_matrix, trapezoid_circle
+from .dg_core import DGSolution, element_basis, quad_points
+from .errors import AssumptionError
 from .mesh import (
     BOUNDARY,
+    EPS_N,
     TriangleMesh,
     build_structured_unit_square,
+    omega_dot_n,
     opposite_local_edge,
     refine_regular,
 )
@@ -182,6 +190,41 @@ class ErrorReport:
             raise ValueError("eh must be the root-sum-square of e1..e4")
 
 
+# The trace rule of the norms and forms, and the linear shapes 1 - t, t at its
+# points: a trace on an edge is its two endpoint values @ _EDGE_SHAPE.
+_TQ, _TW = edge_rule(4)
+_EDGE_SHAPE = np.stack([1.0 - _TQ, _TQ])
+
+
+def _volume_rule(mesh):
+    """Degree-6 rule of the norms and forms: bary (nq, 3); area weights, x and y (nt, nq)."""
+    rule = triangle_rule(6)
+    pts = quad_points(mesh, rule)
+    return rule.points, mesh.tri_area[:, None] * rule.weights, pts[..., 0], pts[..., 1]
+
+
+def _form_directions(quad, mesh):
+    """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
+    of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
+    grad = element_basis(mesh).grad
+    elen = mesh.edge_length[mesh.tri_edges]
+    boundary = mesh.tri_neighbors == BOUNDARY
+    for l, (omega, dot) in enumerate(zip(quad.directions, omega_dot_n(mesh, quad.directions))):
+        w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
+        w_out = np.where((dot > EPS_N) & boundary, elen * dot, 0.0)
+        yield l, quad.weights[l], grad[..., 0] * omega[0] + grad[..., 1] * omega[1], w_in, w_out
+
+
+def _edge_traces(c, mesh, opp):
+    """Own and upwind traces (nt, 3, 4) of a P1 field c (nt, 3) at the trace rule's
+    points on every local edge; the upwind trace is zero across the boundary."""
+    nb = mesh.tri_neighbors
+    # endpoint values at t = 0, 1; the neighbour runs against the edge param
+    ends = np.stack([c, c[:, [1, 2, 0]], c[nb, (opp + 1) % 3], c[nb, opp]], axis=-1)
+    tr = (ends.reshape(-1, 2) @ _EDGE_SHAPE).reshape(*c.shape, 2, -1)
+    return tr[:, :, 0], np.where((nb != BOUNDARY)[..., None], tr[:, :, 1], 0.0)
+
+
 def error_norms(
     sol: DGSolution,
     case: ManufacturedCase,
@@ -189,98 +232,95 @@ def error_norms(
     quad: AngularQuadrature,
     level: int = 0,
     iterations: int = 0,
-    eps_n: float = 1e-12,
 ) -> ErrorReport:
     """Four weighted error norms of sol against the case's exact solution.
 
     Volume terms use a degree-6 triangle rule, traces a 4-point Gauss rule.
-    On inflow boundary edges the upwind error trace is zero (the exact
-    solution satisfies the inflow data), so the jump there is the interior
-    error trace.
+    Each edge has one reference trace: the upwind trace across interior
+    edges, the exact solution on boundary edges. e2 weighs its difference
+    from the own trace on the outflow boundary, e4 on every inflow edge;
+    on the inflow boundary the exact solution is the inflow data.
     """
-    basis = element_basis(mesh)
-    rule = triangle_rule(6)
-    bary = rule.points
-    pts = np.einsum("qs,kst->kqt", bary, mesh.vertices[mesh.triangles])
-    areaw = mesh.tri_area[:, None] * rule.weights[None, :]
-    tq, tw = edge_rule(4)
+    bary, areaw, x, y = _volume_rule(mesh)
     opp = opposite_local_edge(mesh)
-    interior = mesh.tri_neighbors != BOUNDARY
-    elen = mesh.edge_length[mesh.tri_edges]
+    bk, bs = np.nonzero(mesh.tri_neighbors == BOUNDARY)
+    corner = mesh.vertices[mesh.triangles]
+    p0, p1 = corner[bk, bs], corner[bk, (bs + 1) % 3]
+    bpts = p0[:, None] + _TQ[:, None] * (p1 - p0)[:, None]  # boundary trace points (nb, 4, 2)
+    bx, by = bpts[..., 0], bpts[..., 1]
 
-    s1_of = [(s + 1) % 3 for s in range(3)]
-    e1 = e2 = e3 = e4 = 0.0
-    for l, theta in enumerate(quad.angles):
-        wl = quad.weights[l]
-        omega = quad.directions[l]
-        cu = sol.coeffs[l]
+    e = np.zeros(4)
+    for l, wl, d, w_in, w_out in _form_directions(quad, mesh):
+        theta, omega, cu = quad.angles[l], quad.directions[l], sol.coeffs[l]
+        u = np.broadcast_to(np.asarray(case.exact_u(x, y, theta), dtype=float), x.shape)
+        g = case.exact_grad(x, y, theta)
+        du = g[..., 0] * omega[0] + g[..., 1] * omega[1] - np.einsum("ki,ki->k", d, cu)[:, None]
+        own, ref = _edge_traces(cu, mesh, opp)
+        ref[bk, bs] = np.asarray(case.exact_u(bx, by, theta), dtype=float)
+        jump2 = (ref - own) ** 2 @ _TW
+        e += wl * np.array([
+            (areaw * (u - cu @ bary.T) ** 2).sum(), (w_out * jump2).sum(),
+            (mesh.tri_h[:, None] * areaw * du**2).sum(), (w_in * jump2).sum(),
+        ])
 
-        u_q = np.broadcast_to(
-            np.asarray(case.exact_u(pts[..., 0], pts[..., 1], theta), dtype=float),
-            pts.shape[:2],
-        )
-        diff = u_q - cu @ bary.T
-        e1 += wl * float((areaw * diff**2).sum())
-
-        grad = case.exact_grad(pts[..., 0], pts[..., 1], theta)
-        du = grad[..., 0] * omega[0] + grad[..., 1] * omega[1]
-        duh = ((basis.grad @ omega) * cu).sum(axis=1)
-        e3 += wl * float(
-            (mesh.tri_h[:, None] * areaw * (du - duh[:, None]) ** 2).sum()
-        )
-
-        dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
-        for s in range(3):
-            s1 = s1_of[s]
-
-            def exact_on_edge(mask):
-                p0 = mesh.vertices[mesh.triangles[mask, s]]
-                p1 = mesh.vertices[mesh.triangles[mask, s1]]
-                ep = p0[:, None, :] + tq[None, :, None] * (p1 - p0)[:, None, :]
-                vals = np.asarray(
-                    case.exact_u(ep[..., 0], ep[..., 1], theta), dtype=float
-                )
-                return np.broadcast_to(vals, ep.shape[:2])
-
-            def own_trace(mask):
-                return np.outer(cu[mask, s], 1.0 - tq) + np.outer(cu[mask, s1], tq)
-
-            mo = (dot[:, s] > eps_n) & ~interior[:, s]
-            if mo.any():
-                err = exact_on_edge(mo) - own_trace(mo)
-                w_e = elen[mo, s] * dot[mo, s]
-                e2 += wl * float((w_e[:, None] * err**2 * tw[None, :]).sum())
-
-            m_in = dot[:, s] < -eps_n
-            m_ii = m_in & interior[:, s]
-            if m_ii.any():
-                nbr = mesh.tri_neighbors[m_ii, s]
-                sp = opp[m_ii, s]
-                sp1 = (sp + 1) % 3
-                up = cu[nbr, sp, None] * tq[None, :] + cu[nbr, sp1, None] * (
-                    1.0 - tq[None, :]
-                )
-                jump = up - own_trace(m_ii)
-                w_e = elen[m_ii, s] * (-dot[m_ii, s])
-                e4 += wl * float((w_e[:, None] * jump**2 * tw[None, :]).sum())
-            m_ib = m_in & ~interior[:, s]
-            if m_ib.any():
-                jump = exact_on_edge(m_ib) - own_trace(m_ib)
-                w_e = elen[m_ib, s] * (-dot[m_ib, s])
-                e4 += wl * float((w_e[:, None] * jump**2 * tw[None, :]).sum())
-
-    eh = math.sqrt(e1 + e2 + e3 + e4)
+    e1, e2, e3, e4 = np.sqrt(e).tolist()
     return ErrorReport(
-        e1=math.sqrt(e1),
-        e2=math.sqrt(e2),
-        e3=math.sqrt(e3),
-        e4=math.sqrt(e4),
-        eh=eh,
-        h=mesh.h,
-        level=level,
-        iterations=iterations,
-        n_elems=mesh.n_triangles,
+        e1=e1, e2=e2, e3=e3, e4=e4, eh=math.sqrt(e.sum()), h=mesh.h,
+        level=level, iterations=iterations, n_elems=mesh.n_triangles,
     )
+
+
+def _form_tables(problem, mesh, delta):
+    """Degree-6 volume tables of the global forms: bary, weights, sigma_t, sigma_s, delta_K."""
+    bary, areaw, x, y = _volume_rule(mesh)
+    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
+    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
+    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    return bary, areaw, st, ss, delta_k
+
+
+def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
+    """Global bilinear form (volume + inflow jump - scattering); test use only.
+
+    Inflow boundary traces of the upwind state are treated as zero, matching
+    the homogeneous setting of the form.
+    """
+    if u.mesh is not mesh or v.mesh is not mesh:
+        raise ValueError("u, v must live on the given mesh")
+    G = scatter_matrix(problem.phase, u.quad)
+    bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
+    u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
+    s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
+    opp = opposite_local_edge(mesh)
+    total = 0.0
+    for l, wl, d, w_in, _ in _form_directions(u.quad, mesh):
+        cu, cv = u.coeffs[l], v.coeffs[l]
+        du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
+        test = cv @ bary.T + (delta_k * (d * cv).sum(axis=1))[:, None]
+        vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
+        u_own, u_up = _edge_traces(cu, mesh, opp)
+        v_own, _ = _edge_traces(cv, mesh, opp)
+        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ _TW).sum())
+    return float(total)
+
+
+def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> float:
+    """Stability norm: c0' L2 + outflow-boundary + delta gradient + inflow jump."""
+    if not c0_prime > 0:
+        raise AssumptionError(
+            f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
+        )
+    bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
+    opp = opposite_local_edge(mesh)
+    total = 0.0
+    for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh):
+        cv = v.coeffs[l]
+        l2 = (areaw * (cv @ bary.T) ** 2).sum()
+        grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
+        own, up = _edge_traces(cv, mesh, opp)
+        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ _TW).sum()
+        total += wl * (c0_prime * l2 + grad + faces)
+    return float(np.sqrt(total))
 
 
 # errors below this are rounding noise; rate extraction reports nan instead

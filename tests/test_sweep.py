@@ -16,22 +16,21 @@ from rte2d import (
     build_structured_unit_square,
     classify_edges,
     scatter_matrix,
-    scattering_source,
     space_tables,
-    sweep_direction,
     trapezoid_circle,
     triangle_rule,
 )
 from rte2d.sweep import inverse_3x3
 from helpers import perturbed_mesh, random_solution, unit_direction
+from oracle import scattering_source, sweep_direction
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
 
 
-def brute_force_layers(mesh, omega, eps_n=1e-12):
+def brute_force_layers(mesh, omega):
     """Scan repeatedly for solvable elements; independent of the Kahn path."""
-    cls = classify_edges(mesh, omega, eps_n=eps_n)
+    cls = classify_edges(mesh, omega)
     nt = mesh.n_triangles
     interior = mesh.tri_neighbors != BOUNDARY
     dep = cls.inflow & interior
