@@ -1,13 +1,13 @@
 """Manufactured solutions, error norms, global forms, and convergence studies.
 
 Four test problems on the unit square, all with sigma_t = 10, sigma_s = 0.1.
-Cases 1-3 use the Henyey-Greenstein phase (eta = 0.2, 0.5, 0.9) and the
-direction-independent solution sin(pi x) sin(pi y); since the phase is
-normalized the continuous scattering operator reproduces it, so
-f = omega . grad(u) + (sigma_t - sigma_s) u. Case 4 uses the linearly
-anisotropic phase with u = exp(-a x - b y)(1 + c cos(theta)), whose
-scattering integral is exp(-a x - b y)(1 + (c/4) cos(theta)); its nonzero
-boundary trace supplies the inflow data.
+Each exact solution is a spatial field times an angular factor, u = a U,
+with scattering integral a_s U, so f = a (omega . grad U + sigma_t U) -
+sigma_s a_s U. Cases 1-3 use the Henyey-Greenstein phase (eta = 0.2, 0.5,
+0.9), U = sin(pi x) sin(pi y) and a = a_s = 1, since the normalized phase
+reproduces a direction-independent field. Case 4 uses the linearly
+anisotropic phase, U = exp(-a x - b y) and the factors 1 + c cos(theta)
+and 1 + (c/4) cos(theta); its nonzero boundary trace supplies the inflow data.
 
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
@@ -31,6 +31,7 @@ from .mesh import (
     BOUNDARY,
     EPS_N,
     TriangleMesh,
+    boundary_points,
     build_structured_unit_square,
     omega_dot_n,
     opposite_local_edge,
@@ -47,17 +48,28 @@ _H_THETA = {1: math.pi / 10, 2: math.pi / 20, 3: math.pi / 30, 4: math.pi / 10}
 
 @dataclass(frozen=True)
 class ManufacturedCase:
+    """A test problem with exact solution u = a(theta) U(x, y) and scattering
+    integral a_s(theta) U: exact_u, exact_grad (..., 2) and exact_su."""
+
     id: int
     phase: PhaseFunction
     sigma_t: float
     sigma_s: float
     h_theta: float
     n_dirs: int
-    exact_u: object  # (x, y, theta) -> values
-    exact_grad: object  # (x, y, theta) -> (..., 2)
-    exact_su: object  # continuous scattering integral of exact_u
-    exact_f: object
+    field: object  # (x, y) -> (U, grad U (..., 2))
+    angular: object  # theta -> (a, a_s), each shaped like theta
+    exact_f: object  # (x, y, theta) -> values
     has_inflow_data: bool
+
+    def exact_u(self, x, y, theta):
+        return self.angular(theta)[0] * self.field(x, y)[0]
+
+    def exact_grad(self, x, y, theta):
+        return np.asarray(self.angular(theta)[0])[..., None] * self.field(x, y)[1]
+
+    def exact_su(self, x, y, theta):
+        return self.angular(theta)[1] * self.field(x, y)[0]
 
 
 def make_case(case_id: int, eta: float = None) -> ManufacturedCase:
@@ -66,81 +78,51 @@ def make_case(case_id: int, eta: float = None) -> ManufacturedCase:
         raise ValueError(f"case must be 1..4, got {case_id}")
     sigma_t, sigma_s = 10.0, 0.1
     h_theta = _H_THETA[case_id]
-    n_dirs = int(round(2.0 * math.pi / h_theta))
 
     if case_id in (1, 2, 3):
-        if eta is None:
-            eta = _ETA[case_id]
-        phase = PhaseFunction.henyey_greenstein(eta)
+        phase = PhaseFunction.henyey_greenstein(_ETA[case_id] if eta is None else eta)
+
+        def field(x, y):
+            sx, cx = np.sin(np.pi * x), np.cos(np.pi * x)
+            sy, cy = np.sin(np.pi * y), np.cos(np.pi * y)
+            grad = np.stack(np.broadcast_arrays(np.pi * cx * sy, np.pi * sx * cy), axis=-1)
+            return sx * sy, grad
+
+        def angular(theta):  # the normalized phase reproduces a constant
+            one = np.ones(np.shape(theta))
+            return one, one
+    else:
+        if eta is not None:
+            raise ValueError("case 4 uses the linearly anisotropic phase; eta does not apply")
+        phase = PhaseFunction.linear_anisotropic()
         sig_a = sigma_t - sigma_s
+        a = b = sig_a / 3.0
+        c = sig_a / (sig_a + 6.0 * sigma_s)
 
-        def exact_u(x, y, theta):
-            return np.sin(np.pi * x) * np.sin(np.pi * y)
+        def field(x, y):
+            u = np.exp(-a * x - b * y)
+            return u, np.stack(np.broadcast_arrays(-a * u, -b * u), axis=-1)
 
-        def exact_grad(x, y, theta):
-            gx = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-            gy = np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
-            return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
-
-        def exact_f(x, y, theta):
-            g = exact_grad(x, y, theta)
-            return (
-                math.cos(theta) * g[..., 0]
-                + math.sin(theta) * g[..., 1]
-                + sig_a * exact_u(x, y, theta)
-            )
-
-        return ManufacturedCase(
-            id=case_id,
-            phase=phase,
-            sigma_t=sigma_t,
-            sigma_s=sigma_s,
-            h_theta=h_theta,
-            n_dirs=n_dirs,
-            exact_u=exact_u,
-            exact_grad=exact_grad,
-            exact_su=exact_u,
-            exact_f=exact_f,
-            has_inflow_data=False,
-        )
-
-    if eta is not None:
-        raise ValueError("case 4 uses the linearly anisotropic phase; eta does not apply")
-    phase = PhaseFunction.linear_anisotropic()
-    sig_a = sigma_t - sigma_s
-    a = b = sig_a / 3.0
-    c = sig_a / (sig_a + 6.0 * sigma_s)
-
-    def envelope(x, y):
-        return np.exp(-a * x - b * y)
-
-    def exact_u(x, y, theta):
-        return envelope(x, y) * (1.0 + c * np.cos(theta))
-
-    def exact_grad(x, y, theta):
-        u = exact_u(x, y, theta)
-        return np.stack(np.broadcast_arrays(-a * u, -b * u), axis=-1)
-
-    def exact_su(x, y, theta):
-        return envelope(x, y) * (1.0 + 0.25 * c * np.cos(theta))
+        def angular(theta):
+            return 1.0 + c * np.cos(theta), 1.0 + 0.25 * c * np.cos(theta)
 
     def exact_f(x, y, theta):
-        u = exact_u(x, y, theta)
-        adv = (-a * math.cos(theta) - b * math.sin(theta)) * u
-        return adv + sigma_t * u - sigma_s * exact_su(x, y, theta)
+        u, grad = field(x, y)
+        a_u, a_s = angular(theta)
+        adv = np.cos(theta) * grad[..., 0] + np.sin(theta) * grad[..., 1]
+        return a_u * (adv + sigma_t * u) - sigma_s * a_s * u
 
     return ManufacturedCase(
-        id=4,
+        id=case_id,
         phase=phase,
         sigma_t=sigma_t,
         sigma_s=sigma_s,
         h_theta=h_theta,
-        n_dirs=n_dirs,
-        exact_u=exact_u,
-        exact_grad=exact_grad,
-        exact_su=exact_su,
+        n_dirs=int(round(2.0 * math.pi / h_theta)),
+        field=field,
+        angular=angular,
         exact_f=exact_f,
-        has_inflow_data=True,
+        has_inflow_data=case_id == 4,
     )
 
 
@@ -215,6 +197,14 @@ def _form_directions(quad, mesh):
         yield l, quad.weights[l], grad[..., 0] * omega[0] + grad[..., 1] * omega[1], w_in, w_out
 
 
+def _check_solution(sol, mesh, quad):
+    """ValueError unless sol lives on mesh and on the directions of quad."""
+    if sol.mesh is not mesh:
+        raise ValueError("the solution must live on the given mesh")
+    if not np.array_equal(sol.quad.directions, quad.directions):
+        raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
+
+
 def _edge_traces(c, mesh, opp):
     """Own and upwind traces (nt, 3, 4) of a P1 field c (nt, 3) at the trace rule's
     points on every local edge; the upwind trace is zero across the boundary."""
@@ -239,28 +229,31 @@ def error_norms(
     Each edge has one reference trace: the upwind trace across interior
     edges, the exact solution on boundary edges. e2 weighs its difference
     from the own trace on the outflow boundary, e4 on every inflow edge;
-    on the inflow boundary the exact solution is the inflow data.
+    on the inflow boundary the exact solution is the inflow data. Raises
+    ValueError unless sol lives on mesh and on quad's directions.
     """
+    _check_solution(sol, mesh, quad)
     bary, areaw, x, y = _volume_rule(mesh)
     opp = opposite_local_edge(mesh)
-    bk, bs = np.nonzero(mesh.tri_neighbors == BOUNDARY)
-    corner = mesh.vertices[mesh.triangles]
-    p0, p1 = corner[bk, bs], corner[bk, (bs + 1) % 3]
-    bpts = p0[:, None] + _TQ[:, None] * (p1 - p0)[:, None]  # boundary trace points (nb, 4, 2)
-    bx, by = bpts[..., 0], bpts[..., 1]
+    bk, bs, bpts = boundary_points(mesh, _TQ)
+    # u = a_l U: the spatial field once per mesh, scaled per direction
+    u, grad = case.field(x, y)
+    u_b = case.field(bpts[..., 0], bpts[..., 1])[0]
+    a = case.angular(quad.angles)[0]
+    hw = mesh.tri_h[:, None] * areaw
 
     e = np.zeros(4)
     for l, wl, d, w_in, w_out in _form_directions(quad, mesh):
-        theta, omega, cu = quad.angles[l], quad.directions[l], sol.coeffs[l]
-        u = np.broadcast_to(np.asarray(case.exact_u(x, y, theta), dtype=float), x.shape)
-        g = case.exact_grad(x, y, theta)
-        du = g[..., 0] * omega[0] + g[..., 1] * omega[1] - np.einsum("ki,ki->k", d, cu)[:, None]
+        omega, cu = quad.directions[l], sol.coeffs[l]
+        du = a[l] * (grad[..., 0] * omega[0] + grad[..., 1] * omega[1])
+        du -= np.einsum("ki,ki->k", d, cu)[:, None]
         own, ref = _edge_traces(cu, mesh, opp)
-        ref[bk, bs] = np.asarray(case.exact_u(bx, by, theta), dtype=float)
+        ref[bk, bs] = a[l] * u_b
         jump2 = (ref - own) ** 2 @ _TW
+        r = a[l] * u - cu @ bary.T
         e += wl * np.array([
-            (areaw * (u - cu @ bary.T) ** 2).sum(), (w_out * jump2).sum(),
-            (mesh.tri_h[:, None] * areaw * du**2).sum(), (w_in * jump2).sum(),
+            np.einsum("kq,kq,kq->", areaw, r, r), (w_out * jump2).sum(),
+            np.einsum("kq,kq,kq->", hw, du, du), (w_in * jump2).sum(),
         ])
 
     e1, e2, e3, e4 = np.sqrt(e).tolist()
@@ -285,8 +278,8 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     Inflow boundary traces of the upwind state are treated as zero, matching
     the homogeneous setting of the form.
     """
-    if u.mesh is not mesh or v.mesh is not mesh:
-        raise ValueError("u, v must live on the given mesh")
+    _check_solution(u, mesh, problem.quad)
+    _check_solution(v, mesh, problem.quad)
     G = scatter_matrix(problem.phase, u.quad)
     bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
     u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
@@ -310,6 +303,7 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
         raise AssumptionError(
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
         )
+    _check_solution(v, mesh, problem.quad)
     bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
     opp = opposite_local_edge(mesh)
     total = 0.0

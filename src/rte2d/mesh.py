@@ -233,6 +233,14 @@ def omega_dot_n(mesh: TriangleMesh, directions) -> np.ndarray:
     return dot
 
 
+def boundary_points(mesh: TriangleMesh, t):
+    """Boundary local edges bk, bs (nb,) and their points p0 + t (p1 - p0) (nb, len(t), 2)."""
+    bk, bs = np.nonzero(mesh.tri_neighbors == BOUNDARY)
+    p0 = mesh.vertices[mesh.triangles[bk, bs]]
+    p1 = mesh.vertices[mesh.triangles[bk, (bs + 1) % 3]]
+    return bk, bs, p0[:, None] + t[:, None] * (p1 - p0)[:, None]
+
+
 def classify_edges(mesh: TriangleMesh, omega) -> EdgeClassification:
     """Split each triangle's edges into inflow and outflow for direction omega.
 

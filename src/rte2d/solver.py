@@ -18,7 +18,7 @@ import numpy as np
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
 from .dg_core import DGSolution, element_basis
 from .errors import AssumptionError, NonConvergenceError
-from .mesh import EPS_N, TriangleMesh
+from .mesh import EPS_N, TriangleMesh, boundary_points, omega_dot_n
 from .sweep import build_kernel, build_schedules, space_tables
 
 
@@ -127,11 +127,9 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     g = problem.inflow
     if g is not None:
         # the inflow boundary points the kernel samples g at
-        be = mesh.boundary_edges
-        ev = mesh.vertices[mesh.edge_vertices[be]]
-        bpts = ev[:, :1] + tables.edge_t[None, :, None] * (ev[:, 1:] - ev[:, :1])
+        bk, bs, bpts = boundary_points(mesh, tables.edge_t)
         for l, omega in enumerate(quad.directions):
-            bp = bpts[mesh.edge_normal[be] @ omega < -EPS_N]
+            bp = bpts[omega_dot_n(mesh, omega[None])[0, bk, bs] < -EPS_N]
             gl = np.asarray(g(bp[..., 0], bp[..., 1], l), dtype=float)
             _require_finite(f"inflow data (direction {l})", np.broadcast_to(gl, bp.shape[:2]), bp)
     if (ss < 0).any():

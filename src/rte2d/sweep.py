@@ -13,7 +13,7 @@ import numpy as np
 
 from .dg_core import EDGE_MASS_2, ElementBasis, check_nonsingular, element_basis, quad_points
 from .errors import SweepCycleError
-from .mesh import BOUNDARY, EPS_N, TriangleMesh, omega_dot_n, opposite_local_edge
+from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
 from .quadrature import TriangleRule, edge_rule, triangle_rule
 
 # upwind-map sentinel for edges that carry no dependency (outflow/tangential)
@@ -199,9 +199,9 @@ class SweepKernel:
         n = self.order.size
         c = np.zeros(3 * (n + 1))  # zero padding row: the "no neighbour" target
         cs = c.reshape(n + 1, 3)
-        cs[:n] = self.b0
-        if x is not None:
-            cs[:n] += np.einsum("kij,kj->ki", blocks, x.reshape(n, 3).take(self.order, axis=0))
+        if x is not None:  # the product straight into c: one (n, 3) temporary fewer
+            np.einsum("kij,kj->ki", blocks, x.reshape(n, 3).take(self.order, axis=0), out=cs[:n])
+        cs[:n] += self.b0
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
             g = c.take(self.nbr[lo:hi])
             cs[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
@@ -239,14 +239,12 @@ for _s in range(3):
 
 def _inflow_rhs(tables, schedule, inflow_data, elen):
     """Inflow boundary data against the local basis on inflow boundary edges (nt, 3)."""
-    mesh = tables.mesh
-    fixed = np.zeros((mesh.n_triangles, 3))
-    ks, ss = np.nonzero(schedule.inflow & (mesh.tri_neighbors == BOUNDARY))
+    bk, bs, bpts = boundary_points(tables.mesh, tables.edge_t)
+    inflow = schedule.inflow[bk, bs]
+    ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
+    fixed = np.zeros((tables.mesh.n_triangles, 3))
     if ks.size:
         tq, tw = tables.edge_t, tables.edge_w
-        p0 = mesh.vertices[mesh.triangles[ks, ss]]
-        p1 = mesh.vertices[mesh.triangles[ks, (ss + 1) % 3]]
-        pts = p0[:, None, :] + tq[None, :, None] * (p1 - p0)[:, None, :]
         g = np.asarray(inflow_data(pts[..., 0], pts[..., 1]), dtype=float)
         g = np.broadcast_to(g, pts.shape[:2])
         w = -elen[ks, ss] * schedule.dot[ks, ss]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from rte2d import (
     project_exact,
     solve,
     trapezoid_circle,
+    triple_norm_stability,
 )
 from rte2d.analysis import NORM_NAMES, RATE_FLOOR, observed_rates
 from rte2d.mesh import EPS_N, omega_dot_n
@@ -113,17 +115,19 @@ def test_case_problem_wiring():
 
 def linear_case(quad_dirs=6):
     """Synthetic exactly-representable problem for zero-error checks."""
-    u = lambda x, y, t: 2.0 * x - y + 0.5 + 0.0 * np.asarray(t)
 
-    def grad(x, y, t):
+    def field(x, y):
         shape = np.broadcast(x, y).shape
         g = np.empty(shape + (2,))
         g[..., 0] = 2.0
         g[..., 1] = -1.0
-        return g
+        return 2.0 * x - y + 0.5, g
 
-    # isotropic kernel integrates to one: Su = u
-    f = lambda x, y, t: 2.0 * np.cos(t) - np.sin(t) + 9.9 * u(x, y, t)
+    def angular(t):  # isotropic kernel integrates to one: Su = u
+        one = np.ones(np.shape(t))
+        return one, one
+
+    f = lambda x, y, t: 2.0 * np.cos(t) - np.sin(t) + 9.9 * (2.0 * x - y + 0.5)
     return ManufacturedCase(
         id=1,
         phase=PhaseFunction.henyey_greenstein(0.0),
@@ -131,9 +135,8 @@ def linear_case(quad_dirs=6):
         sigma_s=0.1,
         h_theta=2.0 * math.pi / quad_dirs,
         n_dirs=quad_dirs,
-        exact_u=u,
-        exact_grad=grad,
-        exact_su=u,
+        field=field,
+        angular=angular,
         exact_f=f,
         has_inflow_data=True,
     )
@@ -161,6 +164,64 @@ def test_error_norms_solution_of_linear_case():
     sol, report = solve(case_problem(case, quad), mesh)
     rep = error_norms(sol, case, mesh, quad, iterations=report.iterations)
     assert rep.eh <= 5e-9
+
+
+def test_error_norms_rejects_a_solution_of_another_mesh_or_quadrature():
+    case = make_case(1)
+    quad = case_quadrature(case)
+    mesh = build_structured_unit_square(4)
+    sol, _ = solve(case_problem(case, quad), mesh)
+    other = perturbed_mesh(4, seed=5)  # same element count, other vertices
+    assert other.n_triangles == mesh.n_triangles
+    with pytest.raises(ValueError, match="mesh"):
+        error_norms(sol, case, other, quad)
+    with pytest.raises(ValueError, match="20 directions"):
+        error_norms(sol, case, mesh, case_quadrature(case, 10))
+    # an equal rule built anew is the same quadrature
+    assert error_norms(sol, case, mesh, trapezoid_circle(20)) == error_norms(sol, case, mesh, quad)
+
+    with pytest.raises(ValueError, match="mesh"):
+        triple_norm_stability(sol, case_problem(case, quad), other, other.h, 9.8)
+    ten = case_problem(case, case_quadrature(case, 10))
+    with pytest.raises(ValueError, match="20 directions"):
+        triple_norm_stability(sol, ten, mesh, mesh.h, 9.8)
+
+
+def test_error_norms_evaluates_the_field_once_per_point_set():
+    base = make_case(4)
+    calls = []
+
+    def field(x, y):
+        calls.append(np.shape(x))
+        return base.field(x, y)
+
+    case = dataclasses.replace(base, field=field)
+    quad = case_quadrature(case)
+    mesh = perturbed_mesh(3, seed=4)
+    sol = random_solution(mesh, quad, seed=6)
+    rep = error_norms(sol, case, mesh, quad)
+    assert len(calls) == 2  # volume points, boundary trace points
+    assert rep == error_norms(sol, base, mesh, quad)
+
+
+@pytest.mark.parametrize("cid", [1, 2, 3, 4])
+def test_exact_grad_matches_central_differences(cid):
+    case = make_case(cid)
+    rng = np.random.RandomState(20 + cid)
+    x, y = rng.uniform(0.05, 0.95, (2, 30))
+    theta = rng.uniform(0.0, 2.0 * np.pi, 30)
+    step = 1e-6
+    fd = np.stack([
+        (case.exact_u(x + step, y, theta) - case.exact_u(x - step, y, theta)) / (2 * step),
+        (case.exact_u(x, y + step, theta) - case.exact_u(x, y - step, theta)) / (2 * step),
+    ], axis=-1)
+    grad = case.exact_grad(x, y, theta)
+    assert grad.shape == (30, 2)
+    np.testing.assert_allclose(grad, fd, rtol=1e-7, atol=1e-7)
+    # one point, many angles: the derived callables broadcast theta
+    assert case.exact_grad(x[0], y[0], theta).shape == (30, 2)
+    assert np.shape(case.exact_u(x[0], y[0], theta)) == (30,)
+    assert np.shape(case.exact_su(x[0], y[0], theta)) == (30,)
 
 
 def oracle_setting(name):
