@@ -83,8 +83,13 @@ def _freeze(a):
 def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
     """Assemble the full mesh structure from vertices and triangle cells.
 
-    Validates counterclockwise orientation, conformity (each edge shared by
-    at most two triangles, with opposite orientations), and normal lengths.
+    Checks, in order: array shapes, finite coordinates, vertex ids in
+    0..nv-1, no duplicate triangle (in any vertex order), no repeated id
+    within a triangle, counterclockwise orientation with positive area,
+    conformity (each edge shared by at most two triangles, with opposite
+    orientations), and nonzero edge lengths. Edges are numbered in the
+    lexicographic order of their (min, max) vertex ids, independent of the
+    order of the triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -94,10 +99,15 @@ def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
         raise MeshError("triangles must be an (nt, 3) array")
     if not np.isfinite(vertices).all():
         raise MeshError("vertex coordinates must be finite")
-    nt = triangles.shape[0]
-    if len({(a, b, c) for a, b, c in map(tuple, np.sort(triangles, axis=1))}) != nt:
+    nv, nt = vertices.shape[0], triangles.shape[0]
+    if ((triangles < 0) | (triangles >= nv)).any():
+        raise MeshError("triangle vertex id out of range")
+    # sorted vertex triples in lexicographic order: a duplicate lies next to its twin
+    rows = np.sort(triangles, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise MeshError("duplicate triangles")
-    if (np.sort(triangles, axis=1)[:, :-1] == np.sort(triangles, axis=1)[:, 1:]).any():
+    if (rows[:, :-1] == rows[:, 1:]).any():
         raise MeshError("triangle with repeated vertex ids")
 
     p0 = vertices[triangles[:, 0]]
@@ -110,30 +120,28 @@ def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
         bad = int(np.argmax(area <= 0))
         raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {area[bad]:g})")
 
-    # Edge table from the 3*nt directed local edges.
-    pairs = np.stack(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=1
-    ).reshape(-1, 2)
-    sorted_pairs = np.sort(pairs, axis=1)
-    _, inverse, counts = np.unique(
-        sorted_pairs, axis=0, return_inverse=True, return_counts=True
-    )
+    # Edge table from the 3*nt directed local edges, keyed by (min, max) id:
+    # one stable sort puts each edge's uses in a run, in local-edge order.
+    pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = np.minimum(*pairs.T) * nv + np.maximum(*pairs.T)
+    order = np.argsort(key, kind="stable")
+    run_start = np.diff(key[order], prepend=-1) != 0
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(starts, append=key.size)
     if (counts > 2).any():
         raise MeshError("nonconforming mesh: an edge is shared by more than two triangles")
-    ne = counts.shape[0]
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(ne))
     first = order[starts]
     edge_left = first // 3
     edge_vertices = pairs[first]
-    edge_right = np.full(ne, BOUNDARY, dtype=np.int64)
+    edge_right = np.full(starts.size, BOUNDARY, dtype=np.int64)
     interior = counts == 2
     second = order[starts[interior] + 1]
     edge_right[interior] = second // 3
     if not (pairs[second] == edge_vertices[interior][:, ::-1]).all():
         raise MeshError("interior edge traversed in the same direction by both triangles")
 
-    tri_edges = inverse.reshape(nt, 3)
+    tri_edges = np.empty((nt, 3), dtype=np.int64)
+    np.put(tri_edges, order, np.cumsum(run_start) - 1)
     tri_edge_sign = np.where(edge_left[tri_edges] == np.arange(nt)[:, None], 1, -1)
     tri_neighbors = np.where(
         tri_edge_sign == 1, edge_right[tri_edges], edge_left[tri_edges]
@@ -174,17 +182,11 @@ def build_structured_unit_square(n: int) -> TriangleMesh:
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    mesh = build_mesh(vertices, np.array(tris), level=0)
+    # lower-left corner j * (n + 1) + i of square (i, j), row-major
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ur, ul = ll + 1, ll + n + 2, ll + n + 1
+    tris = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+    mesh = build_mesh(vertices, tris, level=0)
     if abs(mesh.total_area() - 1.0) > 1e-10:
         raise MeshError("structured mesh does not tile the unit square")
     return mesh
@@ -291,6 +293,4 @@ def load_mesh(path) -> TriangleMesh:
         raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
     vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
     triangles = np.array(tokens[2 + 2 * nv :], dtype=np.int64).reshape(nt, 3)
-    if triangles.min() < 0 or triangles.max() >= nv:
-        raise MeshError(f"{path}: triangle vertex id out of range")
     return build_mesh(vertices, triangles)

@@ -18,7 +18,7 @@ import numpy as np
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
 from .dg_core import DGSolution, element_basis
 from .errors import AssumptionError, NonConvergenceError
-from .mesh import EPS_N, TriangleMesh, boundary_points, omega_dot_n
+from .mesh import EPS_N, TriangleMesh, boundary_points
 from .sweep import build_kernel, build_schedules, space_tables
 
 
@@ -128,8 +128,10 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     if g is not None:
         # the inflow boundary points the kernel samples g at
         bk, bs, bpts = boundary_points(mesh, tables.edge_t)
-        for l, omega in enumerate(quad.directions):
-            bp = bpts[omega_dot_n(mesh, omega[None])[0, bk, bs] < -EPS_N]
+        bn, bsign = mesh.edge_normal[mesh.tri_edges[bk, bs]], mesh.tri_edge_sign[bk, bs]
+        for l, (ox, oy) in enumerate(quad.directions):
+            # omega_dot_n's elementwise formula, so the set is the schedules' inflow set
+            bp = bpts[(bn[:, 0] * ox + bn[:, 1] * oy) * bsign < -EPS_N]
             gl = np.asarray(g(bp[..., 0], bp[..., 1], l), dtype=float)
             _require_finite(f"inflow data (direction {l})", np.broadcast_to(gl, bp.shape[:2]), bp)
     if (ss < 0).any():

@@ -1,5 +1,7 @@
 """Element-by-element reference implementations, the oracles of the batched paths.
 
+`build_mesh` numbers the edges with a generic `np.unique(axis=0)` of the
+sorted vertex pairs, the reference of the package's single-key sort.
 `assemble_local` + `solve_local` build and solve one triangle's 3x3 system
 from callables; `sweep_direction` walks a schedule element by element with
 them; `scattering_source` evaluates the lagged scattering source at
@@ -41,6 +43,7 @@ from rte2d import (
     triangle_rule,
 )
 from rte2d.dg_core import EDGE_MASS_2, check_nonsingular
+from rte2d.mesh import _freeze
 from rte2d.sweep import SweepSchedule
 
 
@@ -348,4 +351,89 @@ def error_norms(
         level=level,
         iterations=iterations,
         n_elems=mesh.n_triangles,
+    )
+
+
+def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
+    """The edge table by `np.unique(axis=0)` of the sorted vertex pairs.
+
+    Validates counterclockwise orientation, conformity (each edge shared by
+    at most two triangles, with opposite orientations), and normal lengths.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError("vertices must be an (nv, 2) array")
+    if triangles.ndim != 2 or triangles.shape[1] != 3:
+        raise MeshError("triangles must be an (nt, 3) array")
+    if not np.isfinite(vertices).all():
+        raise MeshError("vertex coordinates must be finite")
+    nt = triangles.shape[0]
+    if len({(a, b, c) for a, b, c in map(tuple, np.sort(triangles, axis=1))}) != nt:
+        raise MeshError("duplicate triangles")
+    if (np.sort(triangles, axis=1)[:, :-1] == np.sort(triangles, axis=1)[:, 1:]).any():
+        raise MeshError("triangle with repeated vertex ids")
+
+    p0 = vertices[triangles[:, 0]]
+    p1 = vertices[triangles[:, 1]]
+    p2 = vertices[triangles[:, 2]]
+    e1 = p1 - p0
+    e2 = p2 - p0
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    if (area <= 0).any():
+        bad = int(np.argmax(area <= 0))
+        raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {area[bad]:g})")
+
+    # Edge table from the 3*nt directed local edges.
+    pairs = np.stack(
+        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=1
+    ).reshape(-1, 2)
+    sorted_pairs = np.sort(pairs, axis=1)
+    _, inverse, counts = np.unique(
+        sorted_pairs, axis=0, return_inverse=True, return_counts=True
+    )
+    if (counts > 2).any():
+        raise MeshError("nonconforming mesh: an edge is shared by more than two triangles")
+    ne = counts.shape[0]
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(ne))
+    first = order[starts]
+    edge_left = first // 3
+    edge_vertices = pairs[first]
+    edge_right = np.full(ne, BOUNDARY, dtype=np.int64)
+    interior = counts == 2
+    second = order[starts[interior] + 1]
+    edge_right[interior] = second // 3
+    if not (pairs[second] == edge_vertices[interior][:, ::-1]).all():
+        raise MeshError("interior edge traversed in the same direction by both triangles")
+
+    tri_edges = inverse.reshape(nt, 3)
+    tri_edge_sign = np.where(edge_left[tri_edges] == np.arange(nt)[:, None], 1, -1)
+    tri_neighbors = np.where(
+        tri_edge_sign == 1, edge_right[tri_edges], edge_left[tri_edges]
+    )
+
+    tvec = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
+    edge_length = np.hypot(tvec[:, 0], tvec[:, 1])
+    if (edge_length <= 0).any():
+        raise MeshError("zero-length edge")
+    edge_normal = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / edge_length[:, None]
+
+    tri_h = edge_length[tri_edges].max(axis=1)
+
+    return TriangleMesh(
+        vertices=_freeze(vertices),
+        triangles=_freeze(triangles),
+        tri_edges=_freeze(tri_edges),
+        tri_edge_sign=_freeze(tri_edge_sign),
+        tri_neighbors=_freeze(tri_neighbors),
+        tri_area=_freeze(area),
+        tri_h=_freeze(tri_h),
+        edge_vertices=_freeze(edge_vertices),
+        edge_left=_freeze(edge_left),
+        edge_right=_freeze(edge_right),
+        edge_normal=_freeze(edge_normal),
+        edge_length=_freeze(edge_length),
+        h=float(edge_length.max()),
+        level=level,
     )

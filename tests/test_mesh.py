@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rte2d import (
     BOUNDARY,
@@ -14,7 +16,8 @@ from rte2d import (
     refine_regular,
     save_mesh,
 )
-from rte2d.mesh import omega_dot_n
+from rte2d.mesh import TriangleMesh, omega_dot_n
+import oracle
 from helpers import perturbed_mesh, unit_direction
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -67,6 +70,64 @@ def test_edge_table_consistency():
                 assert (ev == (b, a)).all()
 
 
+def rotate_triangles(triangles, rot):
+    """Row k's vertex ids shifted cyclically by rot[k]: local edge s becomes old edge s + rot[k]."""
+    idx = (np.arange(3) + np.asarray(rot)[:, None]) % 3
+    return np.take_along_axis(np.asarray(triangles), idx, axis=1), idx
+
+
+def assert_same_mesh(got, ref):
+    for f in dataclasses.fields(TriangleMesh):
+        x, y = getattr(got, f.name), getattr(ref, f.name)
+        assert type(x) is type(y), f.name
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name, strict=True)
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed-ladder", "shuffled-rotated"])
+def test_build_mesh_matches_unique_reference(kind):
+    if kind == "structured":
+        meshes = [build_structured_unit_square(n) for n in range(1, 7)]
+    elif kind == "perturbed-ladder":
+        meshes = [perturbed_mesh(10, seed=7)]
+        for _ in range(3):
+            meshes.append(refine_regular(meshes[-1]))
+    else:
+        base = perturbed_mesh(6, seed=8)
+        rng = np.random.RandomState(8)
+        tris, _ = rotate_triangles(
+            base.triangles[rng.permutation(base.n_triangles)], rng.randint(0, 3, base.n_triangles)
+        )
+        meshes = [build_mesh(base.vertices, tris)]
+        meshes.append(refine_regular(meshes[0]))
+    for mesh in meshes:
+        assert_same_mesh(mesh, oracle.build_mesh(mesh.vertices, mesh.triangles, level=mesh.level))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_edge_table_ignores_triangle_order_and_rotation(data):
+    mesh = perturbed_mesh(data.draw(st.integers(1, 4), label="n"), seed=data.draw(st.integers(0, 999)))
+    nt = mesh.n_triangles
+    perm = np.array(data.draw(st.permutations(range(nt)), label="perm"))
+    rot = data.draw(st.lists(st.integers(0, 2), min_size=nt, max_size=nt), label="rot")
+    tris, idx = rotate_triangles(mesh.triangles[perm], rot)
+    moved = build_mesh(mesh.vertices, tris)
+    np.testing.assert_array_equal(
+        np.sort(moved.edge_vertices, axis=1), np.sort(mesh.edge_vertices, axis=1)
+    )
+    np.testing.assert_allclose(moved.tri_area, mesh.tri_area[perm], rtol=1e-12, atol=0)
+    nbr = mesh.tri_neighbors[perm[:, None], idx]
+    np.testing.assert_array_equal(
+        moved.tri_neighbors, np.where(nbr == BOUNDARY, BOUNDARY, np.argsort(perm)[nbr])
+    )
+    dup = np.roll(tris[data.draw(st.integers(0, nt - 1), label="k")], data.draw(st.integers(0, 2)))
+    with pytest.raises(MeshError, match="duplicate triangles"):
+        build_mesh(mesh.vertices, np.vstack([tris, dup]))
+
+
 def test_edge_normals_unit_and_outward():
     mesh = perturbed_mesh(5, seed=1)
     np.testing.assert_allclose(
@@ -111,6 +172,12 @@ def test_build_mesh_rejects_duplicate_triangle():
     tris = np.array([[0, 1, 2], [0, 1, 2]])
     with pytest.raises(MeshError):
         build_mesh(UNIT_SQUARE, tris)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_build_mesh_rejects_vertex_id_out_of_range(bad):
+    with pytest.raises(MeshError, match="vertex id out of range"):
+        build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, bad]])
 
 
 def test_build_mesh_rejects_degenerate_triangle():
