@@ -83,13 +83,13 @@ def _freeze(a):
 def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
     """Assemble the full mesh structure from vertices and triangle cells.
 
-    Checks, in order: array shapes, finite coordinates, vertex ids in
-    0..nv-1, no duplicate triangle (in any vertex order), no repeated id
-    within a triangle, counterclockwise orientation with positive area,
-    conformity (each edge shared by at most two triangles, with opposite
-    orientations), and nonzero edge lengths. Edges are numbered in the
-    lexicographic order of their (min, max) vertex ids, independent of the
-    order of the triangles.
+    Checks, in order: array shapes, at least one triangle, finite
+    coordinates, vertex ids in 0..nv-1, no duplicate triangle (in any vertex
+    order), no repeated id within a triangle, counterclockwise orientation
+    with positive area, conformity (each edge shared by at most two
+    triangles, with opposite orientations), and nonzero edge lengths. Edges
+    are numbered in the lexicographic order of their (min, max) vertex ids,
+    independent of the order of the triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -97,6 +97,8 @@ def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
         raise MeshError("vertices must be an (nv, 2) array")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError("triangles must be an (nt, 3) array")
+    if triangles.shape[0] == 0:
+        raise MeshError("mesh has no triangles")
     if not np.isfinite(vertices).all():
         raise MeshError("vertex coordinates must be finite")
     nv, nt = vertices.shape[0], triangles.shape[0]

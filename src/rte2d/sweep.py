@@ -152,28 +152,28 @@ def _volume_rhs(qw, bary, delta_k, d):
 class SweepKernel:
     """Batched transport solve of a stack of directions.
 
-    Everything fixed across source iterations is factored here; per solve
-    only the scattering source comes in, as a rhs (run) or as the P1
-    coefficients G @ u (run_scattered). The (direction, element) pairs sit
-    in (layer, direction, element) order, so layer i of every direction is
-    the slice bounds[i]:bounds[i+1]; its pairs depend only on earlier layers
-    of their own direction, so one step solves the whole slice. A kernel of
-    one direction is a stack of one without the leading direction axis on d
-    and on the arrays its methods take and return.
-    """
+    The (direction, element) pairs sit in (layer, direction, element) order,
+    so layer i of every direction is the slice bounds[i]:bounds[i+1] and one
+    step solves it: it gathers the upwind coefficients of at most two inflow
+    edges per pair (nbr) and applies a 3x4 block (fold). blocks are the
+    inverted local matrices, for run(rhs), or, built with scatter_w, those
+    times the scattering moments, for run_scattered(G @ u). d = omega . grad
+    phi is derived on demand. One direction's kernel is a stack of one without
+    the leading direction axis on omega and on its arrays."""
 
     schedules: tuple
+    omega: np.ndarray  # (nl, 2), or (2,) for one direction
+    grad: np.ndarray  # (nt, 3, 2) basis gradients
     delta_k: np.ndarray  # (nt,)
-    d: np.ndarray  # (nl, nt, 3) omega . grad(phi)
     bary: np.ndarray  # (nq, 3)
     order: np.ndarray  # (n,) pair index l * nt + k at each sweep position
     pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
     bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
-    inv_a: np.ndarray  # (n, 3, 3) inverted local matrices, in sweep order
-    b0: np.ndarray  # (n, 3) inv_a @ (volume source + inflow data), sweep order
-    fold: np.ndarray  # (n, 3, 6) inv_a @ coupling to the 2 upwind coefficients per edge
-    nbr: np.ndarray  # (n, 6) int32 flat index of those coefficients, 3n if none
-    scat: np.ndarray = None  # (n, 3, 3) inv_a @ scattering moments, sweep order
+    scattering: bool  # built with scatter_w: blocks hold the scattering moments
+    blocks: np.ndarray  # (n, 3, 3) inverted local matrices [@ scattering moments], sweep order
+    b0: np.ndarray  # (n, 3) inverted local matrix @ (volume source + inflow data), sweep order
+    fold: np.ndarray  # (n, 3, 4) inverted local matrix @ coupling to 2 upwind coefficients per edge
+    nbr: np.ndarray  # (n, 4) int32 flat index of those coefficients, in the zero row n if none
 
     @property
     def schedule(self) -> SweepSchedule:
@@ -183,20 +183,26 @@ class SweepKernel:
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
-        return _volume_rhs(qw, self.bary, self.delta_k, self.d)
+        om = self.omega[..., None, None, :]  # d = omega . grad(phi), as build_kernel forms it
+        d = self.grad[..., 0] * om[..., 0] + self.grad[..., 1] * om[..., 1]
+        return _volume_rhs(qw, self.bary, self.delta_k, d)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
         """One sweep of every direction with the fixed rhs (+ scatter_rhs)."""
-        return self._sweep(self.inv_a, scatter_rhs)
+        if scatter_rhs is not None and self.scattering:
+            raise ValueError("a kernel built with scatter_w takes G @ u in run_scattered")
+        return self._sweep(scatter_rhs)
 
     def run_scattered(self, gc: np.ndarray) -> np.ndarray:
         """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i,
         given gc = G @ u as P1 coefficients (nl, nt * 3); needs scatter_w."""
-        return self._sweep(self.scat, gc)
+        if not self.scattering:
+            raise ValueError("run_scattered needs a kernel built with scatter_w")
+        return self._sweep(gc)
 
-    def _sweep(self, blocks, x):
+    def _sweep(self, x):
         """Sweep from b0 + blocks @ x, x in pair order (nothing added if None)."""
-        n = self.order.size
+        blocks, n = self.blocks, self.order.size
         c = np.zeros(3 * (n + 1))  # zero padding row: the "no neighbour" target
         cs = c.reshape(n + 1, 3)
         if x is not None:  # the product straight into c: one (n, 3) temporary fewer
@@ -205,7 +211,7 @@ class SweepKernel:
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
             g = c.take(self.nbr[lo:hi])
             cs[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
-        return cs.take(self.pos, axis=0).reshape(self.d.shape)
+        return cs.take(self.pos, axis=0).reshape(self.omega.shape[:-1] + (self.delta_k.size, 3))
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
@@ -236,10 +242,24 @@ for _s in range(3):
     _EDGE_MASS[_s][np.ix_(_i, _i)] = EDGE_MASS_2
     _EDGE_COUPLING[_s][np.ix_(_i, [2 * _s, 2 * _s + 1])] = EDGE_MASS_2[:, ::-1]
 
+# Per pattern sum_s 2^s [s is an interior inflow edge]: two edges covering those (never three,
+# as sum_s |e_s| omega . n_s = 0), their 4 columns of the 3x6 coupling block and flat offsets.
+_UPWIND_PICK = np.array([[0, 1], [0, 1], [0, 1], [0, 1], [0, 2], [0, 2], [1, 2], [0, 1]])
+_PICK_COLS = (2 * _UPWIND_PICK[:, :, None] + [0, 1]).reshape(8, 4)
+_PICK_FLAT = (6 * np.arange(3)[:, None] + _PICK_COLS[:, None, :]).reshape(8, 12)
 
-def _inflow_rhs(tables, schedule, inflow_data, elen):
+
+def upwind_pattern(live: np.ndarray, direction=None) -> np.ndarray:
+    """The _UPWIND_PICK row (nt,) of each element's interior inflow edges live (nt, 3)."""
+    pattern = live @ np.array([1, 2, 4])
+    if (pattern == 7).any():
+        raise ValueError(f"direction {direction}: element {pattern.argmax()} has 3 inflow edges")
+    return pattern
+
+
+def _inflow_rhs(tables, schedule, inflow_data, elen, bnd):
     """Inflow boundary data against the local basis on inflow boundary edges (nt, 3)."""
-    bk, bs, bpts = boundary_points(tables.mesh, tables.edge_t)
+    bk, bs, bpts = bnd  # boundary_points(mesh, edge_t)
     inflow = schedule.inflow[bk, bs]
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
     fixed = np.zeros((tables.mesh.n_triangles, 3))
@@ -264,7 +284,7 @@ def build_kernel(
     the inflow boundary trace, or None for homogeneous data. For a stack,
     both are per-direction sequences of those (or None for all directions).
     scatter_w, the area-weighted sigma_s at the quadrature points (nt, nq),
-    enables run_scattered.
+    folds the scattering moments into the blocks for run_scattered.
 
     With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t
     u, v + delta omega . grad v) is M_sigma + s1 d^T + delta d (W d +
@@ -300,19 +320,19 @@ def build_kernel(
         s_mat = np.matmul(bary.T * scatter_w[:, None, :], bary)  # (nt, 3, 3)
     elen = mesh.edge_length[mesh.tri_edges]
     interior = mesh.tri_neighbors != BOUNDARY
+    bnd = None if inflow_data is None else boundary_points(mesh, tables.edge_t)
 
     # each direction's blocks go straight into their sweep-order slots
-    d = np.empty((nl, nt, 3))
-    inv_a = np.empty((n, 3, 3))
+    blocks = np.empty((n, 3, 3))
     b0 = np.empty((n, 3))
-    fold = np.empty((n, 3, 6))
-    nbr = np.empty((n, 6), dtype=np.int32)
-    scat = None if scatter_w is None else np.empty((n, 3, 3))
+    fold = np.empty((n, 3, 4))
+    nbr = np.empty((n, 4), dtype=np.int32)
     grad = tables.basis.grad
     nbr_local = (tables.opp_local[..., None] + [0, 1]) % 3  # upwind coefficients per edge
+    k6 = 6 * np.arange(nt)[:, None]  # flat offset of each element's 6 (edge, coefficient) columns
     for l, sched in enumerate(schedules):
         om = sched.omega
-        d[l] = dl = grad[..., 0] * om[0] + grad[..., 1] * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
+        dl = grad[..., 0] * om[0] + grad[..., 1] * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
         ddl = delta_k[:, None] * dl
         edge_w = np.where(sched.inflow, -elen * sched.dot, 0.0)
         a = m_sig + s1[:, :, None] * dl[:, None, :]
@@ -322,30 +342,23 @@ def build_kernel(
         if f_vals is not None and f_vals[l] is not None:
             fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl)
         if inflow_data is not None and inflow_data[l] is not None:
-            fixed += _inflow_rhs(tables, sched, inflow_data[l], elen)
+            fixed += _inflow_rhs(tables, sched, inflow_data[l], elen, bnd)
+        up = sched.upwind
+        pattern = upwind_pattern(up >= 0, direction=l)
         coupling = np.where(interior, edge_w, 0.0) @ _EDGE_COUPLING.reshape(3, 18)
+        coupling = coupling.take(_PICK_FLAT.take(pattern, axis=0) + 3 * k6).reshape(nt, 3, 4)
 
         slots = pos[l * nt : (l + 1) * nt]
-        inv_a[slots] = inv = inverse_3x3(a, direction=l)
+        inv = inverse_3x3(a, direction=l)
         b0[slots] = np.einsum("kij,kj->ki", inv, fixed)
-        fold[slots] = np.matmul(inv, coupling.reshape(nt, 3, 6))
-        if scat is not None:
-            scat[slots] = np.matmul(inv, s_mat + ddl[:, :, None] * s_vec[:, None, :])
-        up = sched.upwind
-        flat = 3 * slots[np.maximum(up, 0)][..., None] + nbr_local
-        nbr[slots] = np.where(up[..., None] >= 0, flat, 3 * n).reshape(nt, 6)
+        fold[slots] = np.matmul(inv, coupling)
+        blocks[slots] = inv if scatter_w is None else (
+            np.matmul(inv, s_mat + ddl[:, :, None] * s_vec[:, None, :]))
+        flat = 3 * np.where(up >= 0, slots[np.maximum(up, 0)], n)[..., None] + nbr_local
+        nbr[slots] = flat.take(_PICK_COLS.take(pattern, axis=0) + k6)
 
     return SweepKernel(
-        schedules=schedules,
-        delta_k=delta_k,
-        d=d[0] if one else d,
-        bary=bary,
-        order=order,
-        pos=pos,
-        bounds=bounds,
-        inv_a=inv_a,
-        b0=b0,
-        fold=fold,
-        nbr=nbr,
-        scat=scat,
+        schedules=schedules, grad=grad, delta_k=delta_k, bary=bary, order=order, pos=pos,
+        omega=schedule.omega if one else np.array([s.omega for s in schedules]), bounds=bounds,
+        scattering=scatter_w is not None, blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

@@ -128,6 +128,14 @@ def test_solve_with_mesh_file_and_level(tmp_path):
     assert len(lines) == 1 + 4 * (8 * 4)  # one refinement quadruples 8 elements
 
 
+def test_exit_code_mesh_without_triangles(tmp_path, capsys):
+    mesh_file = tmp_path / "empty.mesh"
+    mesh_file.write_text("3 0\n0 0\n1 0\n0 1\n")
+    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
+    assert code == 7
+    assert "error[mesh]: mesh has no triangles" in capsys.readouterr().err
+
+
 def test_exit_code_nonconvergence(tmp_path, capsys):
     code = run(
         tmp_path, "solve", "--case", "1",

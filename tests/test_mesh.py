@@ -180,6 +180,11 @@ def test_build_mesh_rejects_vertex_id_out_of_range(bad):
         build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, bad]])
 
 
+def test_build_mesh_rejects_a_mesh_without_triangles():
+    with pytest.raises(MeshError, match="^mesh has no triangles$"):
+        build_mesh(UNIT_SQUARE, np.zeros((0, 3), dtype=int))
+
+
 def test_build_mesh_rejects_degenerate_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(MeshError):

@@ -20,7 +20,7 @@ from rte2d import (
     trapezoid_circle,
     triangle_rule,
 )
-from rte2d.sweep import inverse_3x3
+from rte2d.sweep import _UPWIND_PICK, inverse_3x3, upwind_pattern
 from helpers import perturbed_mesh, random_solution, unit_direction
 from oracle import scattering_source, sweep_direction
 
@@ -281,10 +281,10 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     px, py = tables.points[..., 0], tables.points[..., 1]
     f_vals = [f(px, py) for f in fs]
     scatter_w = tables.areaw * sigma_s(px, py)
-    stack = build_kernel(
-        tables, scheds, delta, f_vals=f_vals, inflow_data=gs if with_inflow else None,
-        scatter_w=scatter_w,
-    )
+    fixed = dict(f_vals=f_vals, inflow_data=gs if with_inflow else None)
+    plain = build_kernel(tables, scheds, delta, **fixed)
+    stack = build_kernel(tables, scheds, delta, **fixed, scatter_w=scatter_w)
+    np.testing.assert_array_equal(stack.run(), plain.run())
 
     # "points": a per-direction volume source; "moments": the lagged scattering
     # sigma_s * sum_i G[l, i] u^i of a random field, fed to run_scattered as G @ u
@@ -303,7 +303,7 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
         ),
     }
     for kind, (scats, s_vals) in sources.items():
-        got = stack.run(None if kind is None else stack.volume_rhs(tables.areaw * s_vals))
+        got = plain.run(None if kind is None else plain.volume_rhs(tables.areaw * s_vals))
         if kind == "moments":
             folded = stack.run_scattered(G @ u.coeffs.reshape(nl, -1))
             np.testing.assert_allclose(folded, got, atol=1e-12)
@@ -321,6 +321,91 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
                 tri_rule=triangle_rule(4), edge_npts=4,
             )
             np.testing.assert_allclose(got[l], ref, atol=1e-12)
+
+
+def test_kernel_takes_the_source_its_blocks_were_built_for():
+    mesh = perturbed_mesh(3, seed=19)
+    quad = trapezoid_circle(4)
+    scheds = build_schedules(mesh, quad.directions)
+    tables = space_tables(mesh, const(2.0))
+    plain = build_kernel(tables, scheds, 0.1)
+    scattering = build_kernel(tables, scheds, 0.1, scatter_w=0.5 * tables.areaw)
+    rhs = plain.volume_rhs(tables.areaw * np.ones((quad.n_directions, *tables.areaw.shape)))
+    with pytest.raises(ValueError, match="run_scattered"):
+        scattering.run(rhs)
+    with pytest.raises(ValueError, match="scatter_w"):
+        plain.run_scattered(np.zeros((quad.n_directions, 3 * mesh.n_triangles)))
+
+
+def test_upwind_pick_covers_every_live_edge():
+    live = (np.arange(7)[:, None] >> np.arange(3)) & 1 == 1  # the 7 patterns an element can have
+    pick = _UPWIND_PICK[upwind_pattern(live)]
+    for p in range(7):
+        assert pick[p, 0] != pick[p, 1]
+        assert set(np.flatnonzero(live[p])) <= set(pick[p].tolist())
+    with pytest.raises(ValueError, match="direction 4: element 1 has 3 inflow edges"):
+        upwind_pattern(np.array([[True, False, True], [True, True, True]]), direction=4)
+
+
+@pytest.mark.parametrize("structured", [False, True], ids=["perturbed", "structured-axis"])
+def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
+    # trapezoid_circle(8) holds the axis-aligned and diagonal directions: on
+    # the structured mesh they graze its edges, so tangential edges are dead
+    mesh = build_structured_unit_square(4) if structured else perturbed_mesh(4, seed=17)
+    quad = trapezoid_circle(8)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    scheds = build_schedules(mesh, quad.directions)
+    live = np.stack([s.upwind >= 0 for s in scheds])
+    patterns = set((live @ [1, 2, 4]).ravel().tolist())
+    if structured:  # two-edge patterns next to tangential edges
+        assert {3, 6} <= patterns
+        assert (np.abs(np.stack([s.dot for s in scheds])) <= 1e-12).any()
+    else:  # every pattern but 0 and 7: each pair of edges is picked
+        assert patterns == {0, 1, 2, 3, 4, 5, 6}
+
+    sigma_t = lambda x, y: 3.0 + x * y
+    sigma_s = lambda x, y: 1.0 + 0.5 * x
+    gs = [lambda x, y, l=l: 1.0 + 0.2 * l * x - y for l in range(nl)]
+    tables = space_tables(mesh, sigma_t)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    kern = build_kernel(
+        tables, scheds, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
+        inflow_data=gs, scatter_w=tables.areaw * sigma_s(px, py),
+    )
+    # the edge padding a pattern leaves over has zero weight
+    assert (kern.fold.transpose(0, 2, 1)[kern.nbr >= 3 * nl * nt] == 0.0).all()
+    u = random_solution(mesh, quad, seed=8)
+    G = scatter_matrix(PhaseFunction.henyey_greenstein(0.3), quad)
+    got = kern.run_scattered(G @ u.coeffs.reshape(nl, -1))
+    for l in range(nl):
+        scat = scattering_source(u, G, sigma_s, l)
+        ref = sweep_direction(
+            mesh, scheds[l], quad.directions[l], 0.8 * mesh.h, sigma_t,
+            lambda x, y: np.cos(x + l) + scat(x, y), gs[l],
+            tri_rule=triangle_rule(4), edge_npts=4,
+        )
+        np.testing.assert_allclose(got[l], ref, atol=1e-12)
+
+
+def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
+    # blocks 72, b0 24, fold 96, nbr 16, order 8, pos 8; a second 3x3 block
+    # array, a 3x6 fold or a stored (nl, nt, 3) d would break it
+    mesh = perturbed_mesh(6, seed=18)
+    quad = trapezoid_circle(20)
+    nt = mesh.n_triangles
+    tables = space_tables(mesh, const(2.0))
+    kern = build_kernel(
+        tables, build_schedules(mesh, quad.directions), 0.1, scatter_w=0.5 * tables.areaw
+    )
+    n = kern.order.size
+    assert n == quad.n_directions * nt
+    fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedules"]
+    arrays = [a for a in fields if isinstance(a, np.ndarray)]
+    per_pair = sum(a.nbytes for a in arrays if a.shape[0] == n)
+    assert per_pair <= 224 * n
+    # per element only grad (3x2) and delta_k; bary and omega are a few rows
+    rest = sum(a.nbytes for a in arrays if a.shape[0] != n)
+    assert rest <= 56 * nt + kern.bary.nbytes + kern.omega.nbytes
 
 
 def test_stacked_sweep_steps_are_global_layers():
