@@ -208,6 +208,9 @@ def _base_mesh(args):
 def _cmd_solve(args):
     case = make_case(args.case, eta=args.eta)
     quad = case_quadrature(case, args.n_dirs)
+    l = args.dump_schedule
+    if l is not None and not 0 <= l < quad.n_directions:
+        raise ValueError(f"--dump-schedule index {l} outside 0..{quad.n_directions - 1}")
     problem = case_problem(case, quad)
     mesh = _base_mesh(args)
     for _ in range(args.level):
@@ -220,10 +223,7 @@ def _cmd_solve(args):
     )
     sol, report = solve(problem, mesh, config)
 
-    if args.dump_schedule is not None:
-        l = args.dump_schedule
-        if not 0 <= l < quad.n_directions:
-            raise ValueError(f"--dump-schedule index {l} outside 0..{quad.n_directions - 1}")
+    if l is not None:
         sched = build_schedules(mesh, quad.directions[l : l + 1])[0]
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:

@@ -63,9 +63,10 @@ SINGULAR_RTOL = 1e-20
 
 
 def check_nonsingular(a: np.ndarray, det: np.ndarray, element=None, direction=None):
-    """StabilityError at the first (n, 3, 3) block of a whose determinant
-    det fails the criterion; element names it (default: its batch index)."""
-    scale = np.abs(a).reshape(-1, 9).max(axis=1)
+    """StabilityError at the first of the 3x3 blocks a, stored as planes
+    (3, 3, n), whose determinant det fails the criterion; element names it
+    (default: its batch index)."""
+    scale = np.abs(a).reshape(9, -1).max(axis=0)
     bad = ~(np.abs(det) > SINGULAR_RTOL * scale**3)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])

@@ -7,8 +7,10 @@ transport equation is swept with source
 
 and the loop stops once the relative weighted-L2 update drops below tol.
 The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}. Each
-sweep is one `SweepKernel.run_scattered` over all directions; the global
-forms and error norms that measure the result live in `analysis`.
+sweep is one `SweepKernel.run_scattered` over all directions. The iterate
+is kept as coefficient planes (3, L+1, nt), the layout the sweep kernel
+works in, and transposed once into the (L+1, nt, 3) `DGSolution`; the
+global forms and error norms that measure the result live in `analysis`.
 """
 
 from dataclasses import dataclass
@@ -79,12 +81,16 @@ def delta_value(config: SolverConfig, mesh: TriangleMesh):
 
 
 def weighted_norm(coeffs, quad_weights, tri_area) -> float:
-    """sqrt(sum_l w_l sum_K ||v^l||^2_{0,K}) for P1 coefficients (L+1, nt, 3)."""
+    """sqrt(sum_l w_l sum_K ||v^l||^2_{0,K}) for P1 coefficients (L+1, nt, 3).
+
+    The arithmetic runs on the three component planes, so an (L+1, nt, 3)
+    array and a view of the same values stored as planes (3, L+1, nt) give
+    the same bits."""
     # c^T M c with M = (area/12)(I + ones): sum c_i^2 + (sum c_i)^2, scaled.
-    # Matmuls instead of sum(axis=2): reductions over a length-3 axis are slow.
-    s = coeffs @ np.ones(3)
-    c2 = np.einsum("lki,lki->lk", coeffs, coeffs) + s * s
-    return float(np.sqrt(quad_weights @ (c2 @ (tri_area / 12.0))))
+    c0, c1, c2 = np.moveaxis(coeffs, -1, 0)
+    s = c0 + c1 + c2
+    q = c0 * c0 + c1 * c1 + c2 * c2 + s * s
+    return float(np.sqrt(quad_weights @ (q @ (tri_area / 12.0))))
 
 
 def _require_finite(name, vals, pts):
@@ -163,13 +169,17 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     del f_vals
     delta_used = float(np.max(delta))
 
-    coeffs = np.zeros((nl, nt, 3))
+    # the iterate stays in coefficient planes (3, nl, nt): G acts on each plane
+    u = np.zeros((3, nl, nt))
     history = []
     for j in range(1, config.max_iter + 1):
-        new = kernel.run_scattered(G @ coeffs.reshape(nl, -1)) if scattering else kernel.run()
-        num = weighted_norm(new - coeffs, quad.weights, mesh.tri_area)
-        den = weighted_norm(new, quad.weights, mesh.tri_area)
-        coeffs = new
+        if scattering:
+            new = kernel.run_scattered(np.matmul(G, u))
+        else:
+            new = np.moveaxis(kernel.run(), -1, 0)
+        num = weighted_norm(np.moveaxis(new - u, 0, -1), quad.weights, mesh.tri_area)
+        den = weighted_norm(np.moveaxis(new, 0, -1), quad.weights, mesh.tri_area)
+        u = new
         if not (np.isfinite(num) and np.isfinite(den)):
             history.append(float("nan"))
             raise NonConvergenceError(
@@ -203,4 +213,4 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         converged=True,
         delta_used=delta_used,
     )
-    return DGSolution(coeffs, mesh, quad), report
+    return DGSolution(np.ascontiguousarray(np.moveaxis(u, 0, -1)), mesh, quad), report

@@ -154,12 +154,16 @@ class SweepKernel:
 
     The (direction, element) pairs sit in (layer, direction, element) order,
     so layer i of every direction is the slice bounds[i]:bounds[i+1] and one
-    step solves it: it gathers the upwind coefficients of at most two inflow
-    edges per pair (nbr) and applies a 3x4 block (fold). blocks are the
-    inverted local matrices, for run(rhs), or, built with scatter_w, those
-    times the scattering moments, for run_scattered(G @ u). d = omega . grad
-    phi is derived on demand. One direction's kernel is a stack of one without
-    the leading direction axis on omega and on its arrays."""
+    step solves it. Every per-pair array is stored component-major, the pair
+    index last, and a sweep fills a (3, n + 1) buffer of coefficient planes
+    whose column n stays zero. A step gathers the upwind coefficients of at
+    most two inflow edges per pair (nbr: flat indices into that buffer,
+    column n if none) and applies a 3x4 block (fold) on contiguous rows.
+    blocks are the inverted local matrices, for run(rhs), or, built with
+    scatter_w, those times the scattering moments, for run_scattered(G @ u).
+    d = omega . grad phi is derived on demand. One direction's kernel is a
+    stack of one without the leading direction axis on omega, on the input
+    and on the output."""
 
     schedules: tuple
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
@@ -170,10 +174,10 @@ class SweepKernel:
     pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
     bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
     scattering: bool  # built with scatter_w: blocks hold the scattering moments
-    blocks: np.ndarray  # (n, 3, 3) inverted local matrices [@ scattering moments], sweep order
-    b0: np.ndarray  # (n, 3) inverted local matrix @ (volume source + inflow data), sweep order
-    fold: np.ndarray  # (n, 3, 4) inverted local matrix @ coupling to 2 upwind coefficients per edge
-    nbr: np.ndarray  # (n, 4) int32 flat index of those coefficients, in the zero row n if none
+    blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], sweep order
+    b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), sweep order
+    fold: np.ndarray  # (3, 4, n) inverted local matrix @ coupling to 2 upwind coefficients per edge
+    nbr: np.ndarray  # (4, n) int32 flat index of those coefficients in the (3, n + 1) buffer
 
     @property
     def schedule(self) -> SweepSchedule:
@@ -188,36 +192,43 @@ class SweepKernel:
         return _volume_rhs(qw, self.bary, self.delta_k, d)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
-        """One sweep of every direction with the fixed rhs (+ scatter_rhs)."""
+        """One sweep of every direction with the fixed rhs (+ scatter_rhs);
+        the rhs and the result are (nl, nt, 3), or (nt, 3) for one direction."""
         if scatter_rhs is not None and self.scattering:
             raise ValueError("a kernel built with scatter_w takes G @ u in run_scattered")
-        return self._sweep(scatter_rhs)
+        x = None if scatter_rhs is None else np.moveaxis(scatter_rhs, -1, 0)
+        return np.moveaxis(self._sweep(x), 0, -1)
 
     def run_scattered(self, gc: np.ndarray) -> np.ndarray:
         """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i,
-        given gc = G @ u as P1 coefficients (nl, nt * 3); needs scatter_w."""
+        given gc = G @ u as coefficient planes (3, nl, nt); returns the new
+        coefficient planes (3, nl, nt). Needs scatter_w."""
         if not self.scattering:
             raise ValueError("run_scattered needs a kernel built with scatter_w")
         return self._sweep(gc)
 
     def _sweep(self, x):
-        """Sweep from b0 + blocks @ x, x in pair order (nothing added if None)."""
-        blocks, n = self.blocks, self.order.size
-        c = np.zeros(3 * (n + 1))  # zero padding row: the "no neighbour" target
-        cs = c.reshape(n + 1, 3)
-        if x is not None:  # the product straight into c: one (n, 3) temporary fewer
-            np.einsum("kij,kj->ki", blocks, x.reshape(n, 3).take(self.order, axis=0), out=cs[:n])
-        cs[:n] += self.b0
+        """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x,
+        x planes of that shape (nothing added if None)."""
+        n = self.order.size
+        c = np.zeros((3, n + 1))  # column n stays zero: the "no neighbour" target
+        head = c[:, :n]
+        if x is not None:  # the gathered x dies with this statement, before the loop
+            np.einsum("ijk,jk->ik", self.blocks, x.reshape(3, n).take(self.order, axis=1), out=head)
+        head += self.b0
+        flat, fold, nbr = c.reshape(-1), self.fold, self.nbr
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            g = c.take(self.nbr[lo:hi])
-            cs[lo:hi] += np.einsum("kij,kj->ki", self.fold[lo:hi], g)
-        return cs.take(self.pos, axis=0).reshape(self.omega.shape[:-1] + (self.delta_k.size, 3))
+            step = c[:, lo:hi]
+            step += np.einsum("ijk,jk->ik", fold[:, :, lo:hi], flat.take(nbr[:, lo:hi]))
+        # from the contiguous c: a take from the strided head would copy it first
+        return c.take(self.pos, axis=1).reshape((3, *self.omega.shape[:-1], self.delta_k.size))
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
-    """Adjugate inverses of a (n, 3, 3) batch from explicit cofactors;
-    StabilityError on a block that check_nonsingular rejects."""
-    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a.reshape(-1, 9).T
+    """Adjugate inverses of 3x3 blocks stored as planes (3, 3, n), from
+    explicit cofactors; StabilityError on a block that check_nonsingular
+    rejects."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     c00 = a11 * a22 - a12 * a21
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
@@ -227,20 +238,22 @@ def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
         c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11,
         c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12,
         c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10,
-    ], axis=1)
-    return (adj / det[:, None]).reshape(-1, 3, 3)
+    ])
+    adj /= det
+    return adj.reshape(a.shape)
 
 
 # The inflow edge s as weights of its |e| |omega . n|: its edge mass in the
 # local matrix (rows and columns s, s + 1), and its coupling to the upwind
 # neighbour's coefficients opp, opp + 1 (columns 2s, 2s + 1 of the 3x6
-# block), whose trace runs against the edge parameter.
+# block), whose trace runs against the edge parameter. The edge index is
+# last, so a product with the (3, nt) edge weights gives coefficient planes.
 _EDGE_MASS = np.zeros((3, 3, 3))
-_EDGE_COUPLING = np.zeros((3, 3, 6))
+_EDGE_COUPLING = np.zeros((3, 6, 3))
 for _s in range(3):
     _i = [_s, (_s + 1) % 3]
-    _EDGE_MASS[_s][np.ix_(_i, _i)] = EDGE_MASS_2
-    _EDGE_COUPLING[_s][np.ix_(_i, [2 * _s, 2 * _s + 1])] = EDGE_MASS_2[:, ::-1]
+    _EDGE_MASS[np.ix_(_i, _i, [_s])] = EDGE_MASS_2[..., None]
+    _EDGE_COUPLING[np.ix_(_i, [2 * _s, 2 * _s + 1], [_s])] = EDGE_MASS_2[:, ::-1, None]
 
 # Per pattern sum_s 2^s [s is an interior inflow edge]: two edges covering those (never three,
 # as sum_s |e_s| omega . n_s = 0), their 4 columns of the 3x6 coupling block and flat offsets.
@@ -290,7 +303,8 @@ def build_kernel(
     u, v + delta omega . grad v) is M_sigma + s1 d^T + delta d (W d +
     s_sigma)^T in the element moments M_sigma = sum_q w sigma_t phi phi^T,
     s1 = sum_q w phi, W = sum_q w and s_sigma = sum_q w sigma_t phi, plus
-    the inflow edge masses; only d changes between directions.
+    the inflow edge masses; only d changes between directions. Every entry
+    is formed as an (nt,) row, the element index last, as the kernel stores it.
     """
     one = isinstance(schedule, SweepSchedule)
     schedules = (schedule,) if one else tuple(schedule)
@@ -310,52 +324,57 @@ def build_kernel(
     pos[order] = np.arange(n)
     bounds = tuple(int(x) for x in np.concatenate([[0], np.cumsum(np.bincount(layer_of))]))
 
+    # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
+    pp = bary.T[:, None, :] * bary.T[None, :, :]
     w = tables.areaw
     wst = w * tables.sigma_t
-    m_sig = np.matmul(bary.T * wst[:, None, :], bary)  # (nt, 3, 3)
-    s1, s_sig, w_sum = w @ bary, wst @ bary, w.sum(axis=1)
+    m_sig = pp @ wst.T  # (3, 3, nt)
+    s1, s_sig, w_sum = bary.T @ w.T, bary.T @ wst.T, w.sum(axis=1)
     # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta_k d s_k^T) gc
     if scatter_w is not None:
-        s_vec = scatter_w @ bary  # (nt, 3)
-        s_mat = np.matmul(bary.T * scatter_w[:, None, :], bary)  # (nt, 3, 3)
+        s_vec = bary.T @ scatter_w.T  # (3, nt)
+        s_mat = pp @ scatter_w.T  # (3, 3, nt)
     elen = mesh.edge_length[mesh.tri_edges]
-    interior = mesh.tri_neighbors != BOUNDARY
+    interior = (mesh.tri_neighbors != BOUNDARY).T
     bnd = None if inflow_data is None else boundary_points(mesh, tables.edge_t)
 
-    # each direction's blocks go straight into their sweep-order slots
-    blocks = np.empty((n, 3, 3))
-    b0 = np.empty((n, 3))
-    fold = np.empty((n, 3, 4))
-    nbr = np.empty((n, 4), dtype=np.int32)
+    # each direction's blocks go straight into their sweep-order columns
+    blocks = np.empty((3, 3, n))
+    b0 = np.empty((3, n))
+    fold = np.empty((3, 4, n))
+    nbr = np.empty((4, n), dtype=np.int32)
     grad = tables.basis.grad
-    nbr_local = (tables.opp_local[..., None] + [0, 1]) % 3  # upwind coefficients per edge
-    k6 = 6 * np.arange(nt)[:, None]  # flat offset of each element's 6 (edge, coefficient) columns
+    gx, gy = grad.transpose(2, 1, 0).copy()  # (3, nt) each
+    # row 2s + c: plane offset of the upwind neighbour's coefficient c on edge s
+    coef_off = ((tables.opp_local.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)
+    # flat offsets of the picked rows of the (18, nt) coupling and the (6, nt) indices, per pattern
+    pick_rows, pick_cols, elem = _PICK_FLAT.T * nt, _PICK_COLS.T * nt, np.arange(nt)
     for l, sched in enumerate(schedules):
         om = sched.omega
-        dl = grad[..., 0] * om[0] + grad[..., 1] * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
-        ddl = delta_k[:, None] * dl
-        edge_w = np.where(sched.inflow, -elen * sched.dot, 0.0)
-        a = m_sig + s1[:, :, None] * dl[:, None, :]
-        a += ddl[:, :, None] * (w_sum[:, None] * dl + s_sig)[:, None, :]
-        a += (edge_w @ _EDGE_MASS.reshape(3, 9)).reshape(nt, 3, 3)
+        dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
+        ddl = delta_k * dl
+        edge_w = np.where(sched.inflow, -elen * sched.dot, 0.0).T
+        a = m_sig + s1[:, None] * dl
+        a += ddl[:, None] * (w_sum * dl + s_sig)
+        a += _EDGE_MASS @ edge_w
         fixed = np.zeros((nt, 3))
         if f_vals is not None and f_vals[l] is not None:
-            fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl)
+            fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl.T)
         if inflow_data is not None and inflow_data[l] is not None:
             fixed += _inflow_rhs(tables, sched, inflow_data[l], elen, bnd)
         up = sched.upwind
         pattern = upwind_pattern(up >= 0, direction=l)
-        coupling = np.where(interior, edge_w, 0.0) @ _EDGE_COUPLING.reshape(3, 18)
-        coupling = coupling.take(_PICK_FLAT.take(pattern, axis=0) + 3 * k6).reshape(nt, 3, 4)
+        coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior, edge_w, 0.0)
+        coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)
 
         slots = pos[l * nt : (l + 1) * nt]
         inv = inverse_3x3(a, direction=l)
-        b0[slots] = np.einsum("kij,kj->ki", inv, fixed)
-        fold[slots] = np.matmul(inv, coupling)
-        blocks[slots] = inv if scatter_w is None else (
-            np.matmul(inv, s_mat + ddl[:, :, None] * s_vec[:, None, :]))
-        flat = 3 * np.where(up >= 0, slots[np.maximum(up, 0)], n)[..., None] + nbr_local
-        nbr[slots] = flat.take(_PICK_COLS.take(pattern, axis=0) + k6)
+        b0[:, slots] = np.einsum("ijk,jk->ik", inv, fixed.T)
+        fold[:, :, slots] = np.einsum("imk,mjk->ijk", inv, coupling)
+        blocks[:, :, slots] = inv if scatter_w is None else (
+            np.einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec))
+        flat = (coef_off + np.where(up >= 0, slots[np.maximum(up, 0)], n).T[:, None]).reshape(6, nt)
+        nbr[:, slots] = flat.take(pick_cols.take(pattern, axis=1) + elem)
 
     return SweepKernel(
         schedules=schedules, grad=grad, delta_k=delta_k, bary=bary, order=order, pos=pos,

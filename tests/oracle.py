@@ -120,7 +120,7 @@ def solve_local(sys: LocalSystem, element=None, direction=None) -> np.ndarray:
     """Direct 3x3 solve with partial pivoting, guarded by check_nonsingular."""
     A = np.array(sys.A, dtype=float)
     b = np.array(sys.b, dtype=float)
-    check_nonsingular(A[None], np.linalg.det(A)[None], element=element, direction=direction)
+    check_nonsingular(A[..., None], np.linalg.det(A)[None], element=element, direction=direction)
     for col in range(3):
         p = col + int(np.argmax(np.abs(A[col:, col])))
         if p != col:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rte2d import build_structured_unit_square, save_mesh
+from rte2d import cli
 from rte2d.cli import main, read_table_csv
 from rte2d.analysis import convergence_study, make_case
 
@@ -145,7 +146,11 @@ def test_exit_code_nonconvergence(tmp_path, capsys):
     assert "error[nonconvergence]" in capsys.readouterr().err
 
 
-def test_exit_code_bad_dump_index(tmp_path, capsys):
+def test_exit_code_bad_dump_index(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before the --dump-schedule index was checked")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     code = run(
         tmp_path, "solve", "--case", "1",
         "--n0", "2", "--n-dirs", "4", "--dump-schedule", "99",

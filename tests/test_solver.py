@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rte2d import (
     BOUNDARY,
@@ -191,6 +192,54 @@ def test_solve_matches_point_source_iteration():
     np.testing.assert_allclose(sol.coeffs, coeffs, rtol=0, atol=1e-12 * np.abs(coeffs).max())
 
 
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.data())
+def test_solve_is_linear_in_the_sources(data):
+    # solve(a (f1, g1) + b (f2, g2)) = a u1 + b u2 on drawn meshes, sigma fields
+    # and phases. (f2, g2) manufacture an affine, direction-independent u2:
+    # the method reproduces it exactly, so the sum is checked against an
+    # exact field, not only against two runs of the same sweep.
+    draw = data.draw
+    mesh = perturbed_mesh(draw(st.integers(3, 4), label="n"), seed=draw(st.integers(0, 999)))
+    quad = trapezoid_circle(draw(st.sampled_from([4, 6, 8]), label="n_dirs"))
+    unit = st.floats(-1.0, 1.0).map(lambda v: round(v, 3))  # no subnormal data
+    t0, t1, t2 = draw(st.floats(1.0, 5.0)), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    ratio = draw(st.floats(0.0, 0.6), label="sigma_s / sigma_t")
+    eta = draw(st.one_of(st.none(), st.floats(-0.7, 0.7)), label="eta (None: linear)")
+    phase = PhaseFunction.linear_anisotropic() if eta is None else PhaseFunction.henyey_greenstein(eta)
+    sigma_t = lambda x, y: t0 + t1 * x + t2 * y
+    sigma_s = lambda x, y: ratio * t0 * (0.5 + 0.5 * x * y)
+    c = [draw(unit) for _ in range(6)]
+    f1 = lambda x, y, l: c[0] + c[1] * np.cos(l + 3.0 * x) * y + c[2] * x * x
+    g1 = lambda x, y, l: c[3] + c[4] * x - c[5] * l * y
+    p0, p1, p2 = draw(unit), draw(unit), draw(unit)
+    u_exact = lambda x, y: p0 + p1 * x + p2 * y
+    # the scattering of a direction-independent u is sigma_s (sum_i G[l, i]) u
+    rows = scatter_matrix(phase, quad).sum(axis=1)
+    om = quad.directions
+    f2 = lambda x, y, l: (
+        om[l, 0] * p1 + om[l, 1] * p2 + (sigma_t(x, y) - sigma_s(x, y) * rows[l]) * u_exact(x, y)
+    )
+    g2 = lambda x, y, l: u_exact(x, y)
+    a, b = draw(unit, label="a"), draw(unit, label="b")
+    config = SolverConfig(method=draw(st.sampled_from(["dodsd", "dodg"])), tol=1e-13)
+
+    def run(f, g):
+        problem = TransportProblem(sigma_t, sigma_s, phase, f, quad, inflow=g)
+        return solve(problem, mesh, config)[0].coeffs
+
+    u1, u2 = run(f1, g1), run(f2, g2)
+    verts = mesh.vertices[mesh.triangles]
+    exact = u_exact(verts[..., 0], verts[..., 1])
+    np.testing.assert_allclose(u2, np.broadcast_to(exact, u2.shape), rtol=0, atol=1e-11)
+    u = run(
+        lambda x, y, l: a * f1(x, y, l) + b * f2(x, y, l),
+        lambda x, y, l: a * g1(x, y, l) + b * g2(x, y, l),
+    )
+    scale = abs(a) * np.abs(u1).max() + abs(b) * np.abs(u2).max()
+    np.testing.assert_allclose(u, a * u1 + b * u2, rtol=0, atol=1e-11 * scale)
+
+
 def test_solve_residual_history_properties():
     mesh = build_structured_unit_square(4)
     quad = trapezoid_circle(8)
@@ -354,6 +403,17 @@ def test_weighted_norm_against_mass_matrix():
             total += quad.weights[l] * mesh.tri_area[k] * (c @ M_unit @ c)
     got = weighted_norm(sol.coeffs, quad.weights, mesh.tri_area)
     assert got == pytest.approx(np.sqrt(total), rel=1e-13)
+
+
+def test_weighted_norm_same_bits_for_pairs_and_planes():
+    # solve's iterate is stored as planes (3, nl, nt), the replay's as (nl, nt, 3)
+    mesh = perturbed_mesh(5, seed=27)
+    quad = trapezoid_circle(12)
+    coeffs = random_solution(mesh, quad, seed=2).coeffs
+    planes = np.moveaxis(coeffs, -1, 0).copy()
+    a = weighted_norm(coeffs, quad.weights, mesh.tri_area)
+    b = weighted_norm(np.moveaxis(planes, 0, -1), quad.weights, mesh.tri_area)
+    assert a == b
 
 
 # -------------------------------------------------------------- weak form

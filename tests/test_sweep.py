@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rte2d import (
     build_kernel,
     build_structured_unit_square,
     classify_edges,
+    refine_regular,
     scatter_matrix,
     space_tables,
     trapezoid_circle,
@@ -305,7 +307,8 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     for kind, (scats, s_vals) in sources.items():
         got = plain.run(None if kind is None else plain.volume_rhs(tables.areaw * s_vals))
         if kind == "moments":
-            folded = stack.run_scattered(G @ u.coeffs.reshape(nl, -1))
+            planes = np.matmul(G, np.moveaxis(u.coeffs, -1, 0))  # G @ u as (3, nl, nt)
+            folded = np.moveaxis(stack.run_scattered(planes), 0, -1)
             np.testing.assert_allclose(folded, got, atol=1e-12)
             got = folded
         assert got.shape == (nl, mesh.n_triangles, 3)
@@ -334,7 +337,7 @@ def test_kernel_takes_the_source_its_blocks_were_built_for():
     with pytest.raises(ValueError, match="run_scattered"):
         scattering.run(rhs)
     with pytest.raises(ValueError, match="scatter_w"):
-        plain.run_scattered(np.zeros((quad.n_directions, 3 * mesh.n_triangles)))
+        plain.run_scattered(np.zeros((3, quad.n_directions, mesh.n_triangles)))
 
 
 def test_upwind_pick_covers_every_live_edge():
@@ -372,11 +375,13 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
         tables, scheds, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
         inflow_data=gs, scatter_w=tables.areaw * sigma_s(px, py),
     )
-    # the edge padding a pattern leaves over has zero weight
-    assert (kern.fold.transpose(0, 2, 1)[kern.nbr >= 3 * nl * nt] == 0.0).all()
+    # the edge padding a pattern leaves over has zero weight: its index is the
+    # zero column n of the (3, n + 1) coefficient buffer
+    n = nl * nt
+    assert (kern.fold.transpose(1, 2, 0)[kern.nbr % (n + 1) == n] == 0.0).all()
     u = random_solution(mesh, quad, seed=8)
     G = scatter_matrix(PhaseFunction.henyey_greenstein(0.3), quad)
-    got = kern.run_scattered(G @ u.coeffs.reshape(nl, -1))
+    got = np.moveaxis(kern.run_scattered(np.matmul(G, np.moveaxis(u.coeffs, -1, 0))), 0, -1)
     for l in range(nl):
         scat = scattering_source(u, G, sigma_s, l)
         ref = sweep_direction(
@@ -401,11 +406,38 @@ def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     assert n == quad.n_directions * nt
     fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedules"]
     arrays = [a for a in fields if isinstance(a, np.ndarray)]
-    per_pair = sum(a.nbytes for a in arrays if a.shape[0] == n)
+    # per-pair arrays are stored as planes, the pair index last
+    per_pair = sum(a.nbytes for a in arrays if a.shape[-1] == n)
     assert per_pair <= 224 * n
     # per element only grad (3x2) and delta_k; bary and omega are a few rows
-    rest = sum(a.nbytes for a in arrays if a.shape[0] != n)
+    rest = sum(a.nbytes for a in arrays if a.shape[-1] != n)
     assert rest <= 56 * nt + kern.bary.nbytes + kern.omega.nbytes
+
+
+def test_run_scattered_allocates_one_plane_set_beyond_its_result():
+    # Beyond the planes it returns, a sweep holds one plane set (3n floats):
+    # the (3, n + 1) coefficient buffer, as the gathered input is freed before
+    # the result is allocated. One more (3, n) temporary would double that,
+    # and peak RSS follows it.
+    mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
+    quad = trapezoid_circle(20)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    tables = space_tables(mesh, const(2.0))
+    kern = build_kernel(
+        tables, build_schedules(mesh, quad.directions), mesh.h, scatter_w=0.5 * tables.areaw
+    )
+    gc = np.ones((3, nl, nt))
+    kern.run_scattered(gc)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = kern.run_scattered(gc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane_set = 3 * nl * nt * 8
+    assert out.nbytes == plane_set
+    assert peak - base - out.nbytes <= 1.1 * plane_set
 
 
 def test_stacked_sweep_steps_are_global_layers():
@@ -432,13 +464,14 @@ def test_stacked_sweep_steps_are_global_layers():
 def test_inverse_3x3_matches_linalg():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((500, 3, 3)) + 4.0 * np.eye(3)
-    np.testing.assert_allclose(inverse_3x3(a), np.linalg.inv(a), rtol=1e-12, atol=1e-14)
+    got = inverse_3x3(a.transpose(1, 2, 0))  # blocks stored as planes (3, 3, n)
+    np.testing.assert_allclose(got, np.linalg.inv(a).transpose(1, 2, 0), rtol=1e-12, atol=1e-14)
 
 
 def test_inverse_3x3_rejects_singular_block():
     a = np.tile(np.eye(3), (4, 1, 1))
     a[2, 2] = a[2, 0] + a[2, 1]  # rank 2
     with pytest.raises(StabilityError) as exc:
-        inverse_3x3(a, direction=7)
+        inverse_3x3(a.transpose(1, 2, 0), direction=7)
     assert exc.value.element == 2
     assert exc.value.direction == 7
