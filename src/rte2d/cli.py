@@ -206,6 +206,8 @@ def _base_mesh(args):
 
 
 def _cmd_solve(args):
+    if args.level < 0:
+        raise ValueError(f"level must be nonnegative, got {args.level}")
     case = make_case(args.case, eta=args.eta)
     quad = case_quadrature(case, args.n_dirs)
     l = args.dump_schedule

@@ -166,7 +166,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         tables, schedules, delta, f_vals=f_vals, inflow_data=inflow,
         scatter_w=tables.areaw * ss if scattering else None,
     )
-    del f_vals
+    del schedules, f_vals  # the kernel keeps neither; they would live through the iteration
     delta_used = float(np.max(delta))
 
     # the iterate stays in coefficient planes (3, nl, nt): G acts on each plane

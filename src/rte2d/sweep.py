@@ -152,20 +152,24 @@ def _volume_rhs(qw, bary, delta_k, d):
 class SweepKernel:
     """Batched transport solve of a stack of directions.
 
-    The (direction, element) pairs sit in (layer, direction, element) order,
-    so layer i of every direction is the slice bounds[i]:bounds[i+1] and one
-    step solves it. Every per-pair array is stored component-major, the pair
-    index last, and a sweep fills a (3, n + 1) buffer of coefficient planes
-    whose column n stays zero. A step gathers the upwind coefficients of at
-    most two inflow edges per pair (nbr: flat indices into that buffer,
-    column n if none) and applies a 3x4 block (fold) on contiguous rows.
-    blocks are the inverted local matrices, for run(rhs), or, built with
-    scatter_w, those times the scattering moments, for run_scattered(G @ u).
-    d = omega . grad phi is derived on demand. One direction's kernel is a
-    stack of one without the leading direction axis on omega, on the input
-    and on the output."""
+    The sweep visits the (direction, element) pairs in (layer, direction,
+    element) order, so layer i of every direction is the slice
+    bounds[i]:bounds[i+1] of the sweep positions and one step solves it.
+    Every per-pair array is stored component-major, the pair index last:
+    blocks and b0 in direction order (pair l * nt + k), fold and nbr in
+    sweep order. A sweep forms b0 + blocks @ x in direction order, gathers
+    it once into a (3, n + 1) buffer of coefficient planes in sweep order,
+    whose column n stays zero, and steps through the layers. A step gathers
+    the upwind coefficients of at most two inflow edges per pair (nbr: flat
+    indices into that buffer, column n if none) and applies a 3x4 block
+    (fold) on contiguous rows. blocks are the inverted local matrices, for
+    run(rhs), or, built with scatter_w, those times the scattering moments,
+    for run_scattered(G @ u). d = omega . grad phi is derived on demand. One
+    direction's kernel is a stack of one without the leading direction axis
+    on omega, on the input and on the output; it keeps its schedule, and a
+    stack keeps none, so the schedules can be freed once it is built."""
 
-    schedules: tuple
+    schedules: tuple  # (schedule,) of a one-direction kernel; () for a stack
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     grad: np.ndarray  # (nt, 3, 2) basis gradients
     delta_k: np.ndarray  # (nt,)
@@ -174,8 +178,8 @@ class SweepKernel:
     pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
     bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
     scattering: bool  # built with scatter_w: blocks hold the scattering moments
-    blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], sweep order
-    b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), sweep order
+    blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], direction order
+    b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), direction order
     fold: np.ndarray  # (3, 4, n) inverted local matrix @ coupling to 2 upwind coefficients per edge
     nbr: np.ndarray  # (4, n) int32 flat index of those coefficients in the (3, n + 1) buffer
 
@@ -209,13 +213,20 @@ class SweepKernel:
 
     def _sweep(self, x):
         """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x,
-        x planes of that shape (nothing added if None)."""
+        x planes of that shape (nothing added if None). The start vector is
+        formed in direction order and gathered into sweep order once."""
         n = self.order.size
         c = np.zeros((3, n + 1))  # column n stays zero: the "no neighbour" target
-        head = c[:, :n]
-        if x is not None:  # the gathered x dies with this statement, before the loop
-            np.einsum("ijk,jk->ik", self.blocks, x.reshape(3, n).take(self.order, axis=1), out=head)
-        head += self.b0
+        if x is None:
+            start = self.b0
+        else:
+            start = np.einsum("ijk,jk->ik", self.blocks, x.reshape(3, n))
+            start += self.b0
+        # row by row into the buffer: take(out=) with mode="raise" would buffer
+        # a whole copy first, and an in-range permutation is never clipped
+        for i in range(3):
+            np.take(start[i], self.order, out=c[i, :n], mode="clip")
+        del start  # freed before the result is allocated
         flat, fold, nbr = c.reshape(-1), self.fold, self.nbr
         for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
             step = c[:, lo:hi]
@@ -304,7 +315,10 @@ def build_kernel(
     s_sigma)^T in the element moments M_sigma = sum_q w sigma_t phi phi^T,
     s1 = sum_q w phi, W = sum_q w and s_sigma = sum_q w sigma_t phi, plus
     the inflow edge masses; only d changes between directions. Every entry
-    is formed as an (nt,) row, the element index last, as the kernel stores it.
+    is formed as an (nt,) row, the element index last, as the kernel stores
+    it: each direction's products go into its contiguous column slice, and
+    fold and nbr are then permuted into sweep order one row at a time. A
+    stacked kernel keeps no reference to the schedules.
     """
     one = isinstance(schedule, SweepSchedule)
     schedules = (schedule,) if one else tuple(schedule)
@@ -338,7 +352,6 @@ def build_kernel(
     interior = (mesh.tri_neighbors != BOUNDARY).T
     bnd = None if inflow_data is None else boundary_points(mesh, tables.edge_t)
 
-    # each direction's blocks go straight into their sweep-order columns
     blocks = np.empty((3, 3, n))
     b0 = np.empty((3, n))
     fold = np.empty((3, 4, n))
@@ -367,17 +380,24 @@ def build_kernel(
         coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior, edge_w, 0.0)
         coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)
 
-        slots = pos[l * nt : (l + 1) * nt]
+        cols = slice(l * nt, (l + 1) * nt)
         inv = inverse_3x3(a, direction=l)
-        b0[:, slots] = np.einsum("ijk,jk->ik", inv, fixed.T)
-        fold[:, :, slots] = np.einsum("imk,mjk->ijk", inv, coupling)
-        blocks[:, :, slots] = inv if scatter_w is None else (
-            np.einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec))
+        np.einsum("ijk,jk->ik", inv, fixed.T, out=b0[:, cols])
+        np.einsum("imk,mjk->ijk", inv, coupling, out=fold[:, :, cols])
+        if scatter_w is None:
+            blocks[:, :, cols] = inv
+        else:
+            np.einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec, out=blocks[:, :, cols])
+        # the sweep positions of the upwind neighbours, offset into the buffer
+        slots = pos[cols]
         flat = (coef_off + np.where(up >= 0, slots[np.maximum(up, 0)], n).T[:, None]).reshape(6, nt)
-        nbr[:, slots] = flat.take(pick_cols.take(pattern, axis=1) + elem)
+        nbr[:, cols] = flat.take(pick_cols.take(pattern, axis=1) + elem)
+    # a step reads contiguous fold and nbr columns: one temporary row at a time
+    for row in (*fold.reshape(12, n), *nbr):
+        row[:] = row[order]
 
     return SweepKernel(
-        schedules=schedules, grad=grad, delta_k=delta_k, bary=bary, order=order, pos=pos,
-        omega=schedule.omega if one else np.array([s.omega for s in schedules]), bounds=bounds,
-        scattering=scatter_w is not None, blocks=blocks, b0=b0, fold=fold, nbr=nbr,
+        schedules=schedules if one else (), grad=grad, delta_k=delta_k, bary=bary, order=order,
+        pos=pos, omega=schedule.omega if one else np.array([s.omega for s in schedules]),
+        bounds=bounds, scattering=scatter_w is not None, blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

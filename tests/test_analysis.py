@@ -113,6 +113,39 @@ def test_case_problem_wiring():
     assert case_problem(make_case(1), quad).inflow is None
 
 
+def test_case_field_is_sampled_once_per_point_set():
+    case = make_case(1)
+    x, y = np.random.default_rng(5).uniform(size=(2, 7, 6))
+    u, grad = case.field(x, y)
+    # equal values in distinct arrays: the stored samples come back
+    again = case.field(x.copy(), y.copy())
+    assert again[0] is u and again[1] is grad
+    # an in-place edit makes a new point set; an identity-keyed cache would miss it
+    x[0, 0] = 0.25
+    u2, grad2 = case.field(x, y)
+    fresh = make_case(1).field(x.copy(), y.copy())
+    np.testing.assert_array_equal(u2, fresh[0])
+    np.testing.assert_array_equal(grad2, fresh[1])
+    assert u2[0, 0] != u[0, 0]
+    # every caller shares the stored samples, so they are read-only
+    with pytest.raises(ValueError, match="read-only"):
+        u2[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grad2[...] = 0.0
+
+
+@pytest.mark.parametrize("cid", [1, 4])
+def test_problem_source_matches_a_field_sampled_per_direction(cid):
+    # f of every direction from one cached field sample equals f from a field
+    # sampled for that direction alone, bit for bit
+    case = make_case(cid)
+    quad = case_quadrature(case)
+    problem = case_problem(case, quad)
+    x, y = np.random.default_rng(cid).uniform(size=(2, 30, 6))
+    for l, theta in enumerate(quad.angles):
+        np.testing.assert_array_equal(problem.f(x, y, l), make_case(cid).exact_f(x, y, theta))
+
+
 def linear_case(quad_dirs=6):
     """Synthetic exactly-representable problem for zero-error checks."""
 

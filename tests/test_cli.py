@@ -159,6 +159,24 @@ def test_exit_code_bad_dump_index(tmp_path, capsys, monkeypatch):
     assert "error[config]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_exit_code_negative_level(tmp_path, capsys, monkeypatch, source):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before the level was checked")
+
+    monkeypatch.setattr(cli, "build_structured_unit_square", no_mesh)
+    if source == "flag":
+        extra = ["--level", "-3"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("level = -1\n")
+        extra = ["--config", str(cfg)]
+    code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", *extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "level" in err
+
+
 def test_config_file_flags_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -267,6 +267,29 @@ def test_solve_dodg_is_delta_zero():
         np.testing.assert_allclose(sol.coeffs[l], ref, atol=1e-12)
 
 
+def test_dodsd_tends_to_dodg_as_c_bar_vanishes():
+    # delta = c_bar h enters the local matrices and sources smoothly, so the
+    # DODSD solution differs from DODG's by a term linear in c_bar
+    mesh = perturbed_mesh(4, seed=31)
+    quad = trapezoid_circle(8)
+    problem = TransportProblem(
+        sigma_t=lambda x, y: 2.0 + x,
+        sigma_s=lambda x, y: 0.5 + 0.3 * y,
+        phase=PhaseFunction.henyey_greenstein(0.4),
+        f=lambda x, y, l: 1.0 + x * y + 0.1 * l * x,
+        quad=quad,
+        inflow=lambda x, y, l: 0.5 + x - 0.2 * y,
+    )
+    dodg = solve(problem, mesh, SolverConfig(method="dodg", tol=1e-13))[0].coeffs
+    gaps = [
+        np.abs(solve(problem, mesh, SolverConfig(c_bar=eps, tol=1e-13))[0].coeffs - dodg).max()
+        for eps in (1e-4, 1e-6, 1e-8)
+    ]
+    assert 0.0 < gaps[0] < 1e-3 * np.abs(dodg).max()
+    assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.01)
+    assert gaps[1] / gaps[2] == pytest.approx(100.0, rel=0.01)
+
+
 def test_solve_local_delta_mode():
     mesh = perturbed_mesh(3, seed=24)
     quad = trapezoid_circle(4)

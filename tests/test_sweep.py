@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -438,6 +439,41 @@ def test_run_scattered_allocates_one_plane_set_beyond_its_result():
     plane_set = 3 * nl * nt * 8
     assert out.nbytes == plane_set
     assert peak - base - out.nbytes <= 1.1 * plane_set
+
+
+def test_stacked_kernel_stores_blocks_in_direction_order():
+    # a one-direction kernel's blocks and b0 are the stack's columns of that
+    # direction, bit for bit
+    mesh = perturbed_mesh(4, seed=21)
+    quad = trapezoid_circle(6)
+    nt = mesh.n_triangles
+    tables = space_tables(mesh, lambda x, y: 3.0 + x * y)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    scheds = build_schedules(mesh, quad.directions)
+    fv = [np.cos(px + l) * py for l in range(quad.n_directions)]
+    gs = [lambda x, y, l=l: 1.0 + 0.3 * l * x - y for l in range(quad.n_directions)]
+    sw = tables.areaw * (1.0 + 0.5 * px)
+    delta = 0.7 * mesh.h
+    stack = build_kernel(tables, scheds, delta, f_vals=fv, inflow_data=gs, scatter_w=sw)
+    for l, sched in enumerate(scheds):
+        one = build_kernel(tables, sched, delta, f_vals=fv[l], inflow_data=gs[l], scatter_w=sw)
+        cols = slice(l * nt, (l + 1) * nt)
+        np.testing.assert_array_equal(one.blocks, stack.blocks[:, :, cols])
+        np.testing.assert_array_equal(one.b0, stack.b0[:, cols])
+
+
+def test_stacked_kernel_releases_its_schedules():
+    mesh = perturbed_mesh(3, seed=22)
+    quad = trapezoid_circle(4)
+    tables = space_tables(mesh, const(2.0))
+    scheds = build_schedules(mesh, quad.directions)
+    dead = weakref.ref(scheds[1])
+    kern = build_kernel(tables, scheds, 0.1, scatter_w=0.5 * tables.areaw)
+    del scheds
+    assert dead() is None
+    assert kern.schedules == ()
+    sched = build_schedule(mesh, quad.directions[0])
+    assert build_kernel(tables, sched, 0.1).schedule is sched
 
 
 def test_stacked_sweep_steps_are_global_layers():
