@@ -29,7 +29,7 @@ from .angular import (
     scatter_matrix,
     trapezoid_circle,
 )
-from .dg_core import DGSolution, ElementBasis, element_basis, project_exact
+from .dg_core import DGSolution, ElementBasis, element_basis
 from .errors import (
     AssumptionError,
     MeshError,
@@ -39,11 +39,9 @@ from .errors import (
 )
 from .mesh import (
     BOUNDARY,
-    EdgeClassification,
     TriangleMesh,
     build_mesh,
     build_structured_unit_square,
-    classify_edges,
     load_mesh,
     opposite_local_edge,
     refine_regular,
@@ -60,7 +58,6 @@ from .solver import (
 )
 from .sweep import (
     EPS_N,
-    NO_UPWIND,
     SweepKernel,
     SweepSchedule,
     build_kernel,
@@ -78,13 +75,11 @@ __all__ = [
     "ConvergenceTable",
     "DGSolution",
     "EPS_N",
-    "EdgeClassification",
     "ElementBasis",
     "ErrorReport",
     "ManufacturedCase",
     "MeshError",
     "MethodComparison",
-    "NO_UPWIND",
     "NonConvergenceError",
     "PhaseFunction",
     "SolveReport",
@@ -104,7 +99,6 @@ __all__ = [
     "build_structured_unit_square",
     "case_problem",
     "case_quadrature",
-    "classify_edges",
     "compare_methods",
     "convergence_study",
     "delta_value",
@@ -117,7 +111,6 @@ __all__ = [
     "make_case",
     "opposite_local_edge",
     "phase_eval",
-    "project_exact",
     "refine_regular",
     "save_mesh",
     "scatter_matrix",

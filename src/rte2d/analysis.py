@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, scatter_matrix, trapezoid_circle
-from .dg_core import DGSolution, element_basis, quad_points
+from .dg_core import TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
 from .errors import AssumptionError
 from .mesh import (
     BOUNDARY,
@@ -37,7 +37,7 @@ from .mesh import (
     opposite_local_edge,
     refine_regular,
 )
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import triangle_rule
 from .solver import SolverConfig, TransportProblem, solve
 
 NORM_NAMES = ("e1", "e2", "e3", "e4", "eh")
@@ -199,10 +199,9 @@ class ErrorReport:
             raise ValueError("eh must be the root-sum-square of e1..e4")
 
 
-# The trace rule of the norms and forms, and the linear shapes 1 - t, t at its
-# points: a trace on an edge is its two endpoint values @ _EDGE_SHAPE.
-_TQ, _TW = edge_rule(4)
-_EDGE_SHAPE = np.stack([1.0 - _TQ, _TQ])
+# The linear shapes 1 - t, t at the trace rule's points: a trace on an edge
+# is its two endpoint values @ _EDGE_SHAPE.
+_EDGE_SHAPE = np.stack([1.0 - TRACE_T, TRACE_T])
 
 
 def _volume_rule(mesh):
@@ -262,7 +261,7 @@ def error_norms(
     _check_solution(sol, mesh, quad)
     bary, areaw, x, y = _volume_rule(mesh)
     opp = opposite_local_edge(mesh)
-    bk, bs, bpts = boundary_points(mesh, _TQ)
+    bk, bs, bpts = boundary_points(mesh, TRACE_T)
     # u = a_l U: the spatial field once per mesh, scaled per direction
     u, grad = case.field(x, y)
     u_b = case.field(bpts[..., 0], bpts[..., 1])[0]
@@ -276,7 +275,7 @@ def error_norms(
         du -= np.einsum("ki,ki->k", d, cu)[:, None]
         own, ref = _edge_traces(cu, mesh, opp)
         ref[bk, bs] = a[l] * u_b
-        jump2 = (ref - own) ** 2 @ _TW
+        jump2 = (ref - own) ** 2 @ TRACE_W
         r = a[l] * u - cu @ bary.T
         e += wl * np.array([
             np.einsum("kq,kq,kq->", areaw, r, r), (w_out * jump2).sum(),
@@ -320,7 +319,7 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
         vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
         u_own, u_up = _edge_traces(cu, mesh, opp)
         v_own, _ = _edge_traces(cv, mesh, opp)
-        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ _TW).sum())
+        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ TRACE_W).sum())
     return float(total)
 
 
@@ -339,7 +338,7 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
         l2 = (areaw * (cv @ bary.T) ** 2).sum()
         grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
         own, up = _edge_traces(cv, mesh, opp)
-        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ _TW).sum()
+        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ TRACE_W).sum()
         total += wl * (c0_prime * l2 + grad + faces)
     return float(np.sqrt(total))
 

@@ -20,10 +20,10 @@ class AngularQuadrature:
 
     def __post_init__(self):
         w = self.weights
-        if (w <= 0).any():
+        if not (w > 0).all():  # NaN fails too
             raise ValueError("quadrature weights must be positive")
         norms = np.linalg.norm(self.directions, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-12:
+        if not np.abs(norms - 1.0).max() <= 1e-12:
             raise ValueError("directions must be unit vectors")
         full = 2.0 * np.pi if self.dim == 2 else 4.0 * np.pi
         tol = 1e-12 if self.dim == 2 else 1e-10
@@ -82,7 +82,7 @@ class PhaseFunction:
     def __post_init__(self):
         if self.kind not in ("hg", "linear"):
             raise ValueError(f"unknown phase function kind {self.kind!r}")
-        if self.kind == "hg" and abs(self.eta) >= 1.0:
+        if self.kind == "hg" and not abs(self.eta) < 1.0:  # NaN fails too
             raise ValueError(f"anisotropy factor must satisfy |eta| < 1, got {self.eta}")
         if self.kind == "linear" and self.dim != 2:
             raise ValueError("linear-anisotropic kernel is defined on the circle")

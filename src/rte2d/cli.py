@@ -8,7 +8,8 @@ Subcommands:
 
 Floats are written with repr(), which round-trips exactly through float().
 Exit status is 0 only when every requested run converged; solver failures
-map to distinct nonzero codes (see ERROR_CODES).
+map to distinct nonzero codes (see ERROR_CODES), and a bad configuration,
+an unreadable input path or an unwritable output path to 2.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .mesh import build_structured_unit_square, load_mesh, refine_regular
 from .solver import SolverConfig, solve
-from .sweep import build_schedules
+from .sweep import build_schedule
 
 ERROR_CODES = (
     (NonConvergenceError, "nonconvergence", 3),
@@ -183,22 +184,6 @@ def write_table(table, out_dir, suffix=""):
     _write_csv(os.path.join(out_dir, f"rates{suffix}.csv"), RATES_HEADER, _rates_rows(table))
 
 
-def read_table_csv(path):
-    """Parse a table.csv back into plain (header, value rows) form."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        rows = []
-        for row in reader:
-            rows.append(
-                tuple(
-                    int(v) if name in ("level", "n_elems", "n_dirs", "iters") else float(v)
-                    for name, v in zip(header, row)
-                )
-            )
-    return header, rows
-
-
 def _base_mesh(args):
     if args.mesh is not None:
         return load_mesh(args.mesh)
@@ -226,7 +211,7 @@ def _cmd_solve(args):
     sol, report = solve(problem, mesh, config)
 
     if l is not None:
-        sched = build_schedules(mesh, quad.directions[l : l + 1])[0]
+        sched = build_schedule(mesh, quad.directions[l])
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:
             for layer in sched.layers:
@@ -349,7 +334,7 @@ def main(argv=None):
             if isinstance(err, exc):
                 print(f"error[{name}]: {err}", file=sys.stderr)
                 return code
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error[config]: {err}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
-"""P1 discontinuous elements: basis data, solution fields, and projections.
+"""P1 discontinuous elements: basis data and solution fields.
 
 The batched assembly of the local systems lives in the sweep kernel
 (`sweep.build_kernel`); this module holds what it shares with the rest of
-the package: the basis gradients, quadrature points, the P1 edge mass and
-the one singularity criterion for a local 3x3 block.
+the package: the basis gradients, quadrature points, the edge trace rule,
+the P1 edge mass and the one singularity criterion for a local 3x3 block.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import StabilityError
 from .mesh import TriangleMesh
-from .quadrature import TriangleRule, triangle_rule
+from .quadrature import TriangleRule, edge_rule
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,11 @@ class DGSolution:
         return DGSolution(self.coeffs.copy(), self.mesh, self.quad)
 
 
+# The one edge trace rule, 4-point Gauss on the edge parameter t in [0, 1]:
+# inflow data in the sweep kernels, the inflow check of solve, and the
+# error norms and global forms all integrate traces with it.
+TRACE_T, TRACE_W = edge_rule(4)
+
 # Edge mass on the (1-t, t) parametrization: integrals of products of the
 # two nonvanishing P1 traces, exact.
 EDGE_MASS_2 = np.array([[1.0 / 3.0, 1.0 / 6.0], [1.0 / 6.0, 1.0 / 3.0]])
@@ -78,24 +83,3 @@ def check_nonsingular(a: np.ndarray, det: np.ndarray, element=None, direction=No
             element=k,
             direction=direction,
         )
-
-
-def project_exact(u, mesh: TriangleMesh, quad, rule: TriangleRule = None) -> DGSolution:
-    """Elementwise L2 projection of u(x, y, theta) onto P1, per direction.
-
-    Uses the closed-form inverse of the P1 mass matrix; intended for tests
-    and error studies.
-    """
-    if quad.angles is None:
-        raise ValueError("projection needs a 2D angular quadrature with angles")
-    if rule is None:
-        rule = triangle_rule(6)
-    pts = quad_points(mesh, rule)  # (nt, nq, 2)
-    coeffs = np.empty((quad.n_directions, mesh.n_triangles, 3))
-    for l, theta in enumerate(quad.angles):
-        vals = np.asarray(u(pts[..., 0], pts[..., 1], theta), dtype=float)
-        vals = np.broadcast_to(vals, pts.shape[:2])
-        rhs = np.einsum("q,kq,qi->ki", rule.weights, vals, rule.points)
-        # (M/area)^-1 = 12 I - 3 J for the P1 mass matrix M.
-        coeffs[l] = 12.0 * rhs - 3.0 * rhs.sum(axis=1, keepdims=True)
-    return DGSolution(coeffs=coeffs, mesh=mesh, quad=quad)

@@ -61,19 +61,6 @@ class TriangleMesh:
         return float(self.tri_area.sum())
 
 
-@dataclass(frozen=True)
-class EdgeClassification:
-    """Per-triangle upwind classification for one transport direction."""
-
-    omega: np.ndarray
-    omega_dot_n: np.ndarray  # (nt, 3) outward-normal components
-    inflow: np.ndarray  # (nt, 3) bool; complement is the outflow set
-
-    @property
-    def outflow(self):
-        return ~self.inflow
-
-
 def _freeze(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -243,19 +230,6 @@ def boundary_points(mesh: TriangleMesh, t):
     p0 = mesh.vertices[mesh.triangles[bk, bs]]
     p1 = mesh.vertices[mesh.triangles[bk, (bs + 1) % 3]]
     return bk, bs, p0[:, None] + t[:, None] * (p1 - p0)[:, None]
-
-
-def classify_edges(mesh: TriangleMesh, omega) -> EdgeClassification:
-    """Split each triangle's edges into inflow and outflow for direction omega.
-
-    An edge with outward normal n is inflow when omega . n < -EPS_N;
-    tangential edges (|omega . n| <= EPS_N) land in the outflow set.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (2,) or abs(np.hypot(*omega) - 1.0) > 1e-12:
-        raise ValueError("omega must be a unit 2-vector")
-    dot = omega_dot_n(mesh, omega[None])[0]
-    return EdgeClassification(omega=omega, omega_dot_n=dot, inflow=dot < -EPS_N)
 
 
 def opposite_local_edge(mesh: TriangleMesh):

@@ -13,12 +13,14 @@ works in, and transposed once into the (L+1, nt, 3) `DGSolution`; the
 global forms and error norms that measure the result live in `analysis`.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
-from .dg_core import DGSolution, element_basis
+from .dg_core import TRACE_T, DGSolution, element_basis
 from .errors import AssumptionError, NonConvergenceError
 from .mesh import EPS_N, TriangleMesh, boundary_points
 from .sweep import build_kernel, build_schedules, space_tables
@@ -55,12 +57,12 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.delta_mode not in ("global", "local"):
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
-        if self.method == "dodsd" and not self.c_bar > 0:
-            raise ValueError("c_bar must be positive")
+        if self.method == "dodsd" and not 0 < self.c_bar < math.inf:
+            raise ValueError(f"c_bar must be positive and finite, got {self.c_bar!r}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -133,7 +135,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     g = problem.inflow
     if g is not None:
         # the inflow boundary points the kernel samples g at
-        bk, bs, bpts = boundary_points(mesh, tables.edge_t)
+        bk, bs, bpts = boundary_points(mesh, TRACE_T)
         bn, bsign = mesh.edge_normal[mesh.tri_edges[bk, bs]], mesh.tri_edge_sign[bk, bs]
         for l, (ox, oy) in enumerate(quad.directions):
             # omega_dot_n's elementwise formula, so the set is the schedules' inflow set
@@ -143,7 +145,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     if (ss < 0).any():
         raise AssumptionError("sigma_s must be nonnegative")
     gap = float((tables.sigma_t - ss).min())
-    if gap <= 0.0:
+    if not gap > 0.0:  # NaN fails too
         raise AssumptionError(
             f"sigma_t - sigma_s must be positive (sampled minimum {gap:.3e})"
         )
@@ -153,7 +155,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         G = scatter_matrix(problem.phase, quad)
         m = m_bound(G)
         c0p = float((tables.sigma_t - m * ss).min())
-        if c0p <= 0.0:
+        if not c0p > 0.0:
             raise AssumptionError(
                 f"c0' = min(sigma_t - m sigma_s) = {c0p:.4g} must be positive; m = {m:.4g} "
                 f"is the row-sum bound of the scatter matrix of {problem.phase}, {nl} directions"

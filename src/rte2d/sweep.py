@@ -11,36 +11,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dg_core import EDGE_MASS_2, ElementBasis, check_nonsingular, element_basis, quad_points
+from .dg_core import (
+    EDGE_MASS_2, TRACE_T, TRACE_W, ElementBasis, check_nonsingular, element_basis, quad_points,
+)
 from .errors import SweepCycleError
 from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
-from .quadrature import TriangleRule, edge_rule, triangle_rule
-
-# upwind-map sentinel for edges that carry no dependency (outflow/tangential)
-NO_UPWIND = -2
+from .quadrature import TriangleRule, triangle_rule
 
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Layered solve order for one direction.
+    """Layered solve order for one direction: what the peel decides.
 
-    layers partition 0..nt-1; every interior inflow edge's upwind neighbor
-    sits in a strictly earlier layer. upwind[k, s] is the neighbor id across
-    local edge s when that edge is inflow (BOUNDARY on the inflow boundary,
-    NO_UPWIND otherwise). dot[k, s] = omega . n on local edge s with the
-    outward sign for k.
+    layer_of[k] is the layer of element k; every interior inflow edge's
+    upwind neighbour sits in a strictly earlier layer. dot[k, s] = omega . n
+    on local edge s with the outward sign for k. The inflow mask, the layer
+    count and the layers are derived from these two; the upwind neighbour
+    across an inflow edge is mesh.tri_neighbors there.
     """
 
     omega: np.ndarray
-    layers: tuple
     layer_of: np.ndarray  # (nt,)
-    upwind: np.ndarray  # (nt, 3)
-    inflow: np.ndarray  # (nt, 3) bool
     dot: np.ndarray  # (nt, 3)
 
     @property
+    def inflow(self) -> np.ndarray:
+        """(nt, 3) bool: the local edges with omega . n < -EPS_N."""
+        return self.dot < -EPS_N
+
+    @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return int(self.layer_of.max()) + 1
+
+    @property
+    def layers(self) -> tuple:
+        """The element ids of each layer, ascending; together they partition 0..nt-1."""
+        order = np.argsort(self.layer_of, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.layer_of))[:-1]))
 
 
 def build_schedules(mesh: TriangleMesh, directions) -> list:
@@ -51,25 +58,26 @@ def build_schedules(mesh: TriangleMesh, directions) -> list:
     all. Each schedule equals the one its direction would get alone.
     """
     om = np.asarray(directions, dtype=float)
-    if om.ndim != 2 or om.shape[1] != 2 or (abs(np.hypot(om[:, 0], om[:, 1]) - 1.0) > 1e-12).any():
+    # written so that a NaN component fails too
+    if om.ndim != 2 or om.shape[1] != 2 or not (abs(np.hypot(*om.T) - 1.0) <= 1e-12).all():
         raise ValueError("omega must be a unit 2-vector")
+    if not om.shape[0]:
+        raise ValueError("need at least one direction")
     nl, nt = om.shape[0], mesh.n_triangles
     nbr = mesh.tri_neighbors
     interior = nbr != BOUNDARY
     dot = omega_dot_n(mesh, om)
-    inflow = dot < -EPS_N
-    upwind = np.where(inflow, nbr, NO_UPWIND)  # nbr is BOUNDARY across the boundary
-    indeg = (inflow & interior).sum(axis=2).ravel()
+    indeg = ((dot < -EPS_N) & interior).sum(axis=2).ravel()
     # the pair downwind of each edge, -1 if none
     targets = np.where((dot > EPS_N) & interior, nbr + (np.arange(nl) * nt)[:, None, None], -1)
     targets = targets.reshape(-1, 3)
 
     layer_of = np.full(nl * nt, -1, dtype=np.int64)
-    steps = []
+    steps = 0
     current = np.flatnonzero(indeg == 0)
     while current.size:
-        layer_of[current] = len(steps)
-        steps.append(current)
+        layer_of[current] = steps
+        steps += 1
         t = targets[current].ravel()
         t = t[t >= 0]
         np.subtract.at(indeg, t, 1)
@@ -85,21 +93,8 @@ def build_schedules(mesh: TriangleMesh, directions) -> list:
             f"{om[l, 1]:.6g}), has a cycle touching {ks.size} elements",
             elements=tuple(int(k) for k in ks[:20]),
         )
-    # layers are views of one array of element ids: the ids outlive the call,
-    # and one block keeps them from splitting the heap's free space (peak RSS)
-    pairs = np.concatenate(steps)  # by (layer, direction, element)
-    elements, dirs = pairs % nt, pairs // nt
-    cuts = np.flatnonzero(np.diff(layer_of[pairs] * nl + dirs)) + 1
-    layers = [[] for _ in range(nl)]
-    starts, ends = [0, *cuts.tolist()], [*cuts.tolist(), pairs.size]
-    for a, b, l in zip(starts, ends, dirs[starts].tolist()):
-        layers[l].append(elements[a:b])
     layer_of = layer_of.reshape(nl, nt)
-    return [
-        SweepSchedule(omega=om[l], layers=tuple(layers[l]), layer_of=layer_of[l],
-                      upwind=upwind[l], inflow=inflow[l], dot=dot[l])
-        for l in range(nl)
-    ]
+    return [SweepSchedule(omega=om[l], layer_of=layer_of[l], dot=dot[l]) for l in range(nl)]
 
 
 def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:
@@ -118,19 +113,16 @@ class SpaceTables:
     areaw: np.ndarray  # (nt, nq) area-scaled weights
     sigma_t: np.ndarray  # (nt, nq)
     opp_local: np.ndarray  # (nt, 3)
-    edge_t: np.ndarray  # (ne_pts,) edge rule params
-    edge_w: np.ndarray  # (ne_pts,)
 
 
 def space_tables(mesh: TriangleMesh, sigma_t, basis: ElementBasis = None) -> SpaceTables:
-    """Degree-4 volume and 4-point edge tables of the sweep kernels, sigma_t sampled."""
+    """Degree-4 volume tables of the sweep kernels, sigma_t sampled."""
     if basis is None:
         basis = element_basis(mesh)
     rule = triangle_rule(4)
     pts = quad_points(mesh, rule)
     st = np.asarray(sigma_t(pts[..., 0], pts[..., 1]), dtype=float)
     st = np.broadcast_to(st, pts.shape[:2])
-    tq, tw = edge_rule(4)
     return SpaceTables(
         mesh=mesh,
         basis=basis,
@@ -139,8 +131,6 @@ def space_tables(mesh: TriangleMesh, sigma_t, basis: ElementBasis = None) -> Spa
         areaw=mesh.tri_area[:, None] * rule.weights[None, :],
         sigma_t=st,
         opp_local=opposite_local_edge(mesh),
-        edge_t=tq,
-        edge_w=tw,
     )
 
 
@@ -283,12 +273,12 @@ def upwind_pattern(live: np.ndarray, direction=None) -> np.ndarray:
 
 def _inflow_rhs(tables, schedule, inflow_data, elen, bnd):
     """Inflow boundary data against the local basis on inflow boundary edges (nt, 3)."""
-    bk, bs, bpts = bnd  # boundary_points(mesh, edge_t)
+    bk, bs, bpts = bnd  # boundary_points(mesh, TRACE_T)
     inflow = schedule.inflow[bk, bs]
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
     fixed = np.zeros((tables.mesh.n_triangles, 3))
     if ks.size:
-        tq, tw = tables.edge_t, tables.edge_w
+        tq, tw = TRACE_T, TRACE_W
         g = np.asarray(inflow_data(pts[..., 0], pts[..., 1]), dtype=float)
         g = np.broadcast_to(g, pts.shape[:2])
         w = -elen[ks, ss] * schedule.dot[ks, ss]
@@ -349,8 +339,9 @@ def build_kernel(
         s_vec = bary.T @ scatter_w.T  # (3, nt)
         s_mat = pp @ scatter_w.T  # (3, 3, nt)
     elen = mesh.edge_length[mesh.tri_edges]
-    interior = (mesh.tri_neighbors != BOUNDARY).T
-    bnd = None if inflow_data is None else boundary_points(mesh, tables.edge_t)
+    interior = mesh.tri_neighbors != BOUNDARY
+    up = np.maximum(mesh.tri_neighbors, 0)  # the upwind neighbour across a live edge
+    bnd = None if inflow_data is None else boundary_points(mesh, TRACE_T)
 
     blocks = np.empty((3, 3, n))
     b0 = np.empty((3, n))
@@ -366,7 +357,9 @@ def build_kernel(
         om = sched.omega
         dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
         ddl = delta_k * dl
-        edge_w = np.where(sched.inflow, -elen * sched.dot, 0.0).T
+        inflow = sched.inflow
+        live = inflow & interior  # the edges with an upwind neighbour
+        edge_w = np.where(inflow, -elen * sched.dot, 0.0).T
         a = m_sig + s1[:, None] * dl
         a += ddl[:, None] * (w_sum * dl + s_sig)
         a += _EDGE_MASS @ edge_w
@@ -375,9 +368,8 @@ def build_kernel(
             fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl.T)
         if inflow_data is not None and inflow_data[l] is not None:
             fixed += _inflow_rhs(tables, sched, inflow_data[l], elen, bnd)
-        up = sched.upwind
-        pattern = upwind_pattern(up >= 0, direction=l)
-        coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior, edge_w, 0.0)
+        pattern = upwind_pattern(live, direction=l)
+        coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior.T, edge_w, 0.0)
         coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)
 
         cols = slice(l * nt, (l + 1) * nt)
@@ -390,7 +382,7 @@ def build_kernel(
             np.einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec, out=blocks[:, :, cols])
         # the sweep positions of the upwind neighbours, offset into the buffer
         slots = pos[cols]
-        flat = (coef_off + np.where(up >= 0, slots[np.maximum(up, 0)], n).T[:, None]).reshape(6, nt)
+        flat = (coef_off + np.where(live, slots[up], n).T[:, None]).reshape(6, nt)
         nbr[:, cols] = flat.take(pick_cols.take(pattern, axis=1) + elem)
     # a step reads contiguous fold and nbr columns: one temporary row at a time
     for row in (*fold.reshape(12, n), *nbr):

@@ -2,12 +2,14 @@
 
 `build_mesh` numbers the edges with a generic `np.unique(axis=0)` of the
 sorted vertex pairs, the reference of the package's single-key sort.
-`assemble_local` + `solve_local` build and solve one triangle's 3x3 system
-from callables; `sweep_direction` walks a schedule element by element with
-them; `scattering_source` evaluates the lagged scattering source at
-arbitrary points. `error_norms` is the masked per-edge version of
-`rte2d.error_norms`. None of these share code with the package's batched
-kernels, which is what makes them independent references.
+`classify_edges` splits the local edges into inflow and outflow from
+omega . n formed one local edge at a time, and `upwind_map` names the
+neighbour across each inflow edge. `assemble_local` + `solve_local` build
+and solve one triangle's 3x3 system from callables; `sweep_direction` walks
+a schedule element by element with them; `scattering_source` evaluates the
+lagged scattering source at arbitrary points. `error_norms` is the masked
+per-edge version of `rte2d.error_norms`. None of these share code with the
+package's batched kernels, which is what makes them independent references.
 
 The local system for one triangle K and one direction omega is
 
@@ -28,6 +30,7 @@ import numpy as np
 
 from rte2d import (
     BOUNDARY,
+    EPS_N,
     AngularQuadrature,
     DGSolution,
     ElementBasis,
@@ -45,6 +48,49 @@ from rte2d import (
 from rte2d.dg_core import EDGE_MASS_2, check_nonsingular
 from rte2d.mesh import _freeze
 from rte2d.sweep import SweepSchedule
+
+
+# upwind-map entry of an edge that carries no dependency (outflow/tangential)
+NO_UPWIND = -2
+
+
+@dataclass(frozen=True)
+class EdgeClassification:
+    """Per-triangle upwind classification for one transport direction."""
+
+    omega: np.ndarray
+    omega_dot_n: np.ndarray  # (nt, 3) outward-normal components
+    inflow: np.ndarray  # (nt, 3) bool; complement is the outflow set
+
+    @property
+    def outflow(self):
+        return ~self.inflow
+
+
+def classify_edges(mesh: TriangleMesh, omega) -> EdgeClassification:
+    """Split each triangle's edges into inflow and outflow for direction omega.
+
+    omega . n is formed one local edge at a time from the stored edge normal
+    and the triangle's side of it. An edge is inflow when omega . n < -EPS_N;
+    tangential edges (|omega . n| <= EPS_N) land in the outflow set.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (2,) or abs(np.hypot(*omega) - 1.0) > 1e-12:
+        raise ValueError("omega must be a unit 2-vector")
+    dot = np.empty((mesh.n_triangles, 3))
+    for s in range(3):
+        n = mesh.edge_normal[mesh.tri_edges[:, s]]
+        dot[:, s] = (n[:, 0] * omega[0] + n[:, 1] * omega[1]) * mesh.tri_edge_sign[:, s]
+    return EdgeClassification(omega=omega, omega_dot_n=dot, inflow=dot < -EPS_N)
+
+
+def upwind_map(mesh: TriangleMesh, inflow) -> np.ndarray:
+    """upwind[k, s]: the neighbour across local edge s where inflow[k, s]
+    (BOUNDARY on the inflow boundary), NO_UPWIND elsewhere."""
+    up = np.full(np.shape(inflow), NO_UPWIND, dtype=np.int64)
+    for k, s in zip(*np.nonzero(inflow)):
+        up[k, s] = mesh.tri_neighbors[k, s]
+    return up
 
 
 @dataclass
@@ -177,12 +223,13 @@ def sweep_direction(
 
         return trace
 
+    upwind = upwind_map(mesh, schedule.inflow)
     for li, layer in enumerate(schedule.layers):
         for k in layer:
             inflow_local = np.flatnonzero(schedule.inflow[k])
             traces = {}
             for s in inflow_local:
-                n = schedule.upwind[k, s]
+                n = upwind[k, s]
                 if n == BOUNDARY:
                     if inflow_data is None:
                         traces[s] = lambda _s, x, y: np.zeros(np.shape(x))

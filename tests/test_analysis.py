@@ -16,14 +16,13 @@ from rte2d import (
     error_norms,
     make_case,
     phase_eval,
-    project_exact,
     solve,
     trapezoid_circle,
     triple_norm_stability,
 )
 from rte2d.analysis import NORM_NAMES, RATE_FLOOR, observed_rates
 from rte2d.mesh import EPS_N, omega_dot_n
-from helpers import perturbed_mesh, random_solution
+from helpers import perturbed_mesh, project_exact, random_solution
 import oracle
 
 

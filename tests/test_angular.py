@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from rte2d import (
+    AngularQuadrature,
     PhaseFunction,
     gauss_legendre_sphere,
     m_bound,
@@ -41,6 +42,23 @@ def test_trapezoid_cos_squared():
 def test_trapezoid_rejects_tiny_counts():
     with pytest.raises(ValueError):
         trapezoid_circle(1)
+
+
+@pytest.mark.parametrize("bad", ["zero weight", "nan weight", "long direction", "nan direction"])
+def test_quadrature_rejects_bad_weights_and_directions(bad):
+    q = trapezoid_circle(4)
+    w, d = q.weights.copy(), q.directions.copy()
+    if bad == "zero weight":
+        w[0], w[1] = 0.0, w[0] + w[1]
+    elif bad == "nan weight":
+        w[0] = np.nan
+    elif bad == "long direction":
+        d[0] *= 1.0 + 1e-9
+    else:
+        d[0] = np.nan
+    match = "weights must be positive" if "weight" in bad else "unit vectors"
+    with pytest.raises(ValueError, match=match):
+        AngularQuadrature(d, w, dim=2, angles=q.angles)
 
 
 def test_sphere_rule_normalization_and_moments():
@@ -110,6 +128,8 @@ def test_linear_phase_is_2d_only():
 def test_hg_requires_subunit_eta():
     with pytest.raises(ValueError):
         PhaseFunction.henyey_greenstein(1.0)
+    with pytest.raises(ValueError, match="eta"):
+        PhaseFunction.henyey_greenstein(float("nan"))
 
 
 def test_scatter_matrix_row_sums():

@@ -5,8 +5,9 @@ import pytest
 
 from rte2d import build_structured_unit_square, save_mesh
 from rte2d import cli
-from rte2d.cli import main, read_table_csv
+from rte2d.cli import main
 from rte2d.analysis import convergence_study, make_case
+from helpers import read_table_csv
 
 
 def run(tmp_path, *argv):
@@ -175,6 +176,31 @@ def test_exit_code_negative_level(tmp_path, capsys, monkeypatch, source):
     assert code == 2
     err = capsys.readouterr().err
     assert "error[config]" in err and "level" in err
+
+
+def test_exit_code_nan_eta(tmp_path, capsys):
+    code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--eta", "nan")
+    assert code == 2
+    assert "error[config]: anisotropy factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "what", ["missing mesh", "mesh is a directory", "missing config", "out is a file"]
+)
+def test_exit_code_unusable_path(tmp_path, capsys, what):
+    argv = ["solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--out", str(tmp_path / "out")]
+    if what == "missing mesh":
+        argv += ["--mesh", str(tmp_path / "nowhere.mesh")]
+    elif what == "mesh is a directory":
+        argv += ["--mesh", str(tmp_path)]
+    elif what == "missing config":
+        argv += ["--config", str(tmp_path / "nowhere.cfg")]
+    else:
+        (tmp_path / "taken").write_text("")
+        argv += ["--out", str(tmp_path / "taken")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "Traceback" not in err
 
 
 def test_config_file_flags_override(tmp_path):

@@ -7,14 +7,12 @@ from rte2d import (
     StabilityError,
     build_mesh,
     build_structured_unit_square,
-    classify_edges,
     element_basis,
-    project_exact,
     trapezoid_circle,
     triangle_rule,
 )
-from helpers import perturbed_mesh, unit_direction
-from oracle import LocalSystem, assemble_local, solve_local
+from helpers import perturbed_mesh, project_exact, unit_direction
+from oracle import LocalSystem, assemble_local, classify_edges, solve_local
 
 ONE_TRI_VERTS = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
 

@@ -10,7 +10,6 @@ from rte2d import (
     MeshError,
     build_mesh,
     build_structured_unit_square,
-    classify_edges,
     load_mesh,
     opposite_local_edge,
     refine_regular,
@@ -19,6 +18,7 @@ from rte2d import (
 from rte2d.mesh import TriangleMesh, omega_dot_n
 import oracle
 from helpers import perturbed_mesh, unit_direction
+from oracle import classify_edges
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])  # diagonal (0,0)-(1,1)

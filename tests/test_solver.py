@@ -19,7 +19,6 @@ from rte2d import (
     delta_value,
     m_bound,
     opposite_local_edge,
-    project_exact,
     scatter_matrix,
     solve,
     space_tables,
@@ -28,7 +27,7 @@ from rte2d import (
     triple_norm_stability,
     weighted_norm,
 )
-from helpers import perturbed_mesh, random_solution
+from helpers import perturbed_mesh, project_exact, random_solution
 from oracle import scattering_source, sweep_direction
 
 
@@ -390,6 +389,17 @@ def test_solve_rejects_discrete_coercivity_violation():
     assert f"= {10.0 - 5.0 * m:.4g} must be positive" in msg
 
 
+def test_solve_rejects_nan_coercivity_bound(monkeypatch):
+    # a phase whose eta bypassed the constructor's check gives m = nan: the
+    # coercivity check must fail on it, not let the iteration run into NaN
+    mesh = build_structured_unit_square(2)
+    problem = isotropic_problem(trapezoid_circle(4))
+    object.__setattr__(problem.phase, "eta", float("nan"))
+    monkeypatch.setattr("rte2d.solver.build_kernel", lambda *a, **k: pytest.fail("set-up ran"))
+    with pytest.raises(AssumptionError, match="c0' = min\\(sigma_t - m sigma_s\\) = nan"):
+        solve(problem, mesh)
+
+
 def test_solve_rejects_bad_coefficients():
     mesh = build_structured_unit_square(2)
     quad = trapezoid_circle(4)
@@ -410,8 +420,15 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    for bad in (2.5, float("nan"), "10"):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=bad)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="c_bar must be positive and finite"):
+            SolverConfig(c_bar=bad)
     # c_bar is unused by the plain method
     SolverConfig(method="dodg", c_bar=0.0)
+    SolverConfig(max_iter=np.int64(5))
 
 
 def test_weighted_norm_against_mass_matrix():

@@ -7,7 +7,6 @@ import pytest
 
 from rte2d import (
     BOUNDARY,
-    NO_UPWIND,
     PhaseFunction,
     StabilityError,
     SweepCycleError,
@@ -16,7 +15,6 @@ from rte2d import (
     build_schedules,
     build_kernel,
     build_structured_unit_square,
-    classify_edges,
     refine_regular,
     scatter_matrix,
     space_tables,
@@ -25,7 +23,7 @@ from rte2d import (
 )
 from rte2d.sweep import _UPWIND_PICK, inverse_3x3, upwind_pattern
 from helpers import perturbed_mesh, random_solution, unit_direction
-from oracle import scattering_source, sweep_direction
+from oracle import NO_UPWIND, classify_edges, scattering_source, sweep_direction, upwind_map
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TWO_TRIANGLES = np.array([[0, 1, 2], [0, 2, 3]])
@@ -77,12 +75,13 @@ def test_build_schedules_match_brute_force_for_every_direction():
         for i, layer in enumerate(sched.layers):
             np.testing.assert_array_equal(layer, np.flatnonzero(layer_of == i))
         cls = classify_edges(mesh, omega)
+        upwind = upwind_map(mesh, sched.inflow)
         for k in range(mesh.n_triangles):
             for s in range(3):
                 want = NO_UPWIND
                 if cls.inflow[k, s]:
                     want = mesh.tri_neighbors[k, s] if interior[k, s] else BOUNDARY
-                assert sched.upwind[k, s] == want
+                assert upwind[k, s] == want
         np.testing.assert_array_equal(sched.inflow, cls.inflow)
         np.testing.assert_array_equal(sched.dot, cls.omega_dot_n)
         np.testing.assert_array_equal(sched.omega, omega)
@@ -112,10 +111,11 @@ def test_schedule_layers_partition_and_order():
     np.testing.assert_array_equal(np.sort(allids), np.arange(mesh.n_triangles))
     for layer in sched.layers:
         assert (np.diff(layer) > 0).all()  # sorted, no duplicates
+    upwind = upwind_map(mesh, sched.inflow)
     for k in range(mesh.n_triangles):
         assert sched.layer_of[k] >= 0
         for s in range(3):
-            n = sched.upwind[k, s]
+            n = upwind[k, s]
             if n >= 0:
                 assert sched.layer_of[n] < sched.layer_of[k]
 
@@ -135,7 +135,7 @@ def test_schedule_two_triangle_order():
     sched = build_schedule(mesh, np.array([1.0, 0.0]))
     assert [list(l) for l in sched.layers] == [[1], [0]]
     # the diagonal feeds triangle 0 from triangle 1
-    s = int(np.flatnonzero(sched.upwind[0] == 1)[0])
+    s = int(np.flatnonzero(upwind_map(mesh, sched.inflow)[0] == 1)[0])
     assert sched.inflow[0, s]
     # reversing the direction reverses the order
     rev = build_schedule(mesh, np.array([-1.0, 0.0]))
@@ -148,7 +148,7 @@ def test_schedule_tangential_edges_ignored():
     sched = build_schedule(mesh, np.array([1.0, 0.0]))
     graze = np.abs(sched.dot) <= 1e-12
     assert graze.any()
-    assert (sched.upwind[graze] == NO_UPWIND).all()
+    assert (upwind_map(mesh, sched.inflow)[graze] == NO_UPWIND).all()
     np.testing.assert_array_equal(sched.layer_of, brute_force_layers(mesh, (1.0, 0.0)))
 
 
@@ -156,6 +156,10 @@ def test_schedule_requires_unit_direction():
     mesh = build_structured_unit_square(2)
     with pytest.raises(ValueError):
         build_schedule(mesh, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="unit 2-vector"):
+        build_schedules(mesh, [[1.0, 0.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match="at least one direction"):
+        build_schedules(mesh, np.zeros((0, 2)))
 
 
 def test_cycle_error_carries_elements():
@@ -359,7 +363,7 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     quad = trapezoid_circle(8)
     nl, nt = quad.n_directions, mesh.n_triangles
     scheds = build_schedules(mesh, quad.directions)
-    live = np.stack([s.upwind >= 0 for s in scheds])
+    live = np.stack([upwind_map(mesh, s.inflow) >= 0 for s in scheds])
     patterns = set((live @ [1, 2, 4]).ravel().tolist())
     if structured:  # two-edge patterns next to tangential edges
         assert {3, 6} <= patterns
