@@ -20,7 +20,7 @@ direction (`_form_directions`: d = grad(phi) . omega and the edge weights
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,30 +426,21 @@ class MethodComparison:
 def compare_methods(
     case: ManufacturedCase,
     levels: int,
-    c_bar: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
+    config: SolverConfig = None,
     n0: int = 10,
     n_dirs: int = None,
     mesh0: TriangleMesh = None,
 ) -> MethodComparison:
-    """Run the stabilized and plain methods on identical meshes/quadratures."""
-    common = dict(tol=tol, max_iter=max_iter)
-    sd = convergence_study(
-        case,
-        levels,
-        SolverConfig(method="dodsd", c_bar=c_bar, **common),
-        n0=n0,
-        n_dirs=n_dirs,
-        mesh0=mesh0,
-    )
-    dg = convergence_study(
-        case,
-        levels,
-        SolverConfig(method="dodg", **common),
-        n0=n0,
-        n_dirs=n_dirs,
-        mesh0=mesh0,
-    )
+    """Run the stabilized and plain methods on identical meshes/quadratures.
+
+    Both studies take config's c_bar, tol and max_iter; its method is set to
+    dodsd, then dodg."""
+    config = SolverConfig() if config is None else config
+    sd, dg = [
+        convergence_study(
+            case, levels, replace(config, method=m), n0=n0, n_dirs=n_dirs, mesh0=mesh0
+        )
+        for m in ("dodsd", "dodg")
+    ]
     ratio = [a.eh / b.eh if b.eh > 0 else float("nan") for a, b in zip(sd.rows, dg.rows)]
     return MethodComparison(case_id=case.id, dodsd=sd, dodg=dg, eh_ratio=ratio)

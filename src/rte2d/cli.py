@@ -184,10 +184,13 @@ def write_table(table, out_dir, suffix=""):
     _write_csv(os.path.join(out_dir, f"rates{suffix}.csv"), RATES_HEADER, _rates_rows(table))
 
 
-def _base_mesh(args):
-    if args.mesh is not None:
-        return load_mesh(args.mesh)
-    return build_structured_unit_square(args.n0)
+def _config(args):
+    return SolverConfig(method=args.method, c_bar=args.c_bar, tol=args.tol, max_iter=args.max_iter)
+
+
+def _mesh0(args):
+    """The --mesh file's mesh, or None for the structured --n0 grid."""
+    return None if args.mesh is None else load_mesh(args.mesh)
 
 
 def _cmd_solve(args):
@@ -199,16 +202,10 @@ def _cmd_solve(args):
     if l is not None and not 0 <= l < quad.n_directions:
         raise ValueError(f"--dump-schedule index {l} outside 0..{quad.n_directions - 1}")
     problem = case_problem(case, quad)
-    mesh = _base_mesh(args)
+    mesh = _mesh0(args) or build_structured_unit_square(args.n0)
     for _ in range(args.level):
         mesh = refine_regular(mesh)
-    config = SolverConfig(
-        method=args.method,
-        c_bar=args.c_bar,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    sol, report = solve(problem, mesh, config)
+    sol, report = solve(problem, mesh, _config(args))
 
     if l is not None:
         sched = build_schedule(mesh, quad.directions[l])
@@ -239,20 +236,13 @@ def _cmd_solve(args):
 
 def _cmd_convergence(args):
     case = make_case(args.case, eta=args.eta)
-    config = SolverConfig(
-        method=args.method,
-        c_bar=args.c_bar,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    mesh0 = load_mesh(args.mesh) if args.mesh is not None else None
     table = convergence_study(
-        case, args.levels, config, n0=args.n0, n_dirs=args.n_dirs, mesh0=mesh0
+        case, args.levels, _config(args), n0=args.n0, n_dirs=args.n_dirs, mesh0=_mesh0(args)
     )
     write_table(table, args.out)
     last = table.rows[-1]
     print(
-        f"case {case.id} {config.method}: {len(table.rows)} levels, "
+        f"case {case.id} {table.method}: {len(table.rows)} levels, "
         f"final eh={last.eh:.4e}"
         + (
             f", finest-pair rate(eh)={table.rates['eh'][-1]:.3f}"
@@ -265,16 +255,8 @@ def _cmd_convergence(args):
 
 def _cmd_compare(args):
     case = make_case(args.case, eta=args.eta)
-    mesh0 = load_mesh(args.mesh) if args.mesh is not None else None
     cmp = compare_methods(
-        case,
-        args.levels,
-        c_bar=args.c_bar,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        n0=args.n0,
-        n_dirs=args.n_dirs,
-        mesh0=mesh0,
+        case, args.levels, _config(args), n0=args.n0, n_dirs=args.n_dirs, mesh0=_mesh0(args)
     )
     write_table(cmp.dodsd, args.out, suffix="_dodsd")
     write_table(cmp.dodg, args.out, suffix="_dodg")

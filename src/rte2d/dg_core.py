@@ -48,9 +48,6 @@ class DGSolution:
     mesh: TriangleMesh
     quad: object  # AngularQuadrature
 
-    def copy(self):
-        return DGSolution(self.coeffs.copy(), self.mesh, self.quad)
-
 
 # The one edge trace rule, 4-point Gauss on the edge parameter t in [0, 1]:
 # inflow data in the sweep kernels, the inflow check of solve, and the

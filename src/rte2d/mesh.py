@@ -258,15 +258,19 @@ def save_mesh(mesh: TriangleMesh, path):
 
 
 def load_mesh(path) -> TriangleMesh:
-    """Read the plain-text format written by `save_mesh`."""
+    """Read the plain-text format written by `save_mesh`; MeshError for a
+    missing header, a wrong token count or a token that is not a number."""
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise MeshError(f"{path}: missing header")
-    nv, nt = int(tokens[0]), int(tokens[1])
-    need = 2 + 2 * nv + 3 * nt
-    if len(tokens) != need:
-        raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
-    vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
-    triangles = np.array(tokens[2 + 2 * nv :], dtype=np.int64).reshape(nt, 3)
+    try:
+        nv, nt = int(tokens[0]), int(tokens[1])
+        need = 2 + 2 * nv + 3 * nt
+        if len(tokens) != need:
+            raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
+        vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
+        triangles = np.array(tokens[2 + 2 * nv :], dtype=np.int64).reshape(nt, 3)
+    except ValueError as err:  # a token that is not a number, or counts that do not fit
+        raise MeshError(f"{path}: {err}") from err
     return build_mesh(vertices, triangles)

@@ -43,38 +43,21 @@ def _orbit6(a, b):
 
 
 def triangle_rule(degree: int) -> TriangleRule:
-    """Return a positive-weight rule exact for polynomials up to `degree`."""
-    if degree <= 4:
-        pts, wts = [], []
-        for w, a in _DEG4_ORBITS:
-            pts += _orbit3(a)
-            wts += [w] * 3
-        return TriangleRule(np.array(pts), np.array(wts), 4)
-    if degree <= 6:
-        pts, wts = [], []
-        for w, a in _DEG6_3ORBITS:
-            pts += _orbit3(a)
-            wts += [w] * 3
+    """The tabulated positive-weight rule exact up to `degree`: the 6-point
+    degree-4 rule for degree <= 4, the 12-point degree-6 rule for 5 and 6.
+    Raises ValueError for a degree above 6."""
+    if degree > 6:
+        raise ValueError(f"triangle rules are tabulated for degrees 4 and 6, not {degree}")
+    exact = 4 if degree <= 4 else 6
+    pts, wts = [], []
+    for w, a in _DEG4_ORBITS if exact == 4 else _DEG6_3ORBITS:
+        pts += _orbit3(a)
+        wts += [w] * 3
+    if exact == 6:
         w, a, b = _DEG6_6ORBIT
         pts += _orbit6(a, b)
         wts += [w] * 6
-        return TriangleRule(np.array(pts), np.array(wts), 6)
-    return _collapsed_rule(degree)
-
-
-def _collapsed_rule(degree: int) -> TriangleRule:
-    # Gauss product on the square mapped to the triangle; the map's Jacobian
-    # (1 - u) raises the u-degree by one, hence the k below.
-    k = (degree + 3) // 2
-    x, w = np.polynomial.legendre.leggauss(k)
-    u = 0.5 * (x + 1.0)
-    wu = 0.5 * w
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    ww = np.outer(wu * (1.0 - u), wu).ravel()
-    lam1 = uu.ravel()
-    lam2 = (vv * (1.0 - uu)).ravel()
-    pts = np.column_stack([1.0 - lam1 - lam2, lam1, lam2])
-    return TriangleRule(pts, 2.0 * ww, degree)
+    return TriangleRule(np.array(pts), np.array(wts), exact)
 
 
 def edge_rule(npts: int):

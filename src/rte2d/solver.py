@@ -46,21 +46,21 @@ class TransportProblem:
 
 @dataclass
 class SolverConfig:
+    """Settings of one solve: the method, c_bar of DODSD's delta = c_bar h,
+    and the source iteration's relative tolerance and iteration cap."""
+
     method: str = "dodsd"
     c_bar: float = 1.0
     tol: float = 1e-10
     max_iter: int = 1000
-    delta_mode: str = "global"  # or "local": delta_K = c_bar * h_K
 
     def __post_init__(self):
         if self.method not in ("dodsd", "dodg"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.delta_mode not in ("global", "local"):
-            raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.method == "dodsd" and not 0 < self.c_bar < math.inf:
             raise ValueError(f"c_bar must be positive and finite, got {self.c_bar!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
@@ -73,13 +73,9 @@ class SolveReport:
     delta_used: float
 
 
-def delta_value(config: SolverConfig, mesh: TriangleMesh):
-    """Streamline-diffusion parameter: 0 for the plain DG method."""
-    if config.method == "dodg":
-        return 0.0
-    if config.delta_mode == "local":
-        return config.c_bar * mesh.tri_h
-    return config.c_bar * mesh.h
+def delta_value(config: SolverConfig, mesh: TriangleMesh) -> float:
+    """Streamline-diffusion parameter: c_bar h for DODSD, 0 for the plain DG method."""
+    return 0.0 if config.method == "dodg" else config.c_bar * mesh.h
 
 
 def weighted_norm(coeffs, quad_weights, tri_area) -> float:
@@ -169,7 +165,6 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         scatter_w=tables.areaw * ss if scattering else None,
     )
     del schedules, f_vals  # the kernel keeps neither; they would live through the iteration
-    delta_used = float(np.max(delta))
 
     # the iterate stays in coefficient planes (3, nl, nt): G acts on each plane
     u = np.zeros((3, nl, nt))
@@ -213,6 +208,6 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         iterations=j,
         residual_history=tuple(history),
         converged=True,
-        delta_used=delta_used,
+        delta_used=float(delta),
     )
     return DGSolution(np.ascontiguousarray(np.moveaxis(u, 0, -1)), mesh, quad), report

@@ -3,10 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from rte2d import build_structured_unit_square, save_mesh
-from rte2d import cli
+from rte2d import SolverConfig, build_structured_unit_square, save_mesh
+from rte2d import analysis, cli
 from rte2d.cli import main
-from rte2d.analysis import convergence_study, make_case
+from rte2d.analysis import compare_methods, convergence_study, make_case
 from helpers import read_table_csv
 
 
@@ -118,6 +118,27 @@ def test_solve_field_and_schedule_dump(tmp_path, capsys):
     assert flat == list(range(nt))
 
 
+def test_compare_hands_its_settings_to_both_studies(tmp_path, monkeypatch):
+    seen = []
+    study = analysis.convergence_study
+
+    def recording(case, levels, config=None, **kwargs):
+        seen.append(config)
+        return study(case, levels, config, **kwargs)
+
+    monkeypatch.setattr(analysis, "convergence_study", recording)
+    code = run(
+        tmp_path, "compare", "--case", "1", "--levels", "1", "--n0", "2", "--n-dirs", "4",
+        "--c-bar", "0.5", "--tol", "1e-9", "--max-iter", "50",
+    )
+    assert code == 0
+    assert seen == [SolverConfig("dodsd", 0.5, 1e-9, 50), SolverConfig("dodg", 0.5, 1e-9, 50)]
+    seen.clear()
+    cmp = compare_methods(make_case(1), 1, SolverConfig(method="dodg", c_bar=0.5), n0=2, n_dirs=4)
+    assert seen == [SolverConfig("dodsd", c_bar=0.5), SolverConfig("dodg", c_bar=0.5)]
+    assert (cmp.dodsd.method, cmp.dodg.method) == ("dodsd", "dodg")
+
+
 def test_solve_with_mesh_file_and_level(tmp_path):
     mesh_file = tmp_path / "base.mesh"
     save_mesh(build_structured_unit_square(2), mesh_file)
@@ -136,6 +157,21 @@ def test_exit_code_mesh_without_triangles(tmp_path, capsys):
     code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
     assert code == 7
     assert "error[mesh]: mesh has no triangles" in capsys.readouterr().err
+
+
+def test_exit_code_mesh_token_not_a_number(tmp_path, capsys):
+    mesh_file = tmp_path / "bad.mesh"
+    mesh_file.write_text("3 1\n0 0\n1 0\nzero 1\n0 1 2\n")
+    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
+    assert code == 7
+    err = capsys.readouterr().err
+    assert f"error[mesh]: {mesh_file}: could not convert string to float: 'zero'" in err
+
+
+def test_exit_code_infinite_tol(tmp_path, capsys):
+    code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--tol", "inf")
+    assert code == 2
+    assert "error[config]: tol must be positive and finite" in capsys.readouterr().err
 
 
 def test_exit_code_nonconvergence(tmp_path, capsys):

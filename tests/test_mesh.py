@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,4 +297,17 @@ def test_load_mesh_rejects_bad_files(tmp_path):
         load_mesh(p)
     p.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n1 2\n")  # trailing tokens
     with pytest.raises(MeshError):
+        load_mesh(p)
+
+
+@pytest.mark.parametrize("text, token", [
+    ("three 1\n0 0\n1 0\n0 1\n0 1 2\n", "three"),
+    ("3 1.0\n0 0\n1 0\n0 1\n0 1 2\n", "1.0"),
+    ("3 1\n0 0\n1 0\nzero 1\n0 1 2\n", "zero"),
+    ("3 1\n0 0\n1 0\n0 1\n0 1.5 2\n", "1.5"),
+], ids=["word count", "float count", "coordinate", "vertex id"])
+def test_load_mesh_names_the_file_for_a_token_that_is_not_a_number(tmp_path, text, token):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    with pytest.raises(MeshError, match=f"^{re.escape(str(p))}: .*'{re.escape(token)}'$"):
         load_mesh(p)

@@ -11,7 +11,7 @@ def exact_bary(a, b, c):
     return 2.0 * math.factorial(a) * math.factorial(b) * math.factorial(c) / math.factorial(a + b + c + 2)
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 7))
 def test_triangle_rule_exact_on_barycentric_monomials(degree):
     rule = triangle_rule(degree)
     for total in range(degree + 1):
@@ -32,11 +32,10 @@ def test_triangle_rule_basic_shape():
     np.testing.assert_allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
 
 
-def test_triangle_rule_degree_at_least_requested():
-    # degrees above the tabulated rules fall back to a tensor construction
-    for degree in (7, 9, 11):
-        rule = triangle_rule(degree)
-        assert rule.degree >= degree
+def test_triangle_rule_rejects_untabulated_degree():
+    assert [triangle_rule(d).degree for d in range(1, 7)] == [4, 4, 4, 4, 6, 6]
+    with pytest.raises(ValueError, match="tabulated for degrees 4 and 6, not 7"):
+        triangle_rule(7)
 
 
 @pytest.mark.parametrize("npts", range(1, 7))

@@ -289,17 +289,6 @@ def test_dodsd_tends_to_dodg_as_c_bar_vanishes():
     assert gaps[1] / gaps[2] == pytest.approx(100.0, rel=0.01)
 
 
-def test_solve_local_delta_mode():
-    mesh = perturbed_mesh(3, seed=24)
-    quad = trapezoid_circle(4)
-    cfg = SolverConfig(delta_mode="local", c_bar=0.5)
-    d = delta_value(cfg, mesh)
-    np.testing.assert_allclose(d, 0.5 * mesh.tri_h)
-    sol, report = solve(isotropic_problem(quad), mesh, cfg)
-    assert report.converged
-    assert report.delta_used == pytest.approx(0.5 * mesh.tri_h.max())
-
-
 def test_delta_value_modes():
     mesh = build_structured_unit_square(5)
     assert delta_value(SolverConfig(method="dodg"), mesh) == 0.0
@@ -413,11 +402,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="upwind")
     with pytest.raises(ValueError):
-        SolverConfig(delta_mode="sometimes")
-    with pytest.raises(ValueError):
         SolverConfig(c_bar=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     for bad in (2.5, float("nan"), "10"):
