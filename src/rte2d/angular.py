@@ -86,6 +86,8 @@ class PhaseFunction:
             raise ValueError(f"anisotropy factor must satisfy |eta| < 1, got {self.eta}")
         if self.kind == "linear" and self.dim != 2:
             raise ValueError("linear-anisotropic kernel is defined on the circle")
+        if self.kind == "linear" and not self.eta == 0:  # NaN fails too
+            raise ValueError(f"linear-anisotropic kernel takes no eta, got {self.eta}")
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
 

@@ -6,10 +6,15 @@ Subcommands:
   compare      stabilized vs plain method on identical meshes
   quad-check   angular quadrature and scattering-matrix diagnostics
 
+Each subcommand takes only the flags it reads, by their full names. Its
+--config file's `key = value` lines (key: a flag name, with - or _) are
+parsed as `--key=value` ahead of the command line, whose flags win.
+
 Floats are written with repr(), which round-trips exactly through float().
 Exit status is 0 only when every requested run converged; solver failures
-map to distinct nonzero codes (see ERROR_CODES), and a bad configuration,
-an unreadable input path or an unwritable output path to 2.
+map to distinct nonzero codes (see ERROR_CODES), and a bad configuration
+(any flag or config-file parse error), an unreadable input path or an
+unwritable output path to 2.
 """
 
 import argparse
@@ -46,50 +51,41 @@ ERROR_CODES = (
     (MeshError, "mesh", 7),
 )
 
-_CONFIG_TYPES = {
-    "case": int,
-    "levels": int,
-    "n0": int,
-    "n_dirs": int,
-    "eta": float,
-    "phase": str,
-    "method": str,
-    "c_bar": float,
-    "tol": float,
-    "max_iter": int,
-    "out": str,
-    "mesh": str,
-    "dump_schedule": int,
-    "level": int,
-}
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise ValueError: main() prints error[config], exit 2, no usage."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value file; command-line flags win")
+def _subcommand(sub, name, help):
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.add_argument("--config", help="file of key = value lines; command-line flags win")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
+    return p
 
 
 def _add_case(p):
     p.add_argument("--case", type=int, choices=(1, 2, 3, 4), required=True)
     p.add_argument("--n-dirs", type=int, default=None, help="override case h_theta")
     p.add_argument("--eta", type=float, default=None, help="override case anisotropy")
-    p.add_argument("--method", choices=("dodsd", "dodg"), default="dodsd")
     p.add_argument("--c-bar", type=float, default=1.0)
     p.add_argument("--n0", type=int, default=10, help="initial structured grid size")
     p.add_argument("--mesh", default=None, help="initial mesh file instead of --n0")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", type=int, default=1000)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="rte2d", description="2D discrete-ordinates transport experiments"
+    parser = _Parser(
+        prog="rte2d", description="2D discrete-ordinates transport experiments", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="single solve with a field dump")
+    p = _subcommand(sub, "solve", "single solve with a field dump")
     _add_case(p)
-    _add_common(p)
+    p.add_argument("--method", choices=("dodsd", "dodg"), default="dodsd")
     p.add_argument("--level", type=int, default=0, help="refinements of the base mesh")
     p.add_argument(
         "--dump-schedule",
@@ -99,26 +95,25 @@ def build_parser():
         help="also write sweep layers for direction index L",
     )
 
-    p = sub.add_parser("convergence", help="error table over nested refinements")
+    p = _subcommand(sub, "convergence", "error table over nested refinements")
     _add_case(p)
-    _add_common(p)
+    p.add_argument("--method", choices=("dodsd", "dodg"), default="dodsd")
     p.add_argument("--levels", type=int, default=4)
 
-    p = sub.add_parser("compare", help="stabilized vs plain method")
+    p = _subcommand(sub, "compare", "stabilized vs plain method")
     _add_case(p)
-    _add_common(p)
     p.add_argument("--levels", type=int, default=4)
 
-    p = sub.add_parser("quad-check", help="angular quadrature diagnostics")
-    _add_common(p)
+    p = _subcommand(sub, "quad-check", "angular quadrature diagnostics")
     p.add_argument("--n-dirs", type=int, default=20)
     p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--phase", choices=("hg", "linear"), default="hg")
     return parser
 
 
-def _parse_config_file(path):
-    values = {}
+def _config_tokens(path):
+    """The --config file as flags: each `key = value` line is `--key=value`."""
+    tokens = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -127,28 +122,21 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = _CONFIG_TYPES[key]
-            try:
-                values[key] = typ(val)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {err}") from err
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
-def _apply_config_file(args, argv):
-    if getattr(args, "config", None) is None:
-        return
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    for key, val in _parse_config_file(args.config).items():
-        if key not in explicit and hasattr(args, key):
-            setattr(args, key, val)
+def _parse_args(argv):
+    """Parse argv; a --config file's flags go before argv's, so argv's win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    tokens = _config_tokens(args.config)
+    try:
+        return parser.parse_args([args.command, *tokens, *argv[1:]])
+    except ValueError as err:
+        raise ValueError(f"{args.config}: {err}") from err
 
 
 def _write_csv(path, header, rows):
@@ -185,7 +173,8 @@ def write_table(table, out_dir, suffix=""):
 
 
 def _config(args):
-    return SolverConfig(method=args.method, c_bar=args.c_bar, tol=args.tol, max_iter=args.max_iter)
+    method = getattr(args, "method", SolverConfig.method)  # compare has no --method
+    return SolverConfig(method=method, c_bar=args.c_bar, tol=args.tol, max_iter=args.max_iter)
 
 
 def _mesh0(args):
@@ -275,11 +264,7 @@ def _cmd_compare(args):
 
 def _cmd_quad_check(args):
     quad = trapezoid_circle(args.n_dirs)
-    if args.phase == "hg":
-        phase = PhaseFunction.henyey_greenstein(args.eta)
-    else:
-        phase = PhaseFunction.linear_anisotropic()
-    G = scatter_matrix(phase, quad)
+    G = scatter_matrix(PhaseFunction(args.phase, args.eta), quad)
     row_sums = G.sum(axis=1)
     m = m_bound(G)
     weight_sum = float(quad.weights.sum())
@@ -306,10 +291,8 @@ _COMMANDS = {
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except tuple(exc for exc, _, _ in ERROR_CODES) as err:
         for exc, name, code in ERROR_CODES:

@@ -125,6 +125,13 @@ def test_linear_phase_is_2d_only():
         PhaseFunction(kind="linear", dim=3)
 
 
+def test_linear_phase_takes_no_eta():
+    assert PhaseFunction("linear", 0.0) == PhaseFunction.linear_anisotropic()
+    for eta in (0.7, -0.2, float("nan")):
+        with pytest.raises(ValueError, match="eta"):
+            PhaseFunction("linear", eta)
+
+
 def test_hg_requires_subunit_eta():
     with pytest.raises(ValueError):
         PhaseFunction.henyey_greenstein(1.0)

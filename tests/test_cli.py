@@ -280,3 +280,36 @@ def test_config_file_bad_value(tmp_path, capsys):
         "convergence", "--case", "1", "--config", str(cfg), "--out", str(tmp_path),
     ])
     assert code == 2
+
+
+SMALL = ["--case", "1", "--levels", "1", "--n0", "2", "--n-dirs", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["quad-check"], "phase = foo\n"),
+        (["convergence", *SMALL], "level = 1\n"),
+        (["convergence", *SMALL], "dump_schedule = 3\n"),
+        (["compare", *SMALL, "--method", "dodg"], None),
+        (["quad-check", "--tol", "1e-3"], None),
+        (["convergence", "--case", "1", "--lev", "1", "--n0", "2", "--n-dirs", "4"], None),
+        (["quad-check", "--phase", "linear", "--eta", "0.7"], None),
+    ],
+    ids=[
+        "config phase foo", "config level", "config dump_schedule", "compare method",
+        "quad-check tol", "abbreviated flag", "linear phase eta",
+    ],
+)
+def test_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path, capsys, argv, config):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "usage" not in err
+    if config is not None:
+        assert err.startswith(f"error[config]: {cfg}: ")
+    assert not out.exists()  # nothing ran, no CSV written
