@@ -11,12 +11,14 @@ and 1 + (c/4) cos(theta); its nonzero boundary trace supplies the inflow data.
 
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
-jump on inflow edges; eh is their root-sum-square. The stability norm
-`triple_norm_stability` and the bilinear form `apply_ah` are made of the
-same pieces, so all three walk the faces the same way: one pass per
+jump on inflow edges; eh is their root-sum-square. They, the stability norm
+`triple_norm_stability` and the bilinear form `apply_ah` share one pass per
 direction (`_form_directions`: d = grad(phi) . omega and the edge weights
-|e| |omega . n| of inflow and outflow boundary edges) and one trace helper
-(`_edge_traces`: own and upwind traces on every local edge at once).
+|e| |omega . n|) and one edge-index table per call (`_edge_table`), which
+gathers the own and upwind endpoints of every local edge in one take. P1
+traces are linear, so a jump j integrates exactly as j^T EDGE_MASS_2 j; only
+the boundary edges of `error_norms`, against the exact solution, take the
+4-point trace rule.
 """
 
 import math
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, scatter_matrix, trapezoid_circle
-from .dg_core import TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
+from .dg_core import EDGE_MASS_2, TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
 from .errors import AssumptionError
 from .mesh import (
     BOUNDARY,
@@ -44,6 +46,7 @@ NORM_NAMES = ("e1", "e2", "e3", "e4", "eh")
 
 _ETA = {1: 0.2, 2: 0.5, 3: 0.9}
 _H_THETA = {1: math.pi / 10, 2: math.pi / 20, 3: math.pi / 30, 4: math.pi / 10}
+_N0 = 10  # default structured base grid, n0 x n0, of the studies and the CLI
 
 
 @dataclass(frozen=True)
@@ -199,8 +202,7 @@ class ErrorReport:
             raise ValueError("eh must be the root-sum-square of e1..e4")
 
 
-# The linear shapes 1 - t, t at the trace rule's points: a trace on an edge
-# is its two endpoint values @ _EDGE_SHAPE.
+# The shapes 1 - t, t at the trace rule's points: a trace is its endpoint values @ _EDGE_SHAPE.
 _EDGE_SHAPE = np.stack([1.0 - TRACE_T, TRACE_T])
 
 
@@ -231,14 +233,26 @@ def _check_solution(sol, mesh, quad):
         raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
 
 
-def _edge_traces(c, mesh, opp):
-    """Own and upwind traces (nt, 3, 4) of a P1 field c (nt, 3) at the trace rule's
-    points on every local edge; the upwind trace is zero across the boundary."""
-    nb = mesh.tri_neighbors
-    # endpoint values at t = 0, 1; the neighbour runs against the edge param
-    ends = np.stack([c, c[:, [1, 2, 0]], c[nb, (opp + 1) % 3], c[nb, opp]], axis=-1)
-    tr = (ends.reshape(-1, 2) @ _EDGE_SHAPE).reshape(*c.shape, 2, -1)
-    return tr[:, :, 0], np.where((nb != BOUNDARY)[..., None], tr[:, :, 1], 0.0)
+def _edge_table(mesh):
+    """Flat indices (4, nt, 3) into coeffs[l].ravel() of every local edge's own endpoints
+    at t = 0, 1, then its upwind neighbour's (0 across the boundary), and the interior mask."""
+    inner = mesh.tri_neighbors != BOUNDARY
+    own = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)
+    nbr = 3 * np.where(inner, mesh.tri_neighbors, 0)
+    opp = np.where(inner, opposite_local_edge(mesh), 0)
+    return np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp]), inner
+
+
+def _edge_ends(c, idx, inner):
+    """Own and upwind endpoint values (2, nt, 3) of a P1 field c (nt, 3) on every local
+    edge, from `_edge_table`; the upwind trace is zero across the boundary."""
+    ends = c.ravel().take(idx)
+    return ends[:2], np.where(inner, ends[2:], 0.0)
+
+
+def _edge_mass(a, b):
+    """Exact edge integrals a^T EDGE_MASS_2 b of products of linear traces, (2, nt, 3) each."""
+    return (a * np.tensordot(EDGE_MASS_2, b, 1)).sum(axis=0)
 
 
 def error_norms(
@@ -260,33 +274,33 @@ def error_norms(
     """
     _check_solution(sol, mesh, quad)
     bary, areaw, x, y = _volume_rule(mesh)
-    opp = opposite_local_edge(mesh)
+    table = _edge_table(mesh)
     bk, bs, bpts = boundary_points(mesh, TRACE_T)
     # u = a_l U: the spatial field once per mesh, scaled per direction
     u, grad = case.field(x, y)
+    ux, uy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
     u_b = case.field(bpts[..., 0], bpts[..., 1])[0]
     a = case.angular(quad.angles)[0]
     hw = mesh.tri_h[:, None] * areaw
 
     e = np.zeros(4)
     for l, wl, d, w_in, w_out in _form_directions(quad, mesh):
-        omega, cu = quad.directions[l], sol.coeffs[l]
-        du = a[l] * (grad[..., 0] * omega[0] + grad[..., 1] * omega[1])
+        (ox, oy), cu = a[l] * quad.directions[l], sol.coeffs[l]
+        du = ux * ox
+        du += uy * oy
         du -= np.einsum("ki,ki->k", d, cu)[:, None]
-        own, ref = _edge_traces(cu, mesh, opp)
-        ref[bk, bs] = a[l] * u_b
-        jump2 = (ref - own) ** 2 @ TRACE_W
-        r = a[l] * u - cu @ bary.T
+        own, up = _edge_ends(cu, *table)
+        jump2 = _edge_mass(up - own, up - own)
+        jump2[bk, bs] = (a[l] * u_b - own[:, bk, bs].T @ _EDGE_SHAPE) ** 2 @ TRACE_W
+        r = cu @ bary.T
+        r -= a[l] * u
         e += wl * np.array([
             np.einsum("kq,kq,kq->", areaw, r, r), (w_out * jump2).sum(),
             np.einsum("kq,kq,kq->", hw, du, du), (w_in * jump2).sum(),
         ])
 
-    e1, e2, e3, e4 = np.sqrt(e).tolist()
-    return ErrorReport(
-        e1=e1, e2=e2, e3=e3, e4=e4, eh=math.sqrt(e.sum()), h=mesh.h,
-        level=level, iterations=iterations, n_elems=mesh.n_triangles,
-    )
+    return ErrorReport(*np.sqrt(e).tolist(), eh=math.sqrt(e.sum()), h=mesh.h, level=level,
+                       iterations=iterations, n_elems=mesh.n_triangles)
 
 
 def _form_tables(problem, mesh, delta):
@@ -310,16 +324,16 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
     u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
     s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
-    opp = opposite_local_edge(mesh)
+    table = _edge_table(mesh)
     total = 0.0
     for l, wl, d, w_in, _ in _form_directions(u.quad, mesh):
         cu, cv = u.coeffs[l], v.coeffs[l]
         du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
         test = cv @ bary.T + (delta_k * (d * cv).sum(axis=1))[:, None]
         vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
-        u_own, u_up = _edge_traces(cu, mesh, opp)
-        v_own, _ = _edge_traces(cv, mesh, opp)
-        total += wl * (vol + ((w_in[..., None] * (u_own - u_up) * v_own) @ TRACE_W).sum())
+        u_own, u_up = _edge_ends(cu, *table)
+        v_own, _ = _edge_ends(cv, *table)
+        total += wl * (vol + (w_in * _edge_mass(u_own - u_up, v_own)).sum())
     return float(total)
 
 
@@ -331,14 +345,14 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
         )
     _check_solution(v, mesh, problem.quad)
     bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
-    opp = opposite_local_edge(mesh)
+    table = _edge_table(mesh)
     total = 0.0
     for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh):
         cv = v.coeffs[l]
         l2 = (areaw * (cv @ bary.T) ** 2).sum()
         grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
-        own, up = _edge_traces(cv, mesh, opp)
-        faces = ((w_in[..., None] * (own - up) ** 2 + w_out[..., None] * own**2) @ TRACE_W).sum()
+        own, up = _edge_ends(cv, *table)
+        faces = (w_in * _edge_mass(own - up, own - up) + w_out * _edge_mass(own, own)).sum()
         total += wl * (c0_prime * l2 + grad + faces)
     return float(np.sqrt(total))
 
@@ -380,7 +394,7 @@ def convergence_study(
     case: ManufacturedCase,
     levels: int,
     config: SolverConfig = None,
-    n0: int = 10,
+    n0: int = _N0,
     n_dirs: int = None,
     mesh0: TriangleMesh = None,
 ) -> ConvergenceTable:
@@ -427,7 +441,7 @@ def compare_methods(
     case: ManufacturedCase,
     levels: int,
     config: SolverConfig = None,
-    n0: int = 10,
+    n0: int = _N0,
     n_dirs: int = None,
     mesh0: TriangleMesh = None,
 ) -> MethodComparison:

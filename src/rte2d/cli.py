@@ -25,6 +25,7 @@ import sys
 import numpy as np
 
 from .analysis import (
+    _N0,
     case_problem,
     case_quadrature,
     compare_methods,
@@ -71,8 +72,9 @@ def _add_case(p):
     p.add_argument("--n-dirs", type=int, default=None, help="override case h_theta")
     p.add_argument("--eta", type=float, default=None, help="override case anisotropy")
     p.add_argument("--c-bar", type=float, default=1.0)
-    p.add_argument("--n0", type=int, default=10, help="initial structured grid size")
-    p.add_argument("--mesh", default=None, help="initial mesh file instead of --n0")
+    grid = p.add_mutually_exclusive_group()  # no defaults, or argparse misses --n0 10 --mesh
+    grid.add_argument("--n0", type=int, help=f"initial structured grid size (default: {_N0})")
+    grid.add_argument("--mesh", help="initial mesh file instead of --n0")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=1000)
 
@@ -178,8 +180,10 @@ def _config(args):
 
 
 def _mesh0(args):
-    """The --mesh file's mesh, or None for the structured --n0 grid."""
-    return None if args.mesh is None else load_mesh(args.mesh)
+    """The --mesh file's mesh, or the structured --n0 grid."""
+    if args.mesh is not None:
+        return load_mesh(args.mesh)
+    return build_structured_unit_square(_N0 if args.n0 is None else args.n0)
 
 
 def _cmd_solve(args):
@@ -191,7 +195,7 @@ def _cmd_solve(args):
     if l is not None and not 0 <= l < quad.n_directions:
         raise ValueError(f"--dump-schedule index {l} outside 0..{quad.n_directions - 1}")
     problem = case_problem(case, quad)
-    mesh = _mesh0(args) or build_structured_unit_square(args.n0)
+    mesh = _mesh0(args)
     for _ in range(args.level):
         mesh = refine_regular(mesh)
     sol, report = solve(problem, mesh, _config(args))
@@ -226,7 +230,7 @@ def _cmd_solve(args):
 def _cmd_convergence(args):
     case = make_case(args.case, eta=args.eta)
     table = convergence_study(
-        case, args.levels, _config(args), n0=args.n0, n_dirs=args.n_dirs, mesh0=_mesh0(args)
+        case, args.levels, _config(args), n_dirs=args.n_dirs, mesh0=_mesh0(args)
     )
     write_table(table, args.out)
     last = table.rows[-1]
@@ -245,7 +249,7 @@ def _cmd_convergence(args):
 def _cmd_compare(args):
     case = make_case(args.case, eta=args.eta)
     cmp = compare_methods(
-        case, args.levels, _config(args), n0=args.n0, n_dirs=args.n_dirs, mesh0=_mesh0(args)
+        case, args.levels, _config(args), n_dirs=args.n_dirs, mesh0=_mesh0(args)
     )
     write_table(cmp.dodsd, args.out, suffix="_dodsd")
     write_table(cmp.dodg, args.out, suffix="_dodg")

@@ -9,6 +9,7 @@ from rte2d import (
     ErrorReport,
     ManufacturedCase,
     PhaseFunction,
+    SolverConfig,
     build_structured_unit_square,
     case_problem,
     case_quadrature,
@@ -16,12 +17,13 @@ from rte2d import (
     error_norms,
     make_case,
     phase_eval,
+    refine_regular,
     solve,
     trapezoid_circle,
     triple_norm_stability,
 )
 from rte2d.analysis import NORM_NAMES, RATE_FLOOR, observed_rates
-from rte2d.mesh import EPS_N, omega_dot_n
+from rte2d.mesh import BOUNDARY, EPS_N, omega_dot_n
 from helpers import perturbed_mesh, project_exact, random_solution
 import oracle
 
@@ -258,7 +260,7 @@ def test_exact_grad_matches_central_differences(cid):
 
 def oracle_setting(name):
     """case, mesh and field of one comparison against the per-edge oracle."""
-    case = make_case(1 if name == "case1-perturbed" else 4)
+    case = make_case(1 if name.startswith("case1") else 4)
     quad = case_quadrature(case)
     if name == "case1-perturbed":
         mesh = perturbed_mesh(6, seed=3)
@@ -266,12 +268,23 @@ def oracle_setting(name):
     if name == "case4-solved":  # inflow data: the boundary parts of e2, e4 are nonzero
         mesh = perturbed_mesh(4, seed=8)
         return case, mesh, solve(case_problem(case, quad), mesh)[0]
+    if name == "case4-one-square":  # two elements, each with two boundary edges
+        mesh = build_structured_unit_square(1)
+        assert (mesh.tri_neighbors == BOUNDARY).any(axis=1).all()
+        return case, mesh, random_solution(mesh, quad, seed=4)
+    if name == "case1-dodg-refined":
+        mesh = refine_regular(perturbed_mesh(3, seed=6))
+        return case, mesh, solve(case_problem(case, quad), mesh, SolverConfig(method="dodg"))[0]
     mesh = build_structured_unit_square(5)  # axis directions meet tangential edges
     assert (abs(omega_dot_n(mesh, quad.directions)) <= EPS_N).any()
     return case, mesh, random_solution(mesh, quad, seed=2)
 
 
-@pytest.mark.parametrize("name", ["case1-perturbed", "case4-solved", "case4-structured"])
+@pytest.mark.parametrize(
+    "name",
+    ["case1-perturbed", "case4-solved", "case4-structured", "case4-one-square",
+     "case1-dodg-refined"],
+)
 def test_error_norms_match_per_edge_oracle(name):
     # the oracle loops over local edges with masks; the package uses one
     # reference trace per edge (upwind inside, exact on the boundary)

@@ -224,19 +224,20 @@ def test_exit_code_nan_eta(tmp_path, capsys):
     "what", ["missing mesh", "mesh is a directory", "missing config", "out is a file"]
 )
 def test_exit_code_unusable_path(tmp_path, capsys, what):
-    argv = ["solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--out", str(tmp_path / "out")]
+    argv = ["solve", "--case", "1", "--n-dirs", "4", "--out", str(tmp_path / "out")]
     if what == "missing mesh":
         argv += ["--mesh", str(tmp_path / "nowhere.mesh")]
     elif what == "mesh is a directory":
         argv += ["--mesh", str(tmp_path)]
     elif what == "missing config":
-        argv += ["--config", str(tmp_path / "nowhere.cfg")]
+        argv += ["--n0", "2", "--config", str(tmp_path / "nowhere.cfg")]
     else:
         (tmp_path / "taken").write_text("")
-        argv += ["--out", str(tmp_path / "taken")]
+        argv += ["--n0", "2", "--out", str(tmp_path / "taken")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error[config]: ") and "Traceback" not in err
+    assert "not allowed with" not in err  # the path, not the flags, was refused
 
 
 def test_config_file_flags_override(tmp_path):
@@ -295,15 +296,24 @@ SMALL = ["--case", "1", "--levels", "1", "--n0", "2", "--n-dirs", "4"]
         (["quad-check", "--tol", "1e-3"], None),
         (["convergence", "--case", "1", "--lev", "1", "--n0", "2", "--n-dirs", "4"], None),
         (["quad-check", "--phase", "linear", "--eta", "0.7"], None),
+        (["solve", "--case", "1", "--mesh", "MESH", "--n0", "7", "--n-dirs", "4"], None),
+        (["solve", "--case", "1", "--n-dirs", "4"], "mesh = MESH\nn0 = 10\n"),
+        (["convergence", *SMALL], "mesh = MESH\n"),
     ],
     ids=[
         "config phase foo", "config level", "config dump_schedule", "compare method",
         "quad-check tol", "abbreviated flag", "linear phase eta",
+        "mesh and n0", "config mesh and n0", "config mesh, flag n0",
     ],
 )
 def test_setting_the_subcommand_does_not_take_is_a_config_error(tmp_path, capsys, argv, config):
     out = tmp_path / "out"
+    # MESH names a readable mesh file, so only the setting itself can fail
+    mesh_file = tmp_path / "m2.mesh"
+    save_mesh(build_structured_unit_square(2), mesh_file)
+    argv = [str(mesh_file) if a == "MESH" else a for a in argv]
     if config is not None:
+        config = config.replace("MESH", str(mesh_file))
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         argv = [*argv, "--config", str(cfg)]

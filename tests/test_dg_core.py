@@ -11,6 +11,7 @@ from rte2d import (
     trapezoid_circle,
     triangle_rule,
 )
+from rte2d.dg_core import quad_points
 from helpers import perturbed_mesh, project_exact, unit_direction
 from oracle import LocalSystem, assemble_local, classify_edges, solve_local
 
@@ -35,6 +36,18 @@ def test_element_basis_matches_vandermonde_oracle():
         expect = gradient_oracle(mesh.vertices[mesh.triangles[k]])
         np.testing.assert_allclose(basis.grad[k], expect, atol=1e-12)
     np.testing.assert_allclose(basis.grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_quad_points_are_the_barycentric_sums(degree):
+    mesh = perturbed_mesh(5, seed=11)
+    rule = triangle_rule(degree)
+    pts = quad_points(mesh, rule)
+    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+    assert pts.shape == (mesh.n_triangles, len(rule.points), 2)
+    for q, b in enumerate(rule.points):
+        ref = b[0] * verts[:, 0] + b[1] * verts[:, 1] + b[2] * verts[:, 2]
+        np.testing.assert_allclose(pts[:, q], ref, rtol=0, atol=1e-15)
 
 
 def test_green_identity_per_element():
