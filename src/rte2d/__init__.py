@@ -29,7 +29,7 @@ from .angular import (
     scatter_matrix,
     trapezoid_circle,
 )
-from .dg_core import DGSolution, ElementBasis, element_basis
+from .dg_core import DGSolution, element_basis
 from .errors import (
     AssumptionError,
     MeshError,
@@ -38,16 +38,13 @@ from .errors import (
     SweepCycleError,
 )
 from .mesh import (
-    BOUNDARY,
     TriangleMesh,
     build_mesh,
     build_structured_unit_square,
     load_mesh,
-    opposite_local_edge,
     refine_regular,
     save_mesh,
 )
-from .quadrature import TriangleRule, edge_rule, triangle_rule
 from .solver import (
     SolveReport,
     SolverConfig,
@@ -71,11 +68,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AngularQuadrature",
     "AssumptionError",
-    "BOUNDARY",
     "ConvergenceTable",
     "DGSolution",
     "EPS_N",
-    "ElementBasis",
     "ErrorReport",
     "ManufacturedCase",
     "MeshError",
@@ -90,7 +85,6 @@ __all__ = [
     "SweepSchedule",
     "TransportProblem",
     "TriangleMesh",
-    "TriangleRule",
     "apply_ah",
     "build_kernel",
     "build_mesh",
@@ -102,14 +96,12 @@ __all__ = [
     "compare_methods",
     "convergence_study",
     "delta_value",
-    "edge_rule",
     "element_basis",
     "error_norms",
     "gauss_legendre_sphere",
     "load_mesh",
     "m_bound",
     "make_case",
-    "opposite_local_edge",
     "phase_eval",
     "refine_regular",
     "save_mesh",
@@ -117,7 +109,6 @@ __all__ = [
     "solve",
     "space_tables",
     "trapezoid_circle",
-    "triangle_rule",
     "triple_norm_stability",
     "weighted_norm",
 ]

@@ -216,7 +216,7 @@ def _volume_rule(mesh):
 def _form_directions(quad, mesh):
     """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
     of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
-    grad = element_basis(mesh).grad
+    grad = element_basis(mesh)
     elen = mesh.edge_length[mesh.tri_edges]
     boundary = mesh.tri_neighbors == BOUNDARY
     for l, (omega, dot) in enumerate(zip(quad.directions, omega_dot_n(mesh, quad.directions))):
@@ -303,15 +303,6 @@ def error_norms(
                        iterations=iterations, n_elems=mesh.n_triangles)
 
 
-def _form_tables(problem, mesh, delta):
-    """Degree-6 volume tables of the global forms: bary, weights, sigma_t, sigma_s, delta_K."""
-    bary, areaw, x, y = _volume_rule(mesh)
-    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
-    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
-    return bary, areaw, st, ss, delta_k
-
-
 def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     """Global bilinear form (volume + inflow jump - scattering); test use only.
 
@@ -321,7 +312,10 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     _check_solution(u, mesh, problem.quad)
     _check_solution(v, mesh, problem.quad)
     G = scatter_matrix(problem.phase, u.quad)
-    bary, areaw, st, ss, delta_k = _form_tables(problem, mesh, delta)
+    bary, areaw, x, y = _volume_rule(mesh)
+    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
+    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
+    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
     u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
     s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
     table = _edge_table(mesh)
@@ -344,7 +338,8 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
         )
     _check_solution(v, mesh, problem.quad)
-    bary, areaw, _, _, delta_k = _form_tables(problem, mesh, delta)
+    bary, areaw, _, _ = _volume_rule(mesh)
+    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
     table = _edge_table(mesh)
     total = 0.0
     for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh):

@@ -134,7 +134,10 @@ def _parse_args(argv):
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    tokens = _config_tokens(args.config)
+    try:
+        tokens = _config_tokens(args.config)
+    except UnicodeDecodeError as err:  # a ValueError without the file's path
+        raise ValueError(f"{args.config}: {err}") from err
     try:
         return parser.parse_args([args.command, *tokens, *argv[1:]])
     except ValueError as err:

@@ -15,15 +15,9 @@ from .mesh import TriangleMesh
 from .quadrature import TriangleRule, edge_rule
 
 
-@dataclass(frozen=True)
-class ElementBasis:
-    """Barycentric P1 basis: constant gradients per triangle."""
-
-    mesh: TriangleMesh
-    grad: np.ndarray  # (nt, 3, 2)
-
-
-def element_basis(mesh: TriangleMesh) -> ElementBasis:
+def element_basis(mesh: TriangleMesh) -> np.ndarray:
+    """Barycentric P1 basis: the constant gradients (nt, 3, 2) of the three
+    basis functions on every triangle."""
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
@@ -32,7 +26,7 @@ def element_basis(mesh: TriangleMesh) -> ElementBasis:
     grad[:, 1] = np.column_stack([e2[:, 1], -e2[:, 0]]) / two_a
     grad[:, 2] = np.column_stack([-e1[:, 1], e1[:, 0]]) / two_a
     grad[:, 0] = -grad[:, 1] - grad[:, 2]
-    return ElementBasis(mesh=mesh, grad=grad)
+    return grad
 
 
 def quad_points(mesh: TriangleMesh, rule: TriangleRule):

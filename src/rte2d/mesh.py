@@ -39,7 +39,6 @@ class TriangleMesh:
     edge_normal: np.ndarray  # (ne, 2) unit, outward from edge_left
     edge_length: np.ndarray  # (ne,)
     h: float
-    level: int = 0
 
     @property
     def n_vertices(self):
@@ -53,10 +52,6 @@ class TriangleMesh:
     def n_edges(self):
         return self.edge_vertices.shape[0]
 
-    @property
-    def boundary_edges(self):
-        return np.flatnonzero(self.edge_right == BOUNDARY)
-
     def total_area(self):
         return float(self.tri_area.sum())
 
@@ -67,7 +62,7 @@ def _freeze(a):
     return a
 
 
-def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
+def build_mesh(vertices, triangles) -> TriangleMesh:
     """Assemble the full mesh structure from vertices and triangle cells.
 
     Checks, in order: array shapes, at least one triangle, finite
@@ -158,7 +153,6 @@ def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
         edge_normal=_freeze(edge_normal),
         edge_length=_freeze(edge_length),
         h=float(edge_length.max()),
-        level=level,
     )
 
 
@@ -175,7 +169,7 @@ def build_structured_unit_square(n: int) -> TriangleMesh:
     ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     lr, ur, ul = ll + 1, ll + n + 2, ll + n + 1
     tris = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
-    mesh = build_mesh(vertices, tris, level=0)
+    mesh = build_mesh(vertices, tris)
     if abs(mesh.total_area() - 1.0) > 1e-10:
         raise MeshError("structured mesh does not tile the unit square")
     return mesh
@@ -203,7 +197,7 @@ def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     children[:, 2] = np.column_stack([mca, mbc, c])
     children[:, 3] = np.column_stack([mab, mbc, mca])
 
-    fine = build_mesh(vertices, children.reshape(-1, 3), level=mesh.level + 1)
+    fine = build_mesh(vertices, children.reshape(-1, 3))
     if abs(fine.total_area() - mesh.total_area()) > 1e-10 * mesh.total_area():
         raise MeshError("refinement changed the total area")
     return fine
@@ -259,18 +253,19 @@ def save_mesh(mesh: TriangleMesh, path):
 
 def load_mesh(path) -> TriangleMesh:
     """Read the plain-text format written by `save_mesh`; MeshError for a
-    missing header, a wrong token count or a token that is not a number."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise MeshError(f"{path}: missing header")
+    non-ASCII byte, a missing header, a wrong token count or a token that
+    is not a number."""
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+        if len(tokens) < 2:
+            raise MeshError(f"{path}: missing header")
         nv, nt = int(tokens[0]), int(tokens[1])
         need = 2 + 2 * nv + 3 * nt
         if len(tokens) != need:
             raise MeshError(f"{path}: expected {need} tokens, found {len(tokens)}")
         vertices = np.array(tokens[2 : 2 + 2 * nv], dtype=float).reshape(nv, 2)
         triangles = np.array(tokens[2 + 2 * nv :], dtype=np.int64).reshape(nt, 3)
-    except ValueError as err:  # a token that is not a number, or counts that do not fit
+    except ValueError as err:  # a non-ASCII byte, a token that is not a number, or bad counts
         raise MeshError(f"{path}: {err}") from err
     return build_mesh(vertices, triangles)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
-from .dg_core import TRACE_T, DGSolution, element_basis
+from .dg_core import TRACE_T, DGSolution
 from .errors import AssumptionError, NonConvergenceError
 from .mesh import EPS_N, TriangleMesh, boundary_points
 from .sweep import build_kernel, build_schedules, space_tables
@@ -69,7 +69,6 @@ class SolverConfig:
 class SolveReport:
     iterations: int
     residual_history: tuple
-    converged: bool
     delta_used: float
 
 
@@ -117,8 +116,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     quad = problem.quad
     nl = quad.n_directions
     nt = mesh.n_triangles
-    basis = element_basis(mesh)
-    tables = space_tables(mesh, problem.sigma_t, basis=basis)
+    tables = space_tables(mesh, problem.sigma_t)
     pts = tables.points
     px, py = pts[..., 0], pts[..., 1]
 
@@ -183,17 +181,10 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
                 f"source iteration produced a non-finite iterate at iteration {j}",
                 residual_history=tuple(history),
             )
-        if not scattering:
-            break  # the directions decouple and one sweep is exact
-        if den == 0.0:
-            if num == 0.0:
-                break
-            history.append(np.inf)
-            continue
-        r = num / den
-        if r == 0.0:
-            # exact fixed point; a zero entry would break the history's
-            # positivity so the residual is not recorded
+        r = num / den if den else (math.inf if num else 0.0)
+        if not scattering or r == 0.0:
+            # without scattering the directions decouple and one sweep is exact;
+            # r = 0 is an exact fixed point, kept out of the positive history
             break
         history.append(r)
         if r <= config.tol:
@@ -204,10 +195,5 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             f"(last residual {history[-1]:.3e})",
             residual_history=tuple(history),
         )
-    report = SolveReport(
-        iterations=j,
-        residual_history=tuple(history),
-        converged=True,
-        delta_used=float(delta),
-    )
+    report = SolveReport(iterations=j, residual_history=tuple(history), delta_used=float(delta))
     return DGSolution(np.ascontiguousarray(np.moveaxis(u, 0, -1)), mesh, quad), report

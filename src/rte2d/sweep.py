@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dg_core import (
-    EDGE_MASS_2, TRACE_T, TRACE_W, ElementBasis, check_nonsingular, element_basis, quad_points,
+    EDGE_MASS_2, TRACE_T, TRACE_W, check_nonsingular, element_basis, quad_points,
 )
 from .errors import SweepCycleError
 from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
@@ -107,7 +107,7 @@ class SpaceTables:
     """Direction-independent element data shared by all kernels on a mesh."""
 
     mesh: TriangleMesh
-    basis: ElementBasis
+    grad: np.ndarray  # (nt, 3, 2) basis gradients
     rule: TriangleRule
     points: np.ndarray  # (nt, nq, 2) physical quadrature points
     areaw: np.ndarray  # (nt, nq) area-scaled weights
@@ -115,17 +115,16 @@ class SpaceTables:
     opp_local: np.ndarray  # (nt, 3)
 
 
-def space_tables(mesh: TriangleMesh, sigma_t, basis: ElementBasis = None) -> SpaceTables:
-    """Degree-4 volume tables of the sweep kernels, sigma_t sampled."""
-    if basis is None:
-        basis = element_basis(mesh)
+def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> SpaceTables:
+    """Degree-4 volume tables of the sweep kernels, sigma_t sampled; basis
+    is the element_basis gradients, built here if None."""
     rule = triangle_rule(4)
     pts = quad_points(mesh, rule)
     st = np.asarray(sigma_t(pts[..., 0], pts[..., 1]), dtype=float)
     st = np.broadcast_to(st, pts.shape[:2])
     return SpaceTables(
         mesh=mesh,
-        basis=basis,
+        grad=element_basis(mesh) if basis is None else basis,
         rule=rule,
         points=pts,
         areaw=mesh.tri_area[:, None] * rule.weights[None, :],
@@ -347,7 +346,7 @@ def build_kernel(
     b0 = np.empty((3, n))
     fold = np.empty((3, 4, n))
     nbr = np.empty((4, n), dtype=np.int32)
-    grad = tables.basis.grad
+    grad = tables.grad
     gx, gy = grad.transpose(2, 1, 0).copy()  # (3, nt) each
     # row 2s + c: plane offset of the upwind neighbour's coefficient c on edge s
     coef_off = ((tables.opp_local.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)

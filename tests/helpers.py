@@ -4,8 +4,9 @@ import csv
 
 import numpy as np
 
-from rte2d import DGSolution, build_mesh, build_structured_unit_square, triangle_rule
+from rte2d import DGSolution, build_mesh, build_structured_unit_square
 from rte2d.dg_core import quad_points
+from rte2d.quadrature import triangle_rule
 
 
 def perturbed_mesh(n, seed=0, amp=0.25):
@@ -23,7 +24,7 @@ def perturbed_mesh(n, seed=0, amp=0.25):
         & (verts[:, 1] < 1 - 1e-12)
     )
     verts[inner] += rng.uniform(-amp / n, amp / n, size=(inner.sum(), 2))
-    return build_mesh(verts, np.asarray(base.triangles), level=base.level)
+    return build_mesh(verts, np.asarray(base.triangles))
 
 
 def random_solution(mesh, quad, seed=0, scale=1.0):

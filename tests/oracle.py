@@ -29,24 +29,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from rte2d import (
-    BOUNDARY,
     EPS_N,
     AngularQuadrature,
     DGSolution,
-    ElementBasis,
     ErrorReport,
     ManufacturedCase,
     MeshError,
     StabilityError,
     TriangleMesh,
-    TriangleRule,
-    edge_rule,
     element_basis,
-    opposite_local_edge,
-    triangle_rule,
 )
 from rte2d.dg_core import EDGE_MASS_2, check_nonsingular
-from rte2d.mesh import _freeze
+from rte2d.mesh import BOUNDARY, _freeze, opposite_local_edge
+from rte2d.quadrature import TriangleRule, edge_rule, triangle_rule
 from rte2d.sweep import SweepSchedule
 
 
@@ -101,7 +96,7 @@ class LocalSystem:
 
 def assemble_local(
     mesh: TriangleMesh,
-    basis: ElementBasis,
+    basis: np.ndarray,
     k: int,
     omega,
     delta: float,
@@ -130,7 +125,7 @@ def assemble_local(
     xq = bary @ mesh.vertices[mesh.triangles[k]]  # (nq, 2)
     st = np.asarray(sigma_t(xq[:, 0], xq[:, 1]), dtype=float)
     st = np.broadcast_to(st, (bary.shape[0],))
-    d = basis.grad[k] @ omega  # (3,) omega . grad(phi_j)
+    d = basis[k] @ omega  # (3,) omega . grad(phi_j)
 
     test = bary + delta * d[None, :]  # (nq, 3) phi_i + delta omega.grad(phi_i)
     trial = d[None, :] + st[:, None] * bary  # (nq, 3)
@@ -191,7 +186,7 @@ def sweep_direction(
     source_l,
     inflow_data,
     out=None,
-    basis: ElementBasis = None,
+    basis: np.ndarray = None,
     tri_rule: TriangleRule = None,
     edge_npts: int = 3,
 ):
@@ -211,7 +206,7 @@ def sweep_direction(
     delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
 
     def neighbor_trace(n):
-        grad = basis.grad[n]
+        grad = basis[n]
         p0 = mesh.vertices[mesh.triangles[n, 0]]
         cn = out[n]
 
@@ -263,12 +258,12 @@ def sweep_direction(
     return out
 
 
-def _locate(mesh: TriangleMesh, basis: ElementBasis, x, y):
+def _locate(mesh: TriangleMesh, basis: np.ndarray, x, y):
     """Containing element and barycentric coords for scattered points."""
     pts = np.stack([np.ravel(x), np.ravel(y)], axis=-1)
     p0 = mesh.vertices[mesh.triangles[:, 0]]
     disp = pts[None, :, :] - p0[:, None, :]
-    lam12 = np.einsum("knt,kjt->knj", disp, basis.grad[:, 1:])
+    lam12 = np.einsum("knt,kjt->knj", disp, basis[:, 1:])
     lam = np.concatenate([1.0 - lam12.sum(axis=2, keepdims=True), lam12], axis=2)
     k = lam.min(axis=2).argmax(axis=0)
     lam = lam[k, np.arange(pts.shape[0])]
@@ -342,7 +337,7 @@ def error_norms(
 
         grad = case.exact_grad(pts[..., 0], pts[..., 1], theta)
         du = grad[..., 0] * omega[0] + grad[..., 1] * omega[1]
-        duh = ((basis.grad @ omega) * cu).sum(axis=1)
+        duh = ((basis @ omega) * cu).sum(axis=1)
         e3 += wl * float(
             (mesh.tri_h[:, None] * areaw * (du - duh[:, None]) ** 2).sum()
         )
@@ -401,7 +396,7 @@ def error_norms(
     )
 
 
-def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
+def build_mesh(vertices, triangles) -> TriangleMesh:
     """The edge table by `np.unique(axis=0)` of the sorted vertex pairs.
 
     Validates counterclockwise orientation, conformity (each edge shared by
@@ -482,5 +477,4 @@ def build_mesh(vertices, triangles, level=0) -> TriangleMesh:
         edge_normal=_freeze(edge_normal),
         edge_length=_freeze(edge_length),
         h=float(edge_length.max()),
-        level=level,
     )

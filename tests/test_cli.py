@@ -168,6 +168,15 @@ def test_exit_code_mesh_token_not_a_number(tmp_path, capsys):
     assert f"error[mesh]: {mesh_file}: could not convert string to float: 'zero'" in err
 
 
+def test_exit_code_mesh_non_ascii_byte(tmp_path, capsys):
+    mesh_file = tmp_path / "bad.mesh"
+    mesh_file.write_bytes("3 1\n0 0\n1 0\n0 1\n0 1 2  # coin supérieur\n".encode("utf-8"))
+    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
+    assert code == 7
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[mesh]: {mesh_file}: 'ascii' codec can't decode byte 0xc3")
+
+
 def test_exit_code_infinite_tol(tmp_path, capsys):
     code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--tol", "inf")
     assert code == 2
@@ -281,6 +290,26 @@ def test_config_file_bad_value(tmp_path, capsys):
         "convergence", "--case", "1", "--config", str(cfg), "--out", str(tmp_path),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"n0 = 4\nlevels 2\n", ":2: expected key=value, got 'levels 2'"),
+        ("n0 = 4  # café\n".encode("utf-8"), ": 'ascii' codec can't decode byte 0xc3"),
+    ],
+    ids=["no equals sign", "non-ascii byte"],
+)
+def test_config_file_error_names_the_file_once(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    code = main([
+        "convergence", "--case", "1", "--config", str(cfg), "--out", str(tmp_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {cfg}{message}")
+    assert err.count(str(cfg)) == 1
 
 
 SMALL = ["--case", "1", "--levels", "1", "--n0", "2", "--n-dirs", "4"]

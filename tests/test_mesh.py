@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rte2d import (
-    BOUNDARY,
     MeshError,
     build_mesh,
     build_structured_unit_square,
     load_mesh,
-    opposite_local_edge,
     refine_regular,
     save_mesh,
 )
-from rte2d.mesh import TriangleMesh, omega_dot_n
+from rte2d.mesh import BOUNDARY, TriangleMesh, omega_dot_n, opposite_local_edge
 import oracle
 from helpers import perturbed_mesh, unit_direction
 from oracle import classify_edges
@@ -32,7 +30,7 @@ def test_structured_counts_n10():
     assert mesh.n_vertices == 121
     assert mesh.n_triangles == 200
     assert mesh.n_edges == 320
-    assert mesh.boundary_edges.size == 40
+    assert (mesh.edge_right == BOUNDARY).sum() == 40
     assert mesh.total_area() == pytest.approx(1.0, abs=1e-12)
     assert mesh.h == pytest.approx(math.sqrt(2.0) / 10.0, abs=1e-14)
 
@@ -104,7 +102,7 @@ def test_build_mesh_matches_unique_reference(kind):
         meshes = [build_mesh(base.vertices, tris)]
         meshes.append(refine_regular(meshes[0]))
     for mesh in meshes:
-        assert_same_mesh(mesh, oracle.build_mesh(mesh.vertices, mesh.triangles, level=mesh.level))
+        assert_same_mesh(mesh, oracle.build_mesh(mesh.vertices, mesh.triangles))
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -206,7 +204,6 @@ def test_refinement_quarters_elements_and_halves_h():
     assert fine.n_triangles == 4 * mesh.n_triangles
     assert fine.h == pytest.approx(mesh.h / 2.0, rel=1e-14)
     assert fine.total_area() == pytest.approx(mesh.total_area(), abs=1e-12)
-    assert fine.level == mesh.level + 1
     # nested: the parent vertices lead the child vertex array unchanged
     np.testing.assert_array_equal(fine.vertices[: mesh.n_vertices], mesh.vertices)
 
@@ -310,4 +307,11 @@ def test_load_mesh_names_the_file_for_a_token_that_is_not_a_number(tmp_path, tex
     p = tmp_path / "bad.txt"
     p.write_text(text)
     with pytest.raises(MeshError, match=f"^{re.escape(str(p))}: .*'{re.escape(token)}'$"):
+        load_mesh(p)
+
+
+def test_load_mesh_names_the_file_for_a_non_ascii_byte(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes("3 1\n0 0\n1 0\n0 1\n0 1 2  # coin supérieur\n".encode("utf-8"))
+    with pytest.raises(MeshError, match=f"^{re.escape(str(p))}: 'ascii' codec can't decode byte 0xc3"):
         load_mesh(p)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rte2d import edge_rule, triangle_rule
+from rte2d.quadrature import edge_rule, triangle_rule
 
 
 def exact_bary(a, b, c):

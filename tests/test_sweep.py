@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rte2d import (
-    BOUNDARY,
     PhaseFunction,
     StabilityError,
     SweepCycleError,
@@ -19,8 +18,9 @@ from rte2d import (
     scatter_matrix,
     space_tables,
     trapezoid_circle,
-    triangle_rule,
 )
+from rte2d.mesh import BOUNDARY
+from rte2d.quadrature import triangle_rule
 from rte2d.sweep import _UPWIND_PICK, inverse_3x3, upwind_pattern
 from helpers import perturbed_mesh, random_solution, unit_direction
 from oracle import NO_UPWIND, classify_edges, scattering_source, sweep_direction, upwind_map
