@@ -1,4 +1,6 @@
-"""Exception types shared across the solver."""
+"""Exception types shared across the solver, and the finiteness check of sampled data."""
+
+import numpy as np
 
 
 class MeshError(Exception):
@@ -31,4 +33,14 @@ class NonConvergenceError(Exception):
 
 
 class AssumptionError(Exception):
-    """A coercivity assumption on the cross sections is violated."""
+    """A hypothesis on the data is violated: coercive cross sections, or finite samples."""
+
+
+def require_finite(name, vals, pts):
+    """AssumptionError naming the quantity if a sample vals (at pts) is not finite."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x, y = pts[np.unravel_index(np.argmax(bad), bad.shape)]
+        raise AssumptionError(
+            f"{name} has {int(bad.sum())} non-finite samples, the first at ({x:.6g}, {y:.6g})"
+        )

@@ -69,9 +69,11 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     coordinates, vertex ids in 0..nv-1, no duplicate triangle (in any vertex
     order), no repeated id within a triangle, counterclockwise orientation
     with positive area, conformity (each edge shared by at most two
-    triangles, with opposite orientations), and nonzero edge lengths. Edges
-    are numbered in the lexicographic order of their (min, max) vertex ids,
-    independent of the order of the triangles.
+    triangles, with opposite orientations), nonzero edge lengths, and no
+    hanging node: no boundary edge with an endpoint of a collinear boundary
+    edge strictly inside it. Edges are numbered in the lexicographic order
+    of their (min, max) vertex ids, independent of the order of the
+    triangles.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -94,12 +96,12 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     if (rows[:, :-1] == rows[:, 1:]).any():
         raise MeshError("triangle with repeated vertex ids")
 
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
-    e1 = p1 - p0
-    e2 = p2 - p0
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    # vertices as x + iy: gathers of one complex are several times faster than of rows
+    z = np.ascontiguousarray(vertices).view(complex)[:, 0]
+    p = z[triangles]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    area = 0.5 * (e1.real * e2.imag - e1.imag * e2.real)
     if (area <= 0).any():
         bad = int(np.argmax(area <= 0))
         raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {area[bad]:g})")
@@ -109,9 +111,10 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     key = np.minimum(*pairs.T) * nv + np.maximum(*pairs.T)
     order = np.argsort(key, kind="stable")
-    run_start = np.diff(key[order], prepend=-1) != 0
+    sorted_key = key[order]
+    run_start = np.concatenate(([True], sorted_key[1:] != sorted_key[:-1]))
     starts = np.flatnonzero(run_start)
-    counts = np.diff(starts, append=key.size)
+    counts = np.concatenate((starts[1:], [key.size])) - starts
     if (counts > 2).any():
         raise MeshError("nonconforming mesh: an edge is shared by more than two triangles")
     first = order[starts]
@@ -131,13 +134,15 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
         tri_edge_sign == 1, edge_right[tri_edges], edge_left[tri_edges]
     )
 
-    tvec = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
-    edge_length = np.hypot(tvec[:, 0], tvec[:, 1])
+    tvec = z[edge_vertices[:, 1]] - z[edge_vertices[:, 0]]
+    edge_length = np.hypot(tvec.real, tvec.imag)
     if (edge_length <= 0).any():
         raise MeshError("zero-length edge")
-    edge_normal = np.column_stack([tvec[:, 1], -tvec[:, 0]]) / edge_length[:, None]
+    edge_normal = np.column_stack([tvec.imag, -tvec.real]) / edge_length[:, None]
 
     tri_h = edge_length[tri_edges].max(axis=1)
+
+    _reject_hanging_nodes(z, edge_vertices[~interior])
 
     return TriangleMesh(
         vertices=_freeze(vertices),
@@ -154,6 +159,47 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
         edge_length=_freeze(edge_length),
         h=float(edge_length.max()),
     )
+
+
+# Line angles are keyed in steps of 1e-9 rad; the step at pi is the step at 0.
+_WRAP = np.rint(np.pi * 1e9) - 0.5
+
+
+def _reject_hanging_nodes(z, bv):
+    """MeshError naming a vertex that lies inside a boundary edge, and the edge.
+
+    z holds the vertices as x + iy and bv the boundary edges' vertex ids.
+    The coarse side of a hanging node has a boundary edge through it, and
+    the fine side boundary edges along the same line that end at it. Each
+    boundary edge gets a line key, its angle mod pi and its offset rounded
+    to a tolerance, and an interval along the line. Sorted by key and
+    interval, a hanging node makes some edge overlap the one before it; one
+    of the two then has an endpoint inside the other. Edges that coincide
+    end to end, as on a slit, have none and are left alone. O(nb log nb)
+    in the nb boundary edges.
+    """
+    zb = z[bv]  # (nb, 2) endpoints
+    d = zb[:, 1] - zb[:, 0]
+    a9 = np.arctan2(d.imag, d.real) % np.pi * 1e9
+    # an edge and its reverse, at either side of 0 mod pi, get one key and one w
+    a9[a9 >= _WRAP] -= np.pi * 1e9
+    w = zb * np.exp(-1e-9j * a9)[:, None]  # along the line + i across it
+    tol = 1e-10 * abs(zb).max()
+    t = np.sort(w.real, axis=1)
+    line = np.rint(a9) + 1j * np.rint(w[:, 0].imag / tol)
+    o = np.lexsort((t[:, 1], t[:, 0], line.imag, line.real))
+    ls, ts = line[o], t[o]
+    overlap = (ls[1:] == ls[:-1]) & (ts[1:, 0] < ts[:-1, 1] - tol)
+    for i in np.flatnonzero(overlap):
+        for e, f in ((o[i], o[i + 1]), (o[i + 1], o[i])):
+            inside = (w[f].real > t[e, 0] + tol) & (w[f].real < t[e, 1] - tol)
+            if inside.any():
+                v = bv[f, inside.argmax()]
+                x, y = z[v].real, z[v].imag
+                raise MeshError(
+                    f"nonconforming mesh: vertex {v} at ({x:.6g}, {y:.6g}) lies inside "
+                    f"boundary edge {bv[e, 0]}-{bv[e, 1]} (a hanging node)"
+                )
 
 
 def build_structured_unit_square(n: int) -> TriangleMesh:

@@ -6,11 +6,13 @@ transport equation is swept with source
     sigma_s(x) * sum_i G[l, i] * u^{i, j-1}(x) + f_l(x)
 
 and the loop stops once the relative weighted-L2 update drops below tol.
-The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}. Each
-sweep is one `SweepKernel.run_scattered` over all directions. The iterate
-is kept as coefficient planes (3, L+1, nt), the layout the sweep kernel
-works in, and transposed once into the (L+1, nt, 3) `DGSolution`; the
-global forms and error norms that measure the result live in `analysis`.
+The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}.
+`solve` checks and samples the data and builds the sweep kernel; `iterate`
+runs the loop, one `SweepKernel.run_scattered` over all directions per
+sweep. The iterate is kept as coefficient planes (3, L+1, nt), the layout
+the sweep kernel works in, and transposed once into the (L+1, nt, 3)
+`DGSolution`; the global forms and error norms that measure the result
+live in `analysis`.
 """
 
 import math
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
-from .dg_core import TRACE_T, DGSolution
-from .errors import AssumptionError, NonConvergenceError
-from .mesh import EPS_N, TriangleMesh, boundary_points
+from .dg_core import DGSolution
+from .errors import AssumptionError, NonConvergenceError, require_finite
+from .mesh import TriangleMesh
 from .sweep import build_kernel, build_schedules, space_tables
 
 
@@ -90,52 +92,31 @@ def weighted_norm(coeffs, quad_weights, tri_area) -> float:
     return float(np.sqrt(quad_weights @ (q @ (tri_area / 12.0))))
 
 
-def _require_finite(name, vals, pts):
-    """AssumptionError naming the quantity if a sample vals (at pts) is not finite."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        x, y = pts[np.unravel_index(np.argmax(bad), bad.shape)]
-        raise AssumptionError(
-            f"{name} has {int(bad.sum())} non-finite samples, the first at ({x:.6g}, {y:.6g})"
-        )
-
-
 def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = None):
     """Run source iteration to convergence; returns (DGSolution, SolveReport).
 
     Raises NonConvergenceError when max_iter is hit or an iterate is not
     finite (the residual history is attached), AssumptionError before any
-    set-up when a sample of sigma_t, sigma_s, f or the inflow data is not
-    finite, or the sampled coefficients violate sigma_s >= 0, sigma_t -
-    sigma_s > 0 or, with scattering, the discrete coercivity c0' =
-    min(sigma_t - m sigma_s) > 0, m being the row-sum bound of the scatter
-    matrix.
+    set-up when a sample of sigma_t, sigma_s or f is not finite, or the
+    sampled coefficients violate sigma_s >= 0, sigma_t - sigma_s > 0 or,
+    with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
+    > 0, m being the row-sum bound of the scatter matrix, and before the
+    iteration when a sample of the inflow data is not finite.
     """
     if config is None:
         config = SolverConfig()
     quad = problem.quad
     nl = quad.n_directions
-    nt = mesh.n_triangles
     tables = space_tables(mesh, problem.sigma_t)
     pts = tables.points
     px, py = pts[..., 0], pts[..., 1]
 
     ss = np.broadcast_to(np.asarray(problem.sigma_s(px, py), dtype=float), px.shape)
     f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
-    _require_finite("sigma_t", tables.sigma_t, pts)
-    _require_finite("sigma_s", ss, pts)
+    require_finite("sigma_t", tables.sigma_t, pts)
+    require_finite("sigma_s", ss, pts)
     for l in range(nl):
-        _require_finite(f"f (direction {l})", f_vals[l], pts)
-    g = problem.inflow
-    if g is not None:
-        # the inflow boundary points the kernel samples g at
-        bk, bs, bpts = boundary_points(mesh, TRACE_T)
-        bn, bsign = mesh.edge_normal[mesh.tri_edges[bk, bs]], mesh.tri_edge_sign[bk, bs]
-        for l, (ox, oy) in enumerate(quad.directions):
-            # omega_dot_n's elementwise formula, so the set is the schedules' inflow set
-            bp = bpts[(bn[:, 0] * ox + bn[:, 1] * oy) * bsign < -EPS_N]
-            gl = np.asarray(g(bp[..., 0], bp[..., 1], l), dtype=float)
-            _require_finite(f"inflow data (direction {l})", np.broadcast_to(gl, bp.shape[:2]), bp)
+        require_finite(f"f (direction {l})", f_vals[l], pts)
     if (ss < 0).any():
         raise AssumptionError("sigma_s must be nonnegative")
     gap = float((tables.sigma_t - ss).min())
@@ -156,24 +137,39 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             )
 
     delta = delta_value(config, mesh)
-    schedules = build_schedules(mesh, quad.directions)
-    inflow = None if g is None else [lambda x, y, l=l: g(x, y, l) for l in range(nl)]
     kernel = build_kernel(
-        tables, schedules, delta, f_vals=f_vals, inflow_data=inflow,
-        scatter_w=tables.areaw * ss if scattering else None,
+        tables, build_schedules(mesh, quad.directions), delta, f_vals=f_vals,
+        inflow_data=problem.inflow, scatter_w=tables.areaw * ss if scattering else None,
     )
-    del schedules, f_vals  # the kernel keeps neither; they would live through the iteration
+    del f_vals  # the kernel keeps no sample; they would live through the iteration
+    if scattering:
+        planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
+        coeffs = np.moveaxis(planes, 0, -1)
+    else:  # the directions decouple, and one sweep is exact
+        coeffs, history, sweeps = kernel.run(), (), 1
+        if not math.isfinite(weighted_norm(coeffs, quad.weights, mesh.tri_area)):
+            msg = "source iteration produced a non-finite iterate at iteration 1"
+            raise NonConvergenceError(msg, residual_history=(math.nan,))
+    report = SolveReport(iterations=sweeps, residual_history=history, delta_used=float(delta))
+    return DGSolution(np.ascontiguousarray(coeffs), mesh, quad), report
 
-    # the iterate stays in coefficient planes (3, nl, nt): G acts on each plane
-    u = np.zeros((3, nl, nt))
+
+def iterate(kernel, G, weights, area, config: SolverConfig):
+    """Source iteration u_j = kernel.run_scattered(G @ u_{j-1}) from u_0 = 0.
+
+    The iterate is kept as coefficient planes (3, nl, nt). Each sweep's
+    relative update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for
+    x/0) is recorded, unless it is 0, an exact fixed point, and the loop
+    stops once r <= config.tol. Returns (planes, residual history, sweeps);
+    NonConvergenceError with the history at config.max_iter sweeps or at a
+    non-finite iterate.
+    """
+    u = np.zeros((3, len(weights), len(area)))
     history = []
     for j in range(1, config.max_iter + 1):
-        if scattering:
-            new = kernel.run_scattered(np.matmul(G, u))
-        else:
-            new = np.moveaxis(kernel.run(), -1, 0)
-        num = weighted_norm(np.moveaxis(new - u, 0, -1), quad.weights, mesh.tri_area)
-        den = weighted_norm(np.moveaxis(new, 0, -1), quad.weights, mesh.tri_area)
+        new = kernel.run_scattered(np.matmul(G, u))
+        num = weighted_norm(np.moveaxis(new - u, 0, -1), weights, area)
+        den = weighted_norm(np.moveaxis(new, 0, -1), weights, area)
         u = new
         if not (np.isfinite(num) and np.isfinite(den)):
             history.append(float("nan"))
@@ -182,9 +178,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
                 residual_history=tuple(history),
             )
         r = num / den if den else (math.inf if num else 0.0)
-        if not scattering or r == 0.0:
-            # without scattering the directions decouple and one sweep is exact;
-            # r = 0 is an exact fixed point, kept out of the positive history
+        if r == 0.0:
             break
         history.append(r)
         if r <= config.tol:
@@ -195,5 +189,4 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             f"(last residual {history[-1]:.3e})",
             residual_history=tuple(history),
         )
-    report = SolveReport(iterations=j, residual_history=tuple(history), delta_used=float(delta))
-    return DGSolution(np.ascontiguousarray(np.moveaxis(u, 0, -1)), mesh, quad), report
+    return u, tuple(history), j

@@ -14,7 +14,7 @@ import numpy as np
 from .dg_core import (
     EDGE_MASS_2, TRACE_T, TRACE_W, check_nonsingular, element_basis, quad_points,
 )
-from .errors import SweepCycleError
+from .errors import SweepCycleError, require_finite
 from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
 from .quadrature import TriangleRule, triangle_rule
 
@@ -270,16 +270,17 @@ def upwind_pattern(live: np.ndarray, direction=None) -> np.ndarray:
     return pattern
 
 
-def _inflow_rhs(tables, schedule, inflow_data, elen, bnd):
-    """Inflow boundary data against the local basis on inflow boundary edges (nt, 3)."""
+def _inflow_rhs(tables, schedule, inflow_data, l, elen, bnd):
+    """Inflow data g(x, y, l) against the local basis on inflow boundary edges (nt, 3)."""
     bk, bs, bpts = bnd  # boundary_points(mesh, TRACE_T)
     inflow = schedule.inflow[bk, bs]
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
     fixed = np.zeros((tables.mesh.n_triangles, 3))
     if ks.size:
         tq, tw = TRACE_T, TRACE_W
-        g = np.asarray(inflow_data(pts[..., 0], pts[..., 1]), dtype=float)
+        g = np.asarray(inflow_data(pts[..., 0], pts[..., 1], l), dtype=float)
         g = np.broadcast_to(g, pts.shape[:2])
+        require_finite(f"inflow data (direction {l})", g, pts)
         w = -elen[ks, ss] * schedule.dot[ks, ss]
         np.add.at(fixed, (ks, ss), w * ((tw * (1.0 - tq))[None, :] * g).sum(axis=1))
         np.add.at(fixed, (ks, (ss + 1) % 3), w * ((tw * tq)[None, :] * g).sum(axis=1))
@@ -291,11 +292,12 @@ def build_kernel(
 ):
     """Assemble the sweep kernel of one direction or of a stack of them.
 
-    schedule: one SweepSchedule, or a sequence of them for a stack. For one
-    direction, f_vals is the fixed volume source at the table's quadrature
-    points (nt, nq), or None for zero, and inflow_data a callable (x, y) for
-    the inflow boundary trace, or None for homogeneous data. For a stack,
-    both are per-direction sequences of those (or None for all directions).
+    schedule: one SweepSchedule, or a sequence of them for a stack. f_vals
+    is the fixed volume source at the table's quadrature points (nt, nq), a
+    sequence of them for a stack, or None for zero. inflow_data is the
+    inflow trace g(x, y, l) of TransportProblem.inflow, g(x, y) for one
+    direction, or None for zero; it is sampled once per direction, at the
+    inflow boundary points, and a non-finite sample raises AssumptionError.
     scatter_w, the area-weighted sigma_s at the quadrature points (nt, nq),
     folds the scattering moments into the blocks for run_scattered.
 
@@ -312,7 +314,9 @@ def build_kernel(
     one = isinstance(schedule, SweepSchedule)
     schedules = (schedule,) if one else tuple(schedule)
     if one:
-        f_vals, inflow_data = (f_vals,), (inflow_data,)
+        f_vals = (f_vals,)
+        if inflow_data is not None:  # g(x, y) of the one direction
+            inflow_data = lambda x, y, l, g=inflow_data: g(x, y)
     mesh = tables.mesh
     nl = len(schedules)
     nt = mesh.n_triangles
@@ -365,8 +369,8 @@ def build_kernel(
         fixed = np.zeros((nt, 3))
         if f_vals is not None and f_vals[l] is not None:
             fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl.T)
-        if inflow_data is not None and inflow_data[l] is not None:
-            fixed += _inflow_rhs(tables, sched, inflow_data[l], elen, bnd)
+        if inflow_data is not None:
+            fixed += _inflow_rhs(tables, sched, inflow_data, l, elen, bnd)
         pattern = upwind_pattern(live, direction=l)
         coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior.T, edge_w, 0.0)
         coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)

@@ -27,6 +27,33 @@ def perturbed_mesh(n, seed=0, amp=0.25):
     return build_mesh(verts, np.asarray(base.triangles))
 
 
+def grid_cells(x0, x1, nx, ny):
+    """Vertices and crisscross triangles of nx x ny squares on [x0, x1] x [0, 1]."""
+    xx, yy = np.meshgrid(np.linspace(x0, x1, nx + 1), np.linspace(0.0, 1.0, ny + 1))
+    ll = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    lr, ur, ul = ll + 1, ll + nx + 2, ll + nx + 1
+    tris = np.column_stack([ll, lr, ur, ll, ur, ul]).reshape(-1, 3)
+    return np.column_stack([xx.ravel(), yy.ravel()]), tris
+
+
+def hanging_node_cells(shared_seam=True):
+    """An 8x16-square strip on [0, 0.5] beside a 4x8-square strip on [0.5, 1]:
+    320 triangles, every other seam vertex of the fine side hanging on a
+    coarse edge. shared_seam: the seam vertices both sides have are one vertex."""
+    (va, ta), (vb, tb) = grid_cells(0.0, 0.5, 8, 16), grid_cells(0.5, 1.0, 4, 8)
+    verts, tris = np.vstack([va, vb]), np.vstack([ta, tb + len(va)])
+    if shared_seam:
+        verts, inv = np.unique(verts, axis=0, return_inverse=True)
+        tris = inv.ravel()[tris]
+    return verts, tris
+
+
+def write_mesh_text(path, verts, tris):
+    """A mesh file in save_mesh's format, written without building the mesh."""
+    rows = [f"{len(verts)} {len(tris)}"] + [f"{x!r} {y!r}" for x, y in verts.tolist()]
+    path.write_text("\n".join(rows + [f"{i} {j} {k}" for i, j, k in tris.tolist()]) + "\n")
+
+
 def random_solution(mesh, quad, seed=0, scale=1.0):
     rng = np.random.RandomState(seed)
     coeffs = scale * rng.standard_normal((quad.n_directions, mesh.n_triangles, 3))

@@ -1,13 +1,16 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rte2d
 from rte2d import SolverConfig, build_structured_unit_square, save_mesh
 from rte2d import analysis, cli
 from rte2d.cli import main
 from rte2d.analysis import compare_methods, convergence_study, make_case
-from helpers import read_table_csv
+from helpers import hanging_node_cells, read_table_csv, write_mesh_text
 
 
 def run(tmp_path, *argv):
@@ -118,6 +121,25 @@ def test_solve_field_and_schedule_dump(tmp_path, capsys):
     assert flat == list(range(nt))
 
 
+def test_solve_runs_on_numpy_alone(tmp_path):
+    # scipy and hypothesis are test extras: with both unimportable, a solve
+    # with inflow data still runs and writes its CSV
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = sys.modules['hypothesis'] = None",
+        "from rte2d.cli import main",
+        f"sys.exit(main(['solve', '--case', '4', '--n0', '2', '--n-dirs', '4', '--out', {str(tmp_path)!r}]))",
+    ])
+    src = os.path.dirname(os.path.dirname(rte2d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "solved case 4: 8 elements, 4 directions" in proc.stdout
+    lines = (tmp_path / "field.csv").read_text().splitlines()
+    assert lines[0] == "l,K,centroid_x,centroid_y,u_mean"
+    assert len(lines) == 1 + 4 * 8
+
+
 def test_compare_hands_its_settings_to_both_studies(tmp_path, monkeypatch):
     seen = []
     study = analysis.convergence_study
@@ -175,6 +197,15 @@ def test_exit_code_mesh_non_ascii_byte(tmp_path, capsys):
     assert code == 7
     err = capsys.readouterr().err
     assert err.startswith(f"error[mesh]: {mesh_file}: 'ascii' codec can't decode byte 0xc3")
+
+
+def test_exit_code_mesh_with_hanging_nodes(tmp_path, capsys):
+    mesh_file = tmp_path / "strips.mesh"
+    write_mesh_text(mesh_file, *hanging_node_cells())
+    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
+    assert code == 7
+    assert "error[mesh]: nonconforming mesh: vertex" in capsys.readouterr().err
+    assert not (tmp_path / "field.csv").exists()
 
 
 def test_exit_code_infinite_tol(tmp_path, capsys):

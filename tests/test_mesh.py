@@ -16,7 +16,7 @@ from rte2d import (
 )
 from rte2d.mesh import BOUNDARY, TriangleMesh, omega_dot_n, opposite_local_edge
 import oracle
-from helpers import perturbed_mesh, unit_direction
+from helpers import hanging_node_cells, perturbed_mesh, unit_direction, write_mesh_text
 from oracle import classify_edges
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -198,6 +198,55 @@ def test_build_mesh_rejects_overshared_edge():
         build_mesh(verts, tris)
 
 
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, s], [-s, c]])  # right-multiplies row vectors
+
+
+ROTATIONS = pytest.mark.parametrize(
+    "angle",
+    [0.0, 0.3, 1 - math.pi / 2, math.pi / 2, 2.0, math.pi - 1e-9],
+    ids=["0", "0.3", "1-pi/2", "pi/2", "2", "pi"],
+)
+
+
+@pytest.mark.parametrize("shared_seam", [True, False], ids=["shared seam", "split seam"])
+@ROTATIONS
+def test_build_mesh_rejects_hanging_nodes(shared_seam, angle):
+    # accepted, the 8|4 strips' seam would be solved as a boundary with zero inflow data
+    verts, tris = hanging_node_cells(shared_seam)
+    pattern = r"^nonconforming mesh: vertex (\d+) at .* lies inside boundary edge (\d+)-(\d+) "
+    with pytest.raises(MeshError, match=pattern + r"\(a hanging node\)$") as exc:
+        build_mesh(verts @ rotation(angle), tris)
+    v, a, b = map(int, re.match(pattern, str(exc.value)).groups())
+    p, q = verts[a], verts[b]
+    assert p[0] == q[0] == verts[v][0] == 0.5  # a vertex of the seam
+    assert min(p[1], q[1]) < verts[v][1] < max(p[1], q[1])
+
+
+@pytest.mark.parametrize("angle", [0.0, 1e-17, -1e-17, -3e-16, math.pi])
+def test_build_mesh_rejects_a_hanging_node_on_a_line_at_angle_0(angle):
+    # float noise puts the coarse edge 1 -> 0 and the fine edge 0 -> 3 at
+    # angles either side of 0 mod pi; they are still one line
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.5, 0.0], [0.25, 1.0], [0.75, 1.0]])
+    tris = np.array([[0, 2, 1], [0, 3, 4], [3, 1, 5]])
+    with pytest.raises(MeshError, match=r"vertex 3 at .* lies inside boundary edge 1-0 "):
+        build_mesh(verts @ rotation(angle), tris)
+
+
+@ROTATIONS
+def test_build_mesh_accepts_holes_and_rotated_meshes(angle):
+    # a 4x4-square grid without its middle 2x2 squares: the hole's boundary
+    # has no hanging node; nor do rotated structured, perturbed and refined meshes
+    grid = build_structured_unit_square(4)
+    centroids = grid.vertices[grid.triangles].mean(axis=1)
+    keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
+    holed = build_mesh(grid.vertices @ rotation(angle), grid.triangles[keep])
+    assert (holed.edge_right == BOUNDARY).sum() == 16 + 8
+    for mesh in (perturbed_mesh(5, seed=3), refine_regular(build_structured_unit_square(3))):
+        build_mesh(mesh.vertices @ rotation(angle), mesh.triangles)
+
+
 def test_refinement_quarters_elements_and_halves_h():
     mesh = build_structured_unit_square(4)
     fine = refine_regular(mesh)
@@ -294,6 +343,9 @@ def test_load_mesh_rejects_bad_files(tmp_path):
         load_mesh(p)
     p.write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n1 2\n")  # trailing tokens
     with pytest.raises(MeshError):
+        load_mesh(p)
+    write_mesh_text(p, *hanging_node_cells())  # the seam x = 0.5 has hanging nodes
+    with pytest.raises(MeshError, match="lies inside boundary edge"):
         load_mesh(p)
 
 

@@ -14,6 +14,7 @@ from rte2d import (
     apply_ah,
     build_kernel,
     build_schedule,
+    build_schedules,
     build_structured_unit_square,
     delta_value,
     m_bound,
@@ -26,6 +27,7 @@ from rte2d import (
 )
 from rte2d.mesh import BOUNDARY, opposite_local_edge
 from rte2d.quadrature import triangle_rule
+from rte2d.solver import iterate
 from helpers import perturbed_mesh, project_exact, random_solution
 from oracle import scattering_source, sweep_direction
 
@@ -143,6 +145,50 @@ def test_solve_matches_reference_source_iteration():
                 tri_rule=triangle_rule(4), edge_npts=4,
             )
     np.testing.assert_allclose(sol.coeffs, coeffs, atol=1e-9)
+
+
+def test_iterate_is_the_iteration_of_solve():
+    # a kernel built by hand from the problem's data: the same planes, bit for
+    # bit, the same history and sweep count; at max_iter, the history so far
+    mesh = perturbed_mesh(4, seed=27)
+    quad = trapezoid_circle(8)
+    problem = isotropic_problem(
+        quad, f=lambda x, y, l: 1.0 + np.cos(l + x) * y, inflow=lambda x, y, l: 0.5 + 0.1 * l * x
+    )
+    problem.phase = PhaseFunction.henyey_greenstein(0.4)
+    cfg = SolverConfig(tol=1e-12)
+    sol, report = solve(problem, mesh, cfg)
+
+    tables = space_tables(mesh, problem.sigma_t)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    kernel = build_kernel(
+        tables, build_schedules(mesh, quad.directions), delta_value(cfg, mesh),
+        f_vals=[problem.f(px, py, l) for l in range(quad.n_directions)],
+        inflow_data=problem.inflow, scatter_w=tables.areaw * problem.sigma_s(px, py),
+    )
+    G = scatter_matrix(problem.phase, quad)
+    planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, cfg)
+    assert planes.shape == (3, quad.n_directions, mesh.n_triangles)
+    np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), sol.coeffs)
+    assert history == report.residual_history
+    assert sweeps == report.iterations > 3
+
+    with pytest.raises(NonConvergenceError, match="did not converge in 3 iterations") as exc:
+        iterate(kernel, G, quad.weights, mesh.tri_area, SolverConfig(max_iter=3))
+    assert exc.value.residual_history == list(history[:3])
+
+
+def test_solve_samples_the_inflow_data_once_per_direction():
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(8)
+    calls = []
+
+    def inflow(x, y, l):
+        calls.append(l)
+        return 1.0 + 0.0 * x
+
+    solve(isotropic_problem(quad, inflow=inflow), mesh)
+    assert sorted(calls) == list(range(quad.n_directions))
 
 
 def test_solve_matches_point_source_iteration():
@@ -346,18 +392,25 @@ def test_solve_rejects_non_finite_samples_before_set_up(monkeypatch, name, field
     def no_set_up(*args, **kwargs):
         raise AssertionError("set-up ran on non-finite input")
 
-    monkeypatch.setattr("rte2d.solver.build_schedules", no_set_up)
-    monkeypatch.setattr("rte2d.solver.build_kernel", no_set_up)
+    # the kernel build samples the inflow data: it is rejected there, before the iteration
+    stages = ["iterate"] if field == "inflow" else ["build_schedules", "build_kernel"]
+    for stage in stages:
+        monkeypatch.setattr(f"rte2d.solver.{stage}", no_set_up)
     with pytest.raises(AssumptionError, match=rf"^{re.escape(name)} has \d+ non-finite"):
         solve(problem, mesh)
 
 
 def test_solve_ignores_non_finite_inflow_data_on_outflow_edges():
     mesh = build_structured_unit_square(4)
-    quad = trapezoid_circle(2)  # +x and -x; NaN only where each one leaves
-    inflow = lambda x, y, l: np.where((x > 0.5) == (l == 0), np.nan, 1.0)
-    sol, report = solve(isotropic_problem(quad, sigma_s=0.0, inflow=inflow), mesh)
-    assert np.isfinite(sol.coeffs).all()
+    inputs = [
+        # +x and -x; NaN only where each one leaves
+        (trapezoid_circle(2), lambda x, y, l: np.where((x > 0.5) == (l == 0), np.nan, 1.0)),
+        # +x, +y, -x, -y; NaN only on the sides tangential to each, |omega . n| <= EPS_N
+        (trapezoid_circle(4), lambda x, y, l: np.where(np.isin((y, x)[l % 2], (0.0, 1.0)), np.nan, 1.0)),
+    ]
+    for quad, inflow in inputs:
+        sol, report = solve(isotropic_problem(quad, sigma_s=0.0, inflow=inflow), mesh)
+        assert np.isfinite(sol.coeffs).all()
 
 
 def test_solve_rejects_discrete_coercivity_violation():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rte2d import (
+    AssumptionError,
     PhaseFunction,
     StabilityError,
     SweepCycleError,
@@ -244,6 +245,19 @@ def test_kernel_accepts_per_element_delta():
     np.testing.assert_allclose(kern.run(), ref, atol=1e-12)
 
 
+def test_one_direction_kernel_rejects_non_finite_inflow_data():
+    # the form of the traced replay: one schedule, g(x, y); NaN on the lower half
+    # of the inflow side x = 0 (two edges, 4 points each) and on the outflow
+    # side x = 1, which the kernel does not sample
+    mesh = build_structured_unit_square(4)
+    sched = build_schedule(mesh, (1.0, 0.0))
+    tables = space_tables(mesh, const(2.0))
+    g = lambda x, y: np.where((y < 0.5) | (x > 0.5), np.nan, 1.0)
+    msg = r"^inflow data \(direction 0\) has 8 non-finite samples, the first at \(0, "
+    with pytest.raises(AssumptionError, match=msg):
+        build_kernel(tables, sched, 0.1, f_vals=np.ones(tables.points.shape[:2]), inflow_data=g)
+
+
 def test_kernel_scatter_rhs_additivity():
     # run(fixed + scatter) == solve with the scattering source folded in
     mesh = perturbed_mesh(4, seed=13)
@@ -280,15 +294,15 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     sigma_t = lambda x, y: 3.0 + x + 0.5 * y + np.where(x + y > 1.0, 2.0 + np.sin(7.0 * x * y), 0.0)
     sigma_s = lambda x, y: 0.5 + x * (1.0 - y)
     fs = [lambda x, y, l=l: 1.0 + np.sin(2.0 * x + l) * y for l in range(nl)]
-    gs = [lambda x, y, l=l: 0.5 + x - 0.25 * l * y for l in range(nl)]
-    if not with_inflow:
-        gs = [None] * nl
+    g = (lambda x, y, l: 0.5 + x - 0.25 * l * y) if with_inflow else None
+    # the one-direction kernels and the reference take direction l's g(x, y)
+    gs = [None if g is None else (lambda x, y, l=l: g(x, y, l)) for l in range(nl)]
 
     tables = space_tables(mesh, sigma_t)
     px, py = tables.points[..., 0], tables.points[..., 1]
     f_vals = [f(px, py) for f in fs]
     scatter_w = tables.areaw * sigma_s(px, py)
-    fixed = dict(f_vals=f_vals, inflow_data=gs if with_inflow else None)
+    fixed = dict(f_vals=f_vals, inflow_data=g)
     plain = build_kernel(tables, scheds, delta, **fixed)
     stack = build_kernel(tables, scheds, delta, **fixed, scatter_w=scatter_w)
     np.testing.assert_array_equal(stack.run(), plain.run())
@@ -373,12 +387,12 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
 
     sigma_t = lambda x, y: 3.0 + x * y
     sigma_s = lambda x, y: 1.0 + 0.5 * x
-    gs = [lambda x, y, l=l: 1.0 + 0.2 * l * x - y for l in range(nl)]
+    g = lambda x, y, l: 1.0 + 0.2 * l * x - y
     tables = space_tables(mesh, sigma_t)
     px, py = tables.points[..., 0], tables.points[..., 1]
     kern = build_kernel(
         tables, scheds, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
-        inflow_data=gs, scatter_w=tables.areaw * sigma_s(px, py),
+        inflow_data=g, scatter_w=tables.areaw * sigma_s(px, py),
     )
     # the edge padding a pattern leaves over has zero weight: its index is the
     # zero column n of the (3, n + 1) coefficient buffer
@@ -391,7 +405,7 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
         scat = scattering_source(u, G, sigma_s, l)
         ref = sweep_direction(
             mesh, scheds[l], quad.directions[l], 0.8 * mesh.h, sigma_t,
-            lambda x, y: np.cos(x + l) + scat(x, y), gs[l],
+            lambda x, y: np.cos(x + l) + scat(x, y), lambda x, y: g(x, y, l),
             tri_rule=triangle_rule(4), edge_npts=4,
         )
         np.testing.assert_allclose(got[l], ref, atol=1e-12)
@@ -455,12 +469,13 @@ def test_stacked_kernel_stores_blocks_in_direction_order():
     px, py = tables.points[..., 0], tables.points[..., 1]
     scheds = build_schedules(mesh, quad.directions)
     fv = [np.cos(px + l) * py for l in range(quad.n_directions)]
-    gs = [lambda x, y, l=l: 1.0 + 0.3 * l * x - y for l in range(quad.n_directions)]
+    g = lambda x, y, l: 1.0 + 0.3 * l * x - y
     sw = tables.areaw * (1.0 + 0.5 * px)
     delta = 0.7 * mesh.h
-    stack = build_kernel(tables, scheds, delta, f_vals=fv, inflow_data=gs, scatter_w=sw)
+    stack = build_kernel(tables, scheds, delta, f_vals=fv, inflow_data=g, scatter_w=sw)
     for l, sched in enumerate(scheds):
-        one = build_kernel(tables, sched, delta, f_vals=fv[l], inflow_data=gs[l], scatter_w=sw)
+        gl = lambda x, y: g(x, y, l)  # a one-direction kernel takes g(x, y)
+        one = build_kernel(tables, sched, delta, f_vals=fv[l], inflow_data=gl, scatter_w=sw)
         cols = slice(l * nt, (l + 1) * nt)
         np.testing.assert_array_equal(one.blocks, stack.blocks[:, :, cols])
         np.testing.assert_array_equal(one.b0, stack.b0[:, cols])
