@@ -28,7 +28,7 @@ import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, scatter_matrix, trapezoid_circle
 from .dg_core import EDGE_MASS_2, TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
-from .errors import AssumptionError
+from .errors import AssumptionError, sample
 from .mesh import (
     BOUNDARY,
     EPS_N,
@@ -207,10 +207,9 @@ _EDGE_SHAPE = np.stack([1.0 - TRACE_T, TRACE_T])
 
 
 def _volume_rule(mesh):
-    """Degree-6 rule of the norms and forms: bary (nq, 3); area weights, x and y (nt, nq)."""
+    """Degree-6 rule of the norms and forms: bary (nq, 3), areaw (nt, nq), points (nt, nq, 2)."""
     rule = triangle_rule(6)
-    pts = quad_points(mesh, rule)
-    return rule.points, mesh.tri_area[:, None] * rule.weights, pts[..., 0], pts[..., 1]
+    return rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
 
 
 def _form_directions(quad, mesh):
@@ -273,11 +272,11 @@ def error_norms(
     ValueError unless sol lives on mesh and on quad's directions.
     """
     _check_solution(sol, mesh, quad)
-    bary, areaw, x, y = _volume_rule(mesh)
+    bary, areaw, pts = _volume_rule(mesh)
     table = _edge_table(mesh)
     bk, bs, bpts = boundary_points(mesh, TRACE_T)
     # u = a_l U: the spatial field once per mesh, scaled per direction
-    u, grad = case.field(x, y)
+    u, grad = case.field(pts[..., 0], pts[..., 1])
     ux, uy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
     u_b = case.field(bpts[..., 0], bpts[..., 1])[0]
     a = case.angular(quad.angles)[0]
@@ -307,15 +306,15 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     """Global bilinear form (volume + inflow jump - scattering); test use only.
 
     Inflow boundary traces of the upwind state are treated as zero, matching
-    the homogeneous setting of the form.
+    the homogeneous setting of the form. delta is one number.
     """
     _check_solution(u, mesh, problem.quad)
     _check_solution(v, mesh, problem.quad)
+    delta = float(delta)
     G = scatter_matrix(problem.phase, u.quad)
-    bary, areaw, x, y = _volume_rule(mesh)
-    st = np.broadcast_to(np.asarray(problem.sigma_t(x, y), dtype=float), x.shape)
-    ss = np.broadcast_to(np.asarray(problem.sigma_s(x, y), dtype=float), x.shape)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    bary, areaw, pts = _volume_rule(mesh)
+    st = sample("sigma_t", problem.sigma_t, pts)
+    ss = sample("sigma_s", problem.sigma_s, pts)
     u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
     s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
     table = _edge_table(mesh)
@@ -323,7 +322,7 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     for l, wl, d, w_in, _ in _form_directions(u.quad, mesh):
         cu, cv = u.coeffs[l], v.coeffs[l]
         du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
-        test = cv @ bary.T + (delta_k * (d * cv).sum(axis=1))[:, None]
+        test = cv @ bary.T + (delta * (d * cv).sum(axis=1))[:, None]
         vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
         u_own, u_up = _edge_ends(cu, *table)
         v_own, _ = _edge_ends(cv, *table)
@@ -333,19 +332,19 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
 
 def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> float:
     """Stability norm: c0' L2 + outflow-boundary + delta gradient + inflow jump."""
+    delta = float(delta)
     if not c0_prime > 0:
         raise AssumptionError(
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
         )
     _check_solution(v, mesh, problem.quad)
-    bary, areaw, _, _ = _volume_rule(mesh)
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (mesh.n_triangles,))
+    bary, areaw, _ = _volume_rule(mesh)
     table = _edge_table(mesh)
     total = 0.0
     for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh):
         cv = v.coeffs[l]
         l2 = (areaw * (cv @ bary.T) ** 2).sum()
-        grad = (delta_k * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
+        grad = (delta * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
         own, up = _edge_ends(cv, *table)
         faces = (w_in * _edge_mass(own - up, own - up) + w_out * _edge_mass(own, own)).sum()
         total += wl * (c0_prime * l2 + grad + faces)

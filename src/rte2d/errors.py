@@ -1,4 +1,4 @@
-"""Exception types shared across the solver, and the finiteness check of sampled data."""
+"""Exception types shared across the solver, and the checked sampler of the data callables."""
 
 import numpy as np
 
@@ -36,11 +36,15 @@ class AssumptionError(Exception):
     """A hypothesis on the data is violated: coercive cross sections, or finite samples."""
 
 
-def require_finite(name, vals, pts):
-    """AssumptionError naming the quantity if a sample vals (at pts) is not finite."""
+def sample(name, fn, pts, *args):
+    """fn(x, y, *args) at pts (..., 2) as floats of shape pts.shape[:-1];
+    AssumptionError naming the quantity if a sample is not finite."""
+    vals = np.asarray(fn(pts[..., 0], pts[..., 1], *args), dtype=float)
+    vals = np.broadcast_to(vals, pts.shape[:-1])
     bad = ~np.isfinite(vals)
     if bad.any():
         x, y = pts[np.unravel_index(np.argmax(bad), bad.shape)]
         raise AssumptionError(
             f"{name} has {int(bad.sum())} non-finite samples, the first at ({x:.6g}, {y:.6g})"
         )
+    return vals

@@ -66,17 +66,19 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     """Assemble the full mesh structure from vertices and triangle cells.
 
     Checks, in order: array shapes, at least one triangle, finite
-    coordinates, vertex ids in 0..nv-1, no duplicate triangle (in any vertex
-    order), no repeated id within a triangle, counterclockwise orientation
-    with positive area, conformity (each edge shared by at most two
-    triangles, with opposite orientations), nonzero edge lengths, and no
+    coordinates, integer vertex ids in 0..nv-1, no duplicate triangle (in
+    any vertex order), no repeated id within a triangle, counterclockwise
+    orientation with positive area, conformity (each edge shared by at most
+    two triangles, with opposite orientations), nonzero edge lengths, and no
     hanging node: no boundary edge with an endpoint of a collinear boundary
     edge strictly inside it. Edges are numbered in the lexicographic order
     of their (min, max) vertex ids, independent of the order of the
-    triangles.
+    triangles. The mesh owns copies of the two inputs.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=np.int64)
+    vertices = np.array(vertices, dtype=float)
+    ids = np.asarray(triangles)
+    with np.errstate(invalid="ignore"):  # a NaN or inf id fails the comparison below
+        triangles = ids.astype(np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError("vertices must be an (nv, 2) array")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
@@ -86,6 +88,8 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     if not np.isfinite(vertices).all():
         raise MeshError("vertex coordinates must be finite")
     nv, nt = vertices.shape[0], triangles.shape[0]
+    if (triangles != ids).any():
+        raise MeshError("triangle vertex ids must be integers")
     if ((triangles < 0) | (triangles >= nv)).any():
         raise MeshError("triangle vertex id out of range")
     # sorted vertex triples in lexicographic order: a duplicate lies next to its twin

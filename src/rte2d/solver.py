@@ -23,7 +23,7 @@ import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
 from .dg_core import DGSolution
-from .errors import AssumptionError, NonConvergenceError, require_finite
+from .errors import AssumptionError, NonConvergenceError, sample
 from .mesh import TriangleMesh
 from .sweep import build_kernel, build_schedules, space_tables
 
@@ -96,8 +96,8 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     """Run source iteration to convergence; returns (DGSolution, SolveReport).
 
     Raises NonConvergenceError when max_iter is hit or an iterate is not
-    finite (the residual history is attached), AssumptionError before any
-    set-up when a sample of sigma_t, sigma_s or f is not finite, or the
+    finite (the residual history is attached), AssumptionError before the
+    sweep set-up when a sample of sigma_t, sigma_s or f is not finite, or the
     sampled coefficients violate sigma_s >= 0, sigma_t - sigma_s > 0 or,
     with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
     > 0, m being the row-sum bound of the scatter matrix, and before the
@@ -109,14 +109,8 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     nl = quad.n_directions
     tables = space_tables(mesh, problem.sigma_t)
     pts = tables.points
-    px, py = pts[..., 0], pts[..., 1]
-
-    ss = np.broadcast_to(np.asarray(problem.sigma_s(px, py), dtype=float), px.shape)
-    f_vals = [np.broadcast_to(np.asarray(problem.f(px, py, l), float), px.shape) for l in range(nl)]
-    require_finite("sigma_t", tables.sigma_t, pts)
-    require_finite("sigma_s", ss, pts)
-    for l in range(nl):
-        require_finite(f"f (direction {l})", f_vals[l], pts)
+    ss = sample("sigma_s", problem.sigma_s, pts)
+    f_vals = [sample(f"f (direction {l})", problem.f, pts, l) for l in range(nl)]
     if (ss < 0).any():
         raise AssumptionError("sigma_s must be nonnegative")
     gap = float((tables.sigma_t - ss).min())

@@ -4,7 +4,8 @@ For a fixed direction, interior edges with |omega . n| above EPS_N
 induce an upwind -> downwind arc between the two adjacent triangles.
 Peeling zero in-degree elements layer by layer yields an ordering in which
 every element's upwind neighbors are solved before it; elements inside one
-layer are mutually independent.
+layer are mutually independent. One peel serves a stack of directions, and
+layer i of the stack (pairs l * nt + k) is one step of the kernel's sweep.
 """
 
 from dataclasses import dataclass
@@ -14,29 +15,30 @@ import numpy as np
 from .dg_core import (
     EDGE_MASS_2, TRACE_T, TRACE_W, check_nonsingular, element_basis, quad_points,
 )
-from .errors import SweepCycleError, require_finite
+from .errors import SweepCycleError, sample
 from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
 from .quadrature import TriangleRule, triangle_rule
 
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Layered solve order for one direction: what the peel decides.
+    """Layered solve order of a stack of directions: what the peel decides.
 
-    layer_of[k] is the layer of element k; every interior inflow edge's
-    upwind neighbour sits in a strictly earlier layer. dot[k, s] = omega . n
-    on local edge s with the outward sign for k. The inflow mask, the layer
-    count and the layers are derived from these two; the upwind neighbour
-    across an inflow edge is mesh.tri_neighbors there.
+    layer_of[l, k] is the layer of element k in direction l; every interior
+    inflow edge's upwind neighbour sits in a strictly earlier layer.
+    dot[l, k, s] = omega_l . n on local edge s with the outward sign for k.
+    One direction's schedule has no leading direction axis. The inflow
+    mask, the layer count and the layers are derived from these two; the
+    upwind neighbour across an inflow edge is mesh.tri_neighbors there.
     """
 
-    omega: np.ndarray
-    layer_of: np.ndarray  # (nt,)
-    dot: np.ndarray  # (nt, 3)
+    omega: np.ndarray  # (nl, 2), or (2,) for one direction
+    layer_of: np.ndarray  # (nl, nt), or (nt,)
+    dot: np.ndarray  # (nl, nt, 3), or (nt, 3)
 
     @property
     def inflow(self) -> np.ndarray:
-        """(nt, 3) bool: the local edges with omega . n < -EPS_N."""
+        """Bool, the shape of dot: the local edges with omega . n < -EPS_N."""
         return self.dot < -EPS_N
 
     @property
@@ -45,17 +47,19 @@ class SweepSchedule:
 
     @property
     def layers(self) -> tuple:
-        """The element ids of each layer, ascending; together they partition 0..nt-1."""
-        order = np.argsort(self.layer_of, kind="stable")
-        return tuple(np.split(order, np.cumsum(np.bincount(self.layer_of))[:-1]))
+        """The pair ids l * nt + k (element ids for one direction) of each layer,
+        ascending: the kernel's order split at its bounds."""
+        flat = self.layer_of.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(flat))[:-1]))
 
 
-def build_schedules(mesh: TriangleMesh, directions) -> list:
-    """One SweepSchedule per direction, all peeled in one loop.
+def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
+    """The stacked SweepSchedule of the directions (nl, 2), peeled in one loop.
 
     The (direction, element) pairs are numbered l * nt + k, so one step of
     the loop peels layer i of every direction: max_l n_layers(l) steps in
-    all. Each schedule equals the one its direction would get alone.
+    all. Each direction's slice equals the schedule it would get alone.
     """
     om = np.asarray(directions, dtype=float)
     # written so that a NaN component fails too
@@ -93,13 +97,13 @@ def build_schedules(mesh: TriangleMesh, directions) -> list:
             f"{om[l, 1]:.6g}), has a cycle touching {ks.size} elements",
             elements=tuple(int(k) for k in ks[:20]),
         )
-    layer_of = layer_of.reshape(nl, nt)
-    return [SweepSchedule(omega=om[l], layer_of=layer_of[l], dot=dot[l]) for l in range(nl)]
+    return SweepSchedule(omega=om, layer_of=layer_of.reshape(nl, nt), dot=dot)
 
 
 def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:
     """The schedule of one direction, from the same peel as build_schedules."""
-    return build_schedules(mesh, [omega])[0]
+    stack = build_schedules(mesh, [omega])
+    return SweepSchedule(omega=stack.omega[0], layer_of=stack.layer_of[0], dot=stack.dot[0])
 
 
 @dataclass(frozen=True)
@@ -116,25 +120,23 @@ class SpaceTables:
 
 
 def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> SpaceTables:
-    """Degree-4 volume tables of the sweep kernels, sigma_t sampled; basis
-    is the element_basis gradients, built here if None."""
+    """Degree-4 volume tables of the sweep kernels, sigma_t sampled and
+    checked; basis is the element_basis gradients, built here if None."""
     rule = triangle_rule(4)
     pts = quad_points(mesh, rule)
-    st = np.asarray(sigma_t(pts[..., 0], pts[..., 1]), dtype=float)
-    st = np.broadcast_to(st, pts.shape[:2])
     return SpaceTables(
         mesh=mesh,
         grad=element_basis(mesh) if basis is None else basis,
         rule=rule,
         points=pts,
         areaw=mesh.tri_area[:, None] * rule.weights[None, :],
-        sigma_t=st,
+        sigma_t=sample("sigma_t", sigma_t, pts),
         opp_local=opposite_local_edge(mesh),
     )
 
 
-def _volume_rhs(qw, bary, delta_k, d):
-    return qw @ bary + (delta_k * qw.sum(axis=-1))[..., None] * d
+def _volume_rhs(qw, bary, delta, d):
+    return qw @ bary + (delta * qw.sum(axis=-1))[..., None] * d
 
 
 @dataclass(frozen=True)
@@ -156,12 +158,12 @@ class SweepKernel:
     for run_scattered(G @ u). d = omega . grad phi is derived on demand. One
     direction's kernel is a stack of one without the leading direction axis
     on omega, on the input and on the output; it keeps its schedule, and a
-    stack keeps none, so the schedules can be freed once it is built."""
+    stack keeps none, so the schedule can be freed once it is built."""
 
-    schedules: tuple  # (schedule,) of a one-direction kernel; () for a stack
+    schedule: SweepSchedule  # of a one-direction kernel; None for a stack
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     grad: np.ndarray  # (nt, 3, 2) basis gradients
-    delta_k: np.ndarray  # (nt,)
+    delta: float
     bary: np.ndarray  # (nq, 3)
     order: np.ndarray  # (n,) pair index l * nt + k at each sweep position
     pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
@@ -172,17 +174,11 @@ class SweepKernel:
     fold: np.ndarray  # (3, 4, n) inverted local matrix @ coupling to 2 upwind coefficients per edge
     nbr: np.ndarray  # (4, n) int32 flat index of those coefficients in the (3, n + 1) buffer
 
-    @property
-    def schedule(self) -> SweepSchedule:
-        """The schedule of a one-direction kernel (ValueError for a stack)."""
-        (sched,) = self.schedules
-        return sched
-
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
         om = self.omega[..., None, None, :]  # d = omega . grad(phi), as build_kernel forms it
         d = self.grad[..., 0] * om[..., 0] + self.grad[..., 1] * om[..., 1]
-        return _volume_rhs(qw, self.bary, self.delta_k, d)
+        return _volume_rhs(qw, self.bary, self.delta, d)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
         """One sweep of every direction with the fixed rhs (+ scatter_rhs);
@@ -221,7 +217,7 @@ class SweepKernel:
             step = c[:, lo:hi]
             step += np.einsum("ijk,jk->ik", fold[:, :, lo:hi], flat.take(nbr[:, lo:hi]))
         # from the contiguous c: a take from the strided head would copy it first
-        return c.take(self.pos, axis=1).reshape((3, *self.omega.shape[:-1], self.delta_k.size))
+        return c.take(self.pos, axis=1).reshape((3, *self.omega.shape[:-1], self.grad.shape[0]))
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
@@ -270,36 +266,35 @@ def upwind_pattern(live: np.ndarray, direction=None) -> np.ndarray:
     return pattern
 
 
-def _inflow_rhs(tables, schedule, inflow_data, l, elen, bnd):
-    """Inflow data g(x, y, l) against the local basis on inflow boundary edges (nt, 3)."""
+def _inflow_rhs(dot, inflow, inflow_data, l, elen, bnd):
+    """g(x, y, l) against the local basis on direction l's inflow boundary edges (nt, 3)."""
     bk, bs, bpts = bnd  # boundary_points(mesh, TRACE_T)
-    inflow = schedule.inflow[bk, bs]
+    inflow = inflow[bk, bs]
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
-    fixed = np.zeros((tables.mesh.n_triangles, 3))
+    fixed = np.zeros(dot.shape)
     if ks.size:
         tq, tw = TRACE_T, TRACE_W
-        g = np.asarray(inflow_data(pts[..., 0], pts[..., 1], l), dtype=float)
-        g = np.broadcast_to(g, pts.shape[:2])
-        require_finite(f"inflow data (direction {l})", g, pts)
-        w = -elen[ks, ss] * schedule.dot[ks, ss]
+        g = sample(f"inflow data (direction {l})", inflow_data, pts, l)
+        w = -elen[ks, ss] * dot[ks, ss]
         np.add.at(fixed, (ks, ss), w * ((tw * (1.0 - tq))[None, :] * g).sum(axis=1))
         np.add.at(fixed, (ks, (ss + 1) % 3), w * ((tw * tq)[None, :] * g).sum(axis=1))
     return fixed
 
 
 def build_kernel(
-    tables: SpaceTables, schedule, delta, f_vals=None, inflow_data=None, scatter_w=None
+    tables: SpaceTables, schedule: SweepSchedule, delta, f_vals=None, inflow_data=None,
+    scatter_w=None,
 ):
-    """Assemble the sweep kernel of one direction or of a stack of them.
+    """Assemble the sweep kernel of a schedule's stack of directions, or of its one direction.
 
-    schedule: one SweepSchedule, or a sequence of them for a stack. f_vals
-    is the fixed volume source at the table's quadrature points (nt, nq), a
-    sequence of them for a stack, or None for zero. inflow_data is the
-    inflow trace g(x, y, l) of TransportProblem.inflow, g(x, y) for one
-    direction, or None for zero; it is sampled once per direction, at the
-    inflow boundary points, and a non-finite sample raises AssumptionError.
-    scatter_w, the area-weighted sigma_s at the quadrature points (nt, nq),
-    folds the scattering moments into the blocks for run_scattered.
+    delta is one number. f_vals is the fixed volume source at the table's
+    quadrature points (nt, nq), a sequence of them for a stack, or None for
+    zero. inflow_data is the inflow trace g(x, y, l) of
+    TransportProblem.inflow, g(x, y) for one direction, or None for zero; it
+    is sampled once per direction, at the inflow boundary points, and a
+    non-finite sample raises AssumptionError. scatter_w, the area-weighted
+    sigma_s at the quadrature points (nt, nq), folds the scattering moments
+    into the blocks for run_scattered.
 
     With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t
     u, v + delta omega . grad v) is M_sigma + s1 d^T + delta d (W d +
@@ -309,22 +304,21 @@ def build_kernel(
     is formed as an (nt,) row, the element index last, as the kernel stores
     it: each direction's products go into its contiguous column slice, and
     fold and nbr are then permuted into sweep order one row at a time. A
-    stacked kernel keeps no reference to the schedules.
+    stacked kernel keeps no reference to the schedule.
     """
-    one = isinstance(schedule, SweepSchedule)
-    schedules = (schedule,) if one else tuple(schedule)
+    one = schedule.omega.ndim == 1
     if one:
         f_vals = (f_vals,)
         if inflow_data is not None:  # g(x, y) of the one direction
             inflow_data = lambda x, y, l, g=inflow_data: g(x, y)
-    mesh = tables.mesh
-    nl = len(schedules)
-    nt = mesh.n_triangles
+    mesh, delta = tables.mesh, float(delta)
+    omega = schedule.omega.reshape(-1, 2)
+    nl, nt = len(omega), mesh.n_triangles
     n = nl * nt
-    delta_k = np.broadcast_to(np.asarray(delta, dtype=float), (nt,)).copy()
+    dot, inflow = schedule.dot.reshape(nl, nt, 3), schedule.inflow.reshape(nl, nt, 3)
     bary = tables.rule.points
 
-    layer_of = np.concatenate([s.layer_of for s in schedules])
+    layer_of = schedule.layer_of.reshape(n)
     # stable radix sort on the narrowest integer type that holds the layers
     order = np.argsort(layer_of.astype(np.min_scalar_type(layer_of.max())), kind="stable")
     pos = np.empty(n, dtype=np.int64)
@@ -337,7 +331,7 @@ def build_kernel(
     wst = w * tables.sigma_t
     m_sig = pp @ wst.T  # (3, 3, nt)
     s1, s_sig, w_sum = bary.T @ w.T, bary.T @ wst.T, w.sum(axis=1)
-    # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta_k d s_k^T) gc
+    # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta d s_k^T) gc
     if scatter_w is not None:
         s_vec = bary.T @ scatter_w.T  # (3, nt)
         s_mat = pp @ scatter_w.T  # (3, 3, nt)
@@ -356,21 +350,19 @@ def build_kernel(
     coef_off = ((tables.opp_local.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)
     # flat offsets of the picked rows of the (18, nt) coupling and the (6, nt) indices, per pattern
     pick_rows, pick_cols, elem = _PICK_FLAT.T * nt, _PICK_COLS.T * nt, np.arange(nt)
-    for l, sched in enumerate(schedules):
-        om = sched.omega
+    for l, om in enumerate(omega):
         dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
-        ddl = delta_k * dl
-        inflow = sched.inflow
-        live = inflow & interior  # the edges with an upwind neighbour
-        edge_w = np.where(inflow, -elen * sched.dot, 0.0).T
+        ddl = delta * dl
+        live = inflow[l] & interior  # the edges with an upwind neighbour
+        edge_w = np.where(inflow[l], -elen * dot[l], 0.0).T
         a = m_sig + s1[:, None] * dl
         a += ddl[:, None] * (w_sum * dl + s_sig)
         a += _EDGE_MASS @ edge_w
         fixed = np.zeros((nt, 3))
         if f_vals is not None and f_vals[l] is not None:
-            fixed += _volume_rhs(w * f_vals[l], bary, delta_k, dl.T)
+            fixed += _volume_rhs(w * f_vals[l], bary, delta, dl.T)
         if inflow_data is not None:
-            fixed += _inflow_rhs(tables, sched, inflow_data, l, elen, bnd)
+            fixed += _inflow_rhs(dot[l], inflow[l], inflow_data, l, elen, bnd)
         pattern = upwind_pattern(live, direction=l)
         coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior.T, edge_w, 0.0)
         coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)
@@ -392,7 +384,7 @@ def build_kernel(
         row[:] = row[order]
 
     return SweepKernel(
-        schedules=schedules if one else (), grad=grad, delta_k=delta_k, bary=bary, order=order,
-        pos=pos, omega=schedule.omega if one else np.array([s.omega for s in schedules]),
-        bounds=bounds, scattering=scatter_w is not None, blocks=blocks, b0=b0, fold=fold, nbr=nbr,
+        schedule=schedule if one else None, omega=schedule.omega, grad=grad, delta=delta,
+        bary=bary, order=order, pos=pos, bounds=bounds, scattering=scatter_w is not None,
+        blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

@@ -158,6 +158,14 @@ def test_arrays_are_write_protected():
         mesh.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         mesh.tri_neighbors[0, 0] = 7
+    # the mesh protects its own copies: the caller's arrays stay writable
+    v, t = UNIT_SQUARE.copy(), TWO_TRIANGLES.copy()
+    mesh = build_mesh(v, t)
+    v[1, 0] += 0.01
+    t[0] = t[0, [1, 2, 0]]
+    np.testing.assert_array_equal(mesh.vertices, UNIT_SQUARE)
+    np.testing.assert_array_equal(mesh.triangles, TWO_TRIANGLES)
+    assert build_mesh(v, t).vertices[1, 0] == 1.01
 
 
 def test_build_mesh_rejects_flipped_triangle():
@@ -177,6 +185,15 @@ def test_build_mesh_rejects_duplicate_triangle():
 def test_build_mesh_rejects_vertex_id_out_of_range(bad):
     with pytest.raises(MeshError, match="vertex id out of range"):
         build_mesh(UNIT_SQUARE, [[0, 1, 2], [0, 2, bad]])
+
+
+@pytest.mark.parametrize("bad", [2.9, np.nan])
+def test_build_mesh_rejects_non_integer_vertex_ids(bad):
+    with pytest.raises(MeshError, match="^triangle vertex ids must be integers$"):
+        build_mesh(UNIT_SQUARE, [[0, 1, bad], [0, 2.0, 3]])
+    # integer-valued floats stay legal
+    mesh = build_mesh(UNIT_SQUARE, [[0.0, 1.0, 2.0], [0, 2.0, 3]])
+    np.testing.assert_array_equal(mesh.triangles, TWO_TRIANGLES)
 
 
 def test_build_mesh_rejects_a_mesh_without_triangles():

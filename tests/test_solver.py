@@ -578,6 +578,40 @@ def test_stability_bound_random_fields():
         assert lhs <= rhs * (1.0 + 1e-10)
 
 
+@pytest.mark.parametrize("form", ["build_kernel", "apply_ah", "triple_norm_stability"])
+def test_delta_is_one_number(form):
+    mesh = perturbed_mesh(3, seed=29)
+    quad = trapezoid_circle(4)
+    problem = isotropic_problem(quad)
+    v = random_solution(mesh, quad, seed=6)
+    call = {
+        "build_kernel": lambda d: build_kernel(
+            space_tables(mesh, problem.sigma_t), build_schedules(mesh, quad.directions), d
+        ),
+        "apply_ah": lambda d: apply_ah(v, v, problem, mesh, d),
+        "triple_norm_stability": lambda d: triple_norm_stability(v, problem, mesh, d, 1.0),
+    }[form]
+    call(np.float64(0.8 * mesh.h))
+    with pytest.raises(TypeError):
+        call(0.8 * mesh.tri_h)  # a per-element delta
+
+
+@pytest.mark.parametrize("field", ["sigma_t", "sigma_s"])
+def test_tables_and_forms_reject_non_finite_coefficients(field):
+    # space_tables samples sigma_t; apply_ah samples sigma_t and sigma_s
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(4)
+    problem = isotropic_problem(quad)
+    setattr(problem, field, nan_left(1.0))
+    v = random_solution(mesh, quad, seed=7)
+    msg = rf"^{field} has \d+ non-finite samples, the first at \("
+    if field == "sigma_t":
+        with pytest.raises(AssumptionError, match=msg):
+            space_tables(mesh, problem.sigma_t)
+    with pytest.raises(AssumptionError, match=msg):
+        apply_ah(v, v, problem, mesh, mesh.h)
+
+
 def test_triple_norm_basics():
     mesh = build_structured_unit_square(3)
     quad = trapezoid_circle(8)

@@ -66,10 +66,18 @@ def test_schedule_matches_brute_force(theta):
 def test_build_schedules_match_brute_force_for_every_direction():
     mesh = perturbed_mesh(6, seed=16)
     quad = trapezoid_circle(20)
-    scheds = build_schedules(mesh, quad.directions)
-    assert len(scheds) == quad.n_directions
+    stack = build_schedules(mesh, quad.directions)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    assert stack.omega.shape == (nl, 2) and stack.layer_of.shape == (nl, nt)
+    assert stack.dot.shape == stack.inflow.shape == (nl, nt, 3)
     interior = mesh.tri_neighbors != BOUNDARY
-    for omega, sched in zip(quad.directions, scheds):
+    for l, omega in enumerate(quad.directions):
+        # each direction's slice of the stack is the schedule it gets alone
+        sched = build_schedule(mesh, omega)
+        np.testing.assert_array_equal(stack.omega[l], sched.omega)
+        np.testing.assert_array_equal(stack.layer_of[l], sched.layer_of)
+        np.testing.assert_array_equal(stack.dot[l], sched.dot)
+        np.testing.assert_array_equal(stack.inflow[l], sched.inflow)
         layer_of = brute_force_layers(mesh, omega)
         np.testing.assert_array_equal(sched.layer_of, layer_of)
         assert len(sched.layers) == layer_of.max() + 1
@@ -97,7 +105,7 @@ def test_build_schedules_names_the_cyclic_direction():
     sign[0, s] *= -1
     bad = dataclasses.replace(mesh, tri_edge_sign=sign)
     ok, cyc = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    assert [list(l) for l in build_schedules(bad, [ok])[0].layers] == [[0, 1]]
+    assert [list(l) for l in build_schedules(bad, [ok]).layers] == [[0, 1]]
     with pytest.raises(SweepCycleError, match="direction 1, omega = \\(-1, 0\\)") as exc:
         build_schedules(bad, [ok, cyc])
     assert sorted(exc.value.elements) == [0, 1]
@@ -229,22 +237,6 @@ def test_kernel_matches_reference_sweep(theta, use_delta):
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 
-def test_kernel_accepts_per_element_delta():
-    mesh = perturbed_mesh(4, seed=12)
-    omega = unit_direction(1.9)
-    sched = build_schedule(mesh, omega)
-    delta = 0.8 * mesh.tri_h
-    sigma_t = const(4.0)
-    ref = sweep_direction(
-        mesh, sched, omega, delta, sigma_t, const(2.0), const(1.0),
-        tri_rule=triangle_rule(4), edge_npts=4,
-    )
-    tables = space_tables(mesh, sigma_t)
-    f_vals = np.full(tables.points.shape[:2], 2.0)
-    kern = build_kernel(tables, sched, delta, f_vals=f_vals, inflow_data=const(1.0))
-    np.testing.assert_allclose(kern.run(), ref, atol=1e-12)
-
-
 def test_one_direction_kernel_rejects_non_finite_inflow_data():
     # the form of the traced replay: one schedule, g(x, y); NaN on the lower half
     # of the inflow side x = 0 (two edges, 4 points each) and on the outflow
@@ -287,7 +279,7 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     scheds = [build_schedule(mesh, quad.directions[l]) for l in range(nl)]
     n_graphs = len({s.inflow.tobytes() for s in scheds})
     assert (n_graphs < nl) if structured else (n_graphs == nl)
-    delta = {"global": mesh.h, "zero": 0.0, "local": 0.7 * mesh.tri_h}[delta_kind]
+    delta = {"global": mesh.h, "zero": 0.0, "local": 0.7 * mesh.h}[delta_kind]
 
     # sigma_t varies within and between elements, with a jump across x + y = 1:
     # the kernel sees it only through the moments sum_q w sigma_t phi (phi^T)
@@ -303,8 +295,9 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
     f_vals = [f(px, py) for f in fs]
     scatter_w = tables.areaw * sigma_s(px, py)
     fixed = dict(f_vals=f_vals, inflow_data=g)
-    plain = build_kernel(tables, scheds, delta, **fixed)
-    stack = build_kernel(tables, scheds, delta, **fixed, scatter_w=scatter_w)
+    stacked = build_schedules(mesh, quad.directions)
+    plain = build_kernel(tables, stacked, delta, **fixed)
+    stack = build_kernel(tables, stacked, delta, **fixed, scatter_w=scatter_w)
     np.testing.assert_array_equal(stack.run(), plain.run())
 
     # "points": a per-direction volume source; "moments": the lagged scattering
@@ -348,10 +341,10 @@ def test_stacked_kernel_matches_per_direction_and_reference(structured, delta_ki
 def test_kernel_takes_the_source_its_blocks_were_built_for():
     mesh = perturbed_mesh(3, seed=19)
     quad = trapezoid_circle(4)
-    scheds = build_schedules(mesh, quad.directions)
+    sched = build_schedules(mesh, quad.directions)
     tables = space_tables(mesh, const(2.0))
-    plain = build_kernel(tables, scheds, 0.1)
-    scattering = build_kernel(tables, scheds, 0.1, scatter_w=0.5 * tables.areaw)
+    plain = build_kernel(tables, sched, 0.1)
+    scattering = build_kernel(tables, sched, 0.1, scatter_w=0.5 * tables.areaw)
     rhs = plain.volume_rhs(tables.areaw * np.ones((quad.n_directions, *tables.areaw.shape)))
     with pytest.raises(ValueError, match="run_scattered"):
         scattering.run(rhs)
@@ -376,12 +369,12 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     mesh = build_structured_unit_square(4) if structured else perturbed_mesh(4, seed=17)
     quad = trapezoid_circle(8)
     nl, nt = quad.n_directions, mesh.n_triangles
-    scheds = build_schedules(mesh, quad.directions)
-    live = np.stack([upwind_map(mesh, s.inflow) >= 0 for s in scheds])
+    sched = build_schedules(mesh, quad.directions)
+    live = np.stack([upwind_map(mesh, inflow) >= 0 for inflow in sched.inflow])
     patterns = set((live @ [1, 2, 4]).ravel().tolist())
     if structured:  # two-edge patterns next to tangential edges
         assert {3, 6} <= patterns
-        assert (np.abs(np.stack([s.dot for s in scheds])) <= 1e-12).any()
+        assert (np.abs(sched.dot) <= 1e-12).any()
     else:  # every pattern but 0 and 7: each pair of edges is picked
         assert patterns == {0, 1, 2, 3, 4, 5, 6}
 
@@ -391,7 +384,7 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     tables = space_tables(mesh, sigma_t)
     px, py = tables.points[..., 0], tables.points[..., 1]
     kern = build_kernel(
-        tables, scheds, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
+        tables, sched, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
         inflow_data=g, scatter_w=tables.areaw * sigma_s(px, py),
     )
     # the edge padding a pattern leaves over has zero weight: its index is the
@@ -403,8 +396,9 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     got = np.moveaxis(kern.run_scattered(np.matmul(G, np.moveaxis(u.coeffs, -1, 0))), 0, -1)
     for l in range(nl):
         scat = scattering_source(u, G, sigma_s, l)
+        omega = quad.directions[l]
         ref = sweep_direction(
-            mesh, scheds[l], quad.directions[l], 0.8 * mesh.h, sigma_t,
+            mesh, build_schedule(mesh, omega), omega, 0.8 * mesh.h, sigma_t,
             lambda x, y: np.cos(x + l) + scat(x, y), lambda x, y: g(x, y, l),
             tri_rule=triangle_rule(4), edge_npts=4,
         )
@@ -423,14 +417,14 @@ def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     )
     n = kern.order.size
     assert n == quad.n_directions * nt
-    fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedules"]
+    fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedule"]
     arrays = [a for a in fields if isinstance(a, np.ndarray)]
     # per-pair arrays are stored as planes, the pair index last
     per_pair = sum(a.nbytes for a in arrays if a.shape[-1] == n)
     assert per_pair <= 224 * n
-    # per element only grad (3x2) and delta_k; bary and omega are a few rows
+    # per element only grad (3x2); bary and omega are a few rows
     rest = sum(a.nbytes for a in arrays if a.shape[-1] != n)
-    assert rest <= 56 * nt + kern.bary.nbytes + kern.omega.nbytes
+    assert rest <= 48 * nt + kern.bary.nbytes + kern.omega.nbytes
 
 
 def test_run_scattered_allocates_one_plane_set_beyond_its_result():
@@ -467,13 +461,14 @@ def test_stacked_kernel_stores_blocks_in_direction_order():
     nt = mesh.n_triangles
     tables = space_tables(mesh, lambda x, y: 3.0 + x * y)
     px, py = tables.points[..., 0], tables.points[..., 1]
-    scheds = build_schedules(mesh, quad.directions)
     fv = [np.cos(px + l) * py for l in range(quad.n_directions)]
     g = lambda x, y, l: 1.0 + 0.3 * l * x - y
     sw = tables.areaw * (1.0 + 0.5 * px)
     delta = 0.7 * mesh.h
-    stack = build_kernel(tables, scheds, delta, f_vals=fv, inflow_data=g, scatter_w=sw)
-    for l, sched in enumerate(scheds):
+    stacked = build_schedules(mesh, quad.directions)
+    stack = build_kernel(tables, stacked, delta, f_vals=fv, inflow_data=g, scatter_w=sw)
+    for l, omega in enumerate(quad.directions):
+        sched = build_schedule(mesh, omega)
         gl = lambda x, y: g(x, y, l)  # a one-direction kernel takes g(x, y)
         one = build_kernel(tables, sched, delta, f_vals=fv[l], inflow_data=gl, scatter_w=sw)
         cols = slice(l * nt, (l + 1) * nt)
@@ -485,12 +480,12 @@ def test_stacked_kernel_releases_its_schedules():
     mesh = perturbed_mesh(3, seed=22)
     quad = trapezoid_circle(4)
     tables = space_tables(mesh, const(2.0))
-    scheds = build_schedules(mesh, quad.directions)
-    dead = weakref.ref(scheds[1])
-    kern = build_kernel(tables, scheds, 0.1, scatter_w=0.5 * tables.areaw)
-    del scheds
+    stack = build_schedules(mesh, quad.directions)
+    dead = weakref.ref(stack)
+    kern = build_kernel(tables, stack, 0.1, scatter_w=0.5 * tables.areaw)
+    del stack
     assert dead() is None
-    assert kern.schedules == ()
+    assert kern.schedule is None
     sched = build_schedule(mesh, quad.directions[0])
     assert build_kernel(tables, sched, 0.1).schedule is sched
 
@@ -500,20 +495,22 @@ def test_stacked_sweep_steps_are_global_layers():
     quad = trapezoid_circle(6)
     nt = mesh.n_triangles
     scheds = [build_schedule(mesh, omega) for omega in quad.directions]
-    kern = build_kernel(space_tables(mesh, const(1.0)), scheds, 0.1)
+    stack = build_schedules(mesh, quad.directions)
+    kern = build_kernel(space_tables(mesh, const(1.0)), stack, 0.1)
     n_steps = len(kern.bounds) - 1
-    assert n_steps == max(s.n_layers for s in scheds)
+    assert n_steps == stack.n_layers == max(s.n_layers for s in scheds)
     assert n_steps < sum(s.n_layers for s in scheds)
-    # step i is layer i of every direction, in (direction, element) order
+    # step i is layer i of every direction, in (direction, element) order:
+    # the stack's layers, the pair ids of each step
+    assert len(stack.layers) == n_steps
     for i in range(n_steps):
         want = [l * nt + s.layers[i] for l, s in enumerate(scheds) if i < s.n_layers]
-        np.testing.assert_array_equal(
-            kern.order[kern.bounds[i] : kern.bounds[i + 1]], np.concatenate(want)
-        )
+        step = kern.order[kern.bounds[i] : kern.bounds[i + 1]]
+        np.testing.assert_array_equal(step, np.concatenate(want))
+        np.testing.assert_array_equal(stack.layers[i], step)
     one = build_kernel(space_tables(mesh, const(1.0)), scheds[0], 0.1)
     assert len(one.bounds) - 1 == one.schedule.n_layers == scheds[0].n_layers
-    with pytest.raises(ValueError):
-        kern.schedule
+    assert kern.schedule is None
 
 
 def test_inverse_3x3_matches_linalg():
