@@ -36,7 +36,6 @@ from .mesh import (
     boundary_points,
     build_structured_unit_square,
     omega_dot_n,
-    opposite_local_edge,
     refine_regular,
 )
 from .quadrature import triangle_rule
@@ -216,7 +215,7 @@ def _form_directions(quad, mesh):
     """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
     of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
     grad = element_basis(mesh)
-    elen = mesh.edge_length[mesh.tri_edges]
+    elen = mesh.tri_edge_length
     boundary = mesh.tri_neighbors == BOUNDARY
     for l, (omega, dot) in enumerate(zip(quad.directions, omega_dot_n(mesh, quad.directions))):
         w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
@@ -238,7 +237,7 @@ def _edge_table(mesh):
     inner = mesh.tri_neighbors != BOUNDARY
     own = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)
     nbr = 3 * np.where(inner, mesh.tri_neighbors, 0)
-    opp = np.where(inner, opposite_local_edge(mesh), 0)
+    opp = np.where(inner, mesh.tri_opposite, 0)
     return np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp]), inner
 
 

@@ -1,17 +1,18 @@
 """Conforming triangular meshes of a rectangular domain.
 
 A mesh is stored as flat numpy arrays (struct-of-arrays): vertex
-coordinates, triangle->vertex connectivity (counterclockwise), and an edge
-table with adjacency and outward normals. Local edge `s` of a triangle
-connects its local vertices `s` and `(s+1) % 3`; the stored edge normal
-points out of `edge_left`, so the outward normal seen from a triangle is
-the stored normal times `tri_edge_sign`.
+coordinates, triangle->vertex connectivity (counterclockwise), and one
+view of each local edge. Local edge `s` of a triangle runs from its local
+vertex `s` to `(s+1) % 3`; the mesh stores, per triangle and local edge,
+the neighbour across it, that neighbour's local index of the same edge,
+the unit outward normal and the length. An interior edge is seen from
+both sides: the neighbour's normal is this one negated, exactly.
+`build_mesh` alone numbers the edges; the numbering serves refinement.
 
-Meshes are immutable after construction (arrays are write-protected) and
-safe to share across workers.
+Meshes are immutable after construction (arrays are write-protected).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +30,12 @@ class TriangleMesh:
     vertices: np.ndarray  # (nv, 2) float
     triangles: np.ndarray  # (nt, 3) int, counterclockwise
     tri_edges: np.ndarray  # (nt, 3) int, edge id of local edge s
-    tri_edge_sign: np.ndarray  # (nt, 3) +1 where triangle == edge_left
     tri_neighbors: np.ndarray  # (nt, 3) neighbor across local edge, or BOUNDARY
+    tri_opposite: np.ndarray  # (nt, 3) the neighbor's local index of the edge, or BOUNDARY
+    tri_normal: np.ndarray  # (nt, 3, 2) unit outward normal of local edge s
+    tri_edge_length: np.ndarray  # (nt, 3)
     tri_area: np.ndarray  # (nt,)
     tri_h: np.ndarray  # (nt,) longest edge per triangle
-    edge_vertices: np.ndarray  # (ne, 2) oriented as seen from edge_left
-    edge_left: np.ndarray  # (ne,)
-    edge_right: np.ndarray  # (ne,) triangle id or BOUNDARY
-    edge_normal: np.ndarray  # (ne, 2) unit, outward from edge_left
-    edge_length: np.ndarray  # (ne,)
     h: float
 
     @property
@@ -50,7 +48,7 @@ class TriangleMesh:
 
     @property
     def n_edges(self):
-        return self.edge_vertices.shape[0]
+        return int(self.tri_edges.max()) + 1
 
     def total_area(self):
         return float(self.tri_area.sum())
@@ -73,7 +71,8 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     hanging node: no boundary edge with an endpoint of a collinear boundary
     edge strictly inside it. Edges are numbered in the lexicographic order
     of their (min, max) vertex ids, independent of the order of the
-    triangles. The mesh owns copies of the two inputs.
+    triangles; the same sort pairs each interior local edge with its twin.
+    The mesh owns copies of the two inputs.
     """
     vertices = np.array(vertices, dtype=float)
     ids = np.asarray(triangles)
@@ -110,7 +109,7 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
         bad = int(np.argmax(area <= 0))
         raise MeshError(f"triangle {bad} is degenerate or clockwise (signed area {area[bad]:g})")
 
-    # Edge table from the 3*nt directed local edges, keyed by (min, max) id:
+    # Edge ids from the 3*nt directed local edges, keyed by (min, max) id:
     # one stable sort puts each edge's uses in a run, in local-edge order.
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     key = np.minimum(*pairs.T) * nv + np.maximum(*pairs.T)
@@ -122,46 +121,39 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     if (counts > 2).any():
         raise MeshError("nonconforming mesh: an edge is shared by more than two triangles")
     first = order[starts]
-    edge_left = first // 3
-    edge_vertices = pairs[first]
-    edge_right = np.full(starts.size, BOUNDARY, dtype=np.int64)
     interior = counts == 2
-    second = order[starts[interior] + 1]
-    edge_right[interior] = second // 3
-    if not (pairs[second] == edge_vertices[interior][:, ::-1]).all():
+    a, b = first[interior], order[starts[interior] + 1]  # the two uses, 3k + s
+    if not (pairs[b] == pairs[a][:, ::-1]).all():
         raise MeshError("interior edge traversed in the same direction by both triangles")
-
     tri_edges = np.empty((nt, 3), dtype=np.int64)
     np.put(tri_edges, order, np.cumsum(run_start) - 1)
-    tri_edge_sign = np.where(edge_left[tri_edges] == np.arange(nt)[:, None], 1, -1)
-    tri_neighbors = np.where(
-        tri_edge_sign == 1, edge_right[tri_edges], edge_left[tri_edges]
-    )
+    nbr = np.full(3 * nt, BOUNDARY, dtype=np.int64)
+    opp = np.full(3 * nt, BOUNDARY, dtype=np.int64)
+    nbr[a], nbr[b] = b // 3, a // 3
+    opp[a], opp[b] = b % 3, a % 3
 
-    tvec = z[edge_vertices[:, 1]] - z[edge_vertices[:, 0]]
-    edge_length = np.hypot(tvec.real, tvec.imag)
-    if (edge_length <= 0).any():
+    # each triangle's own directed edges: the two sides of an edge negate exactly
+    t = p[:, [1, 2, 0]] - p
+    length = np.hypot(t.real, t.imag)
+    if (length <= 0).any():
         raise MeshError("zero-length edge")
-    edge_normal = np.column_stack([tvec.imag, -tvec.real]) / edge_length[:, None]
+    normal = np.empty((nt, 3, 2))  # per component: a broadcast (..., 2) divide is slow
+    np.divide(t.imag, length, out=normal[..., 0])
+    np.divide(-t.real, length, out=normal[..., 1])
 
-    tri_h = edge_length[tri_edges].max(axis=1)
-
-    _reject_hanging_nodes(z, edge_vertices[~interior])
+    _reject_hanging_nodes(z, pairs[first[~interior]])
 
     return TriangleMesh(
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         tri_edges=_freeze(tri_edges),
-        tri_edge_sign=_freeze(tri_edge_sign),
-        tri_neighbors=_freeze(tri_neighbors),
+        tri_neighbors=_freeze(nbr.reshape(nt, 3)),
+        tri_opposite=_freeze(opp.reshape(nt, 3)),
+        tri_normal=_freeze(normal),
+        tri_edge_length=_freeze(length),
         tri_area=_freeze(area),
-        tri_h=_freeze(tri_h),
-        edge_vertices=_freeze(edge_vertices),
-        edge_left=_freeze(edge_left),
-        edge_right=_freeze(edge_right),
-        edge_normal=_freeze(edge_normal),
-        edge_length=_freeze(edge_length),
-        h=float(edge_length.max()),
+        tri_h=_freeze(length.max(axis=1)),
+        h=float(length.max()),
     )
 
 
@@ -187,8 +179,11 @@ def _reject_hanging_nodes(z, bv):
     a9 = np.arctan2(d.imag, d.real) % np.pi * 1e9
     # an edge and its reverse, at either side of 0 mod pi, get one key and one w
     a9[a9 >= _WRAP] -= np.pi * 1e9
-    w = zb * np.exp(-1e-9j * a9)[:, None]  # along the line + i across it
-    tol = 1e-10 * abs(zb).max()
+    # offsets from one boundary vertex: the tolerance follows the boundary's
+    # extent, not its distance from the origin, and is no finer than a few ulps
+    w = zb - zb[0, 0]
+    tol = max(1e-10 * abs(w).max(), 4 * np.spacing(abs(zb).max()))
+    w *= np.exp(-1e-9j * a9)[:, None]  # along the line + i across it
     t = np.sort(w.real, axis=1)
     line = np.rint(a9) + 1j * np.rint(w[:, 0].imag / tol)
     o = np.lexsort((t[:, 1], t[:, 0], line.imag, line.real))
@@ -228,16 +223,17 @@ def build_structured_unit_square(n: int) -> TriangleMesh:
 def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     """Split every triangle into four via edge midpoints (red refinement).
 
-    Midpoints are shared through the edge table, so the result is conforming
-    by construction and each child h is half the parent's.
+    Midpoints are numbered by edge id, so the result is conforming by
+    construction and each child h is half the parent's. Either side of an
+    edge gives the same midpoint: a + b == b + a exactly.
     """
-    nv = mesh.n_vertices
-    mids = 0.5 * (
-        mesh.vertices[mesh.edge_vertices[:, 0]] + mesh.vertices[mesh.edge_vertices[:, 1]]
-    )
-    vertices = np.vstack([mesh.vertices, mids])
+    nv, v, t = mesh.n_vertices, mesh.vertices, mesh.triangles
+    use = np.empty(mesh.n_edges, dtype=np.int64)  # one local edge 3k + s of each edge
+    use[mesh.tri_edges.ravel()] = np.arange(t.size)
+    mids = 0.5 * (v[t.ravel()[use]] + v[t[:, [1, 2, 0]].ravel()[use]])
+    vertices = np.vstack([v, mids])
 
-    a, b, c = mesh.triangles[:, 0], mesh.triangles[:, 1], mesh.triangles[:, 2]
+    a, b, c = t[:, 0], t[:, 1], t[:, 2]
     mab = nv + mesh.tri_edges[:, 0]
     mbc = nv + mesh.tri_edges[:, 1]
     mca = nv + mesh.tri_edges[:, 2]
@@ -256,15 +252,15 @@ def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
 def omega_dot_n(mesh: TriangleMesh, directions) -> np.ndarray:
     """Outward omega . n of every local edge for a stack of directions (nl, 2): (nl, nt, 3).
 
-    Elementwise: a (nt, 3, 2) @ (2,) matmul runs one tiny product per block.
-    One direction at a time into the result, signed last: stacked or
-    pre-signed temporaries here raised a level-3 solve's peak RSS by 3-6%.
+    Elementwise: a (nt, 3, 2) @ (2,) matmul runs one tiny product per block
+    and may round differently. One direction at a time into the result:
+    stacked temporaries here raised a level-3 solve's peak RSS by 3-6%.
     """
-    n = mesh.edge_normal[mesh.tri_edges]  # (nt, 3, 2), gathered once
+    nx, ny = mesh.tri_normal[..., 0], mesh.tri_normal[..., 1]
     om = np.asarray(directions, dtype=float)
-    dot = np.empty((len(om), *n.shape[:2]))
+    dot = np.empty((len(om), *nx.shape))
     for l, (ox, oy) in enumerate(om):
-        np.multiply(n[..., 0] * ox + n[..., 1] * oy, mesh.tri_edge_sign, out=dot[l])
+        np.add(nx * ox, ny * oy, out=dot[l])
     return dot
 
 
@@ -274,21 +270,6 @@ def boundary_points(mesh: TriangleMesh, t):
     p0 = mesh.vertices[mesh.triangles[bk, bs]]
     p1 = mesh.vertices[mesh.triangles[bk, (bs + 1) % 3]]
     return bk, bs, p0[:, None] + t[:, None] * (p1 - p0)[:, None]
-
-
-def opposite_local_edge(mesh: TriangleMesh):
-    """For (k, s): local index of the shared edge inside the neighbor.
-
-    Entries across boundary edges are -1. Both triangles see the same edge
-    id; each records which side of it they are on via tri_edge_sign.
-    """
-    loc = np.full((mesh.n_edges, 2), -1, dtype=np.int64)
-    for s in range(3):
-        e = mesh.tri_edges[:, s]
-        side = (mesh.tri_edge_sign[:, s] < 0).astype(np.int64)
-        loc[e, side] = s
-    own_side = (mesh.tri_edge_sign < 0).astype(np.int64)
-    return loc[mesh.tri_edges, 1 - own_side]
 
 
 def save_mesh(mesh: TriangleMesh, path):

@@ -16,7 +16,7 @@ from .dg_core import (
     EDGE_MASS_2, TRACE_T, TRACE_W, check_nonsingular, element_basis, quad_points,
 )
 from .errors import SweepCycleError, sample
-from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n, opposite_local_edge
+from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n
 from .quadrature import TriangleRule, triangle_rule
 
 
@@ -26,7 +26,7 @@ class SweepSchedule:
 
     layer_of[l, k] is the layer of element k in direction l; every interior
     inflow edge's upwind neighbour sits in a strictly earlier layer.
-    dot[l, k, s] = omega_l . n on local edge s with the outward sign for k.
+    dot[l, k, s] = omega_l . n with n = mesh.tri_normal[k, s], outward from k.
     One direction's schedule has no leading direction axis. The inflow
     mask, the layer count and the layers are derived from these two; the
     upwind neighbour across an inflow edge is mesh.tri_neighbors there.
@@ -49,9 +49,16 @@ class SweepSchedule:
     def layers(self) -> tuple:
         """The pair ids l * nt + k (element ids for one direction) of each layer,
         ascending: the kernel's order split at its bounds."""
-        flat = self.layer_of.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        return tuple(np.split(order, np.cumsum(np.bincount(flat))[:-1]))
+        order, bounds = _sweep_order(self.layer_of)
+        return tuple(np.split(order, bounds[1:-1]))
+
+
+def _sweep_order(layer_of):
+    """The pair ids (n,) in (layer, pair) order and the layer bounds, a tuple of n_layers + 1."""
+    flat = layer_of.reshape(-1)
+    # stable radix sort on the narrowest integer type that holds the layers
+    order = np.argsort(flat.astype(np.min_scalar_type(flat.max())), kind="stable")
+    return order, (0, *np.cumsum(np.bincount(flat)).tolist())
 
 
 def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
@@ -116,7 +123,6 @@ class SpaceTables:
     points: np.ndarray  # (nt, nq, 2) physical quadrature points
     areaw: np.ndarray  # (nt, nq) area-scaled weights
     sigma_t: np.ndarray  # (nt, nq)
-    opp_local: np.ndarray  # (nt, 3)
 
 
 def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> SpaceTables:
@@ -131,7 +137,6 @@ def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> Space
         points=pts,
         areaw=mesh.tri_area[:, None] * rule.weights[None, :],
         sigma_t=sample("sigma_t", sigma_t, pts),
-        opp_local=opposite_local_edge(mesh),
     )
 
 
@@ -318,12 +323,9 @@ def build_kernel(
     dot, inflow = schedule.dot.reshape(nl, nt, 3), schedule.inflow.reshape(nl, nt, 3)
     bary = tables.rule.points
 
-    layer_of = schedule.layer_of.reshape(n)
-    # stable radix sort on the narrowest integer type that holds the layers
-    order = np.argsort(layer_of.astype(np.min_scalar_type(layer_of.max())), kind="stable")
+    order, bounds = _sweep_order(schedule.layer_of)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    bounds = tuple(int(x) for x in np.concatenate([[0], np.cumsum(np.bincount(layer_of))]))
 
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
@@ -335,7 +337,7 @@ def build_kernel(
     if scatter_w is not None:
         s_vec = bary.T @ scatter_w.T  # (3, nt)
         s_mat = pp @ scatter_w.T  # (3, 3, nt)
-    elen = mesh.edge_length[mesh.tri_edges]
+    elen = mesh.tri_edge_length
     interior = mesh.tri_neighbors != BOUNDARY
     up = np.maximum(mesh.tri_neighbors, 0)  # the upwind neighbour across a live edge
     bnd = None if inflow_data is None else boundary_points(mesh, TRACE_T)
@@ -347,7 +349,7 @@ def build_kernel(
     grad = tables.grad
     gx, gy = grad.transpose(2, 1, 0).copy()  # (3, nt) each
     # row 2s + c: plane offset of the upwind neighbour's coefficient c on edge s
-    coef_off = ((tables.opp_local.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)
+    coef_off = ((mesh.tri_opposite.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)
     # flat offsets of the picked rows of the (18, nt) coupling and the (6, nt) indices, per pattern
     pick_rows, pick_cols, elem = _PICK_FLAT.T * nt, _PICK_COLS.T * nt, np.arange(nt)
     for l, om in enumerate(omega):

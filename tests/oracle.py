@@ -40,7 +40,7 @@ from rte2d import (
     element_basis,
 )
 from rte2d.dg_core import EDGE_MASS_2, check_nonsingular
-from rte2d.mesh import BOUNDARY, _freeze, opposite_local_edge
+from rte2d.mesh import BOUNDARY, _freeze
 from rte2d.quadrature import TriangleRule, edge_rule, triangle_rule
 from rte2d.sweep import SweepSchedule
 
@@ -65,17 +65,20 @@ class EdgeClassification:
 def classify_edges(mesh: TriangleMesh, omega) -> EdgeClassification:
     """Split each triangle's edges into inflow and outflow for direction omega.
 
-    omega . n is formed one local edge at a time from the stored edge normal
-    and the triangle's side of it. An edge is inflow when omega . n < -EPS_N;
-    tangential edges (|omega . n| <= EPS_N) land in the outflow set.
+    omega . n is formed one local edge at a time from the outward normal of
+    the triangle's own directed edge v_s -> v_{s+1}, not from the mesh's
+    stored normals. An edge is inflow when omega . n < -EPS_N; tangential
+    edges (|omega . n| <= EPS_N) land in the outflow set.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (2,) or abs(np.hypot(*omega) - 1.0) > 1e-12:
         raise ValueError("omega must be a unit 2-vector")
+    p = mesh.vertices[mesh.triangles]
     dot = np.empty((mesh.n_triangles, 3))
     for s in range(3):
-        n = mesh.edge_normal[mesh.tri_edges[:, s]]
-        dot[:, s] = (n[:, 0] * omega[0] + n[:, 1] * omega[1]) * mesh.tri_edge_sign[:, s]
+        t = p[:, (s + 1) % 3] - p[:, s]
+        n = np.column_stack([t[:, 1], -t[:, 0]]) / np.hypot(t[:, 0], t[:, 1])[:, None]
+        dot[:, s] = n[:, 0] * omega[0] + n[:, 1] * omega[1]
     return EdgeClassification(omega=omega, omega_dot_n=dot, inflow=dot < -EPS_N)
 
 
@@ -136,9 +139,8 @@ def assemble_local(
 
     tq, tw = edge_rule(edge_npts)
     for s in inflow_local_edges:
-        e = mesh.tri_edges[k, s]
-        a_dot = abs(float(mesh.edge_normal[e] @ omega))
-        length = mesh.edge_length[e]
+        a_dot = abs(float(mesh.tri_normal[k, s] @ omega))
+        length = mesh.tri_edge_length[k, s]
         i0, i1 = s, (s + 1) % 3
         block = length * a_dot * EDGE_MASS_2
         A[np.ix_((i0, i1), (i0, i1))] += block.T  # rows are test, cols trial
@@ -317,9 +319,9 @@ def error_norms(
     pts = np.einsum("qs,kst->kqt", bary, mesh.vertices[mesh.triangles])
     areaw = mesh.tri_area[:, None] * rule.weights[None, :]
     tq, tw = edge_rule(4)
-    opp = opposite_local_edge(mesh)
+    opp = mesh.tri_opposite
     interior = mesh.tri_neighbors != BOUNDARY
-    elen = mesh.edge_length[mesh.tri_edges]
+    elen = mesh.tri_edge_length
 
     s1_of = [(s + 1) % 3 for s in range(3)]
     e1 = e2 = e3 = e4 = 0.0
@@ -342,7 +344,7 @@ def error_norms(
             (mesh.tri_h[:, None] * areaw * (du - duh[:, None]) ** 2).sum()
         )
 
-        dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
+        dot = mesh.tri_normal @ omega
         for s in range(3):
             s1 = s1_of[s]
 
@@ -401,6 +403,9 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
 
     Validates counterclockwise orientation, conformity (each edge shared by
     at most two triangles, with opposite orientations), and normal lengths.
+    The local-edge view comes from a global edge table: each edge's normal
+    and length once, outward from its first triangle, and each triangle's
+    side of it as a sign.
     """
     vertices = np.asarray(vertices, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
@@ -454,6 +459,11 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     tri_neighbors = np.where(
         tri_edge_sign == 1, edge_right[tri_edges], edge_left[tri_edges]
     )
+    # each edge's local index in its left and in its right triangle
+    loc = np.full((ne, 2), BOUNDARY, dtype=np.int64)
+    for s in range(3):
+        loc[tri_edges[:, s], (tri_edge_sign[:, s] < 0).astype(np.int64)] = s
+    tri_opposite = loc[tri_edges, (tri_edge_sign > 0).astype(np.int64)]
 
     tvec = vertices[edge_vertices[:, 1]] - vertices[edge_vertices[:, 0]]
     edge_length = np.hypot(tvec[:, 0], tvec[:, 1])
@@ -467,14 +477,11 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
         vertices=_freeze(vertices),
         triangles=_freeze(triangles),
         tri_edges=_freeze(tri_edges),
-        tri_edge_sign=_freeze(tri_edge_sign),
         tri_neighbors=_freeze(tri_neighbors),
+        tri_opposite=_freeze(tri_opposite),
+        tri_normal=_freeze(edge_normal[tri_edges] * tri_edge_sign[..., None]),
+        tri_edge_length=_freeze(edge_length[tri_edges]),
         tri_area=_freeze(area),
         tri_h=_freeze(tri_h),
-        edge_vertices=_freeze(edge_vertices),
-        edge_left=_freeze(edge_left),
-        edge_right=_freeze(edge_right),
-        edge_normal=_freeze(edge_normal),
-        edge_length=_freeze(edge_length),
         h=float(edge_length.max()),
     )

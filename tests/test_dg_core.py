@@ -56,7 +56,7 @@ def test_green_identity_per_element():
     basis = element_basis(mesh)
     omega = unit_direction(0.81)
     cls = classify_edges(mesh, omega)
-    elen = mesh.edge_length[mesh.tri_edges]
+    elen = mesh.tri_edge_length
     for k in range(mesh.n_triangles):
         lhs = basis[k] @ omega * mesh.tri_area[k]
         rhs = np.zeros(3)
@@ -109,7 +109,7 @@ def test_assemble_local_constant_source_rhs():
 def test_assemble_local_inflow_edge_block():
     mesh = one_triangle()
     basis = element_basis(mesh)
-    omega = -mesh.edge_normal[mesh.tri_edges[0, 0]]  # straight into edge 0
+    omega = -mesh.tri_normal[0, 0]  # straight into edge 0
     cls = classify_edges(mesh, omega)
     assert cls.inflow[0, 0]
     bare = assemble_local(
@@ -118,7 +118,7 @@ def test_assemble_local_inflow_edge_block():
     with_edge = assemble_local(
         mesh, basis, 0, omega, 0.0, const(1.0), (0,), lambda s, x, y: 1.0, const(0.0)
     )
-    L = mesh.edge_length[mesh.tri_edges[0, 0]]
+    L = mesh.tri_edge_length[0, 0]
     block = np.zeros((3, 3))
     block[np.ix_((0, 1), (0, 1))] = L * np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     np.testing.assert_allclose(with_edge.A - bare.A, block, atol=1e-13)

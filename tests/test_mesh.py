@@ -13,8 +13,9 @@ from rte2d import (
     load_mesh,
     refine_regular,
     save_mesh,
+    trapezoid_circle,
 )
-from rte2d.mesh import BOUNDARY, TriangleMesh, omega_dot_n, opposite_local_edge
+from rte2d.mesh import BOUNDARY, TriangleMesh, omega_dot_n
 import oracle
 from helpers import hanging_node_cells, perturbed_mesh, unit_direction, write_mesh_text
 from oracle import classify_edges
@@ -30,7 +31,7 @@ def test_structured_counts_n10():
     assert mesh.n_vertices == 121
     assert mesh.n_triangles == 200
     assert mesh.n_edges == 320
-    assert (mesh.edge_right == BOUNDARY).sum() == 40
+    assert (mesh.tri_neighbors == BOUNDARY).sum() == 40
     assert mesh.total_area() == pytest.approx(1.0, abs=1e-12)
     assert mesh.h == pytest.approx(math.sqrt(2.0) / 10.0, abs=1e-14)
 
@@ -53,20 +54,19 @@ def test_structured_rejects_bad_n():
 def test_edge_table_consistency():
     mesh = perturbed_mesh(6, seed=3)
     # each interior edge is seen by exactly its two listed triangles, with
-    # opposite orientations
+    # opposite orientations; a boundary edge by its one triangle
+    uses = np.bincount(mesh.tri_edges.ravel())
+    assert uses.size == mesh.n_edges and uses.min() >= 1
     for k in range(mesh.n_triangles):
         for s in range(3):
             e = mesh.tri_edges[k, s]
-            if mesh.tri_edge_sign[k, s] > 0:
-                assert mesh.edge_left[e] == k
-            else:
-                assert mesh.edge_right[e] == k
+            n, sp = mesh.tri_neighbors[k, s], mesh.tri_opposite[k, s]
             a, b = mesh.triangles[k, s], mesh.triangles[k, (s + 1) % 3]
-            ev = mesh.edge_vertices[e]
-            if mesh.tri_edge_sign[k, s] > 0:
-                assert (ev == (a, b)).all()
+            if n == BOUNDARY:
+                assert uses[e] == 1 and sp == BOUNDARY
             else:
-                assert (ev == (b, a)).all()
+                assert uses[e] == 2 and mesh.tri_edges[n, sp] == e
+                assert (mesh.triangles[n, sp], mesh.triangles[n, (sp + 1) % 3]) == (b, a)
 
 
 def rotate_triangles(triangles, rot):
@@ -114,9 +114,11 @@ def test_edge_table_ignores_triangle_order_and_rotation(data):
     rot = data.draw(st.lists(st.integers(0, 2), min_size=nt, max_size=nt), label="rot")
     tris, idx = rotate_triangles(mesh.triangles[perm], rot)
     moved = build_mesh(mesh.vertices, tris)
-    np.testing.assert_array_equal(
-        np.sort(moved.edge_vertices, axis=1), np.sort(mesh.edge_vertices, axis=1)
-    )
+    # edge ids follow the vertex ids, and each local edge keeps its geometry
+    old = perm[:, None], idx
+    np.testing.assert_array_equal(moved.tri_edges, mesh.tri_edges[old])
+    np.testing.assert_array_equal(moved.tri_normal, mesh.tri_normal[old])
+    np.testing.assert_array_equal(moved.tri_edge_length, mesh.tri_edge_length[old])
     np.testing.assert_allclose(moved.tri_area, mesh.tri_area[perm], rtol=1e-12, atol=0)
     nbr = mesh.tri_neighbors[perm[:, None], idx]
     np.testing.assert_array_equal(
@@ -129,19 +131,22 @@ def test_edge_table_ignores_triangle_order_and_rotation(data):
 
 def test_edge_normals_unit_and_outward():
     mesh = perturbed_mesh(5, seed=1)
-    np.testing.assert_allclose(
-        np.hypot(mesh.edge_normal[:, 0], mesh.edge_normal[:, 1]), 1.0, atol=1e-13
-    )
-    # outward from edge_left: normal points away from the left triangle's centroid
-    cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    mid = mesh.vertices[mesh.edge_vertices].mean(axis=1)
-    to_edge = mid - cent[mesh.edge_left]
-    assert ((to_edge * mesh.edge_normal).sum(axis=1) > 0).all()
+    n, length = mesh.tri_normal, mesh.tri_edge_length
+    np.testing.assert_allclose(np.hypot(n[..., 0], n[..., 1]), 1.0, atol=1e-13)
+    # outward: the normal points away from the triangle's centroid
+    p = mesh.vertices[mesh.triangles]
+    to_edge = 0.5 * (p + p[:, [1, 2, 0]]) - p.mean(axis=1)[:, None]
+    assert ((to_edge * n).sum(axis=2) > 0).all()
+    # normal to local edge s, whose length is |v_{s+1} - v_s|; a closed boundary has zero flux
+    t = p[:, [1, 2, 0]] - p
+    np.testing.assert_allclose((t * n).sum(axis=2), 0.0, atol=1e-15)
+    np.testing.assert_allclose(length, np.hypot(t[..., 0], t[..., 1]), rtol=1e-15)
+    np.testing.assert_allclose((length[..., None] * n).sum(axis=1), 0.0, atol=1e-15)
 
 
 def test_neighbor_symmetry_and_opposite_local_edge():
     mesh = perturbed_mesh(5, seed=2)
-    opp = opposite_local_edge(mesh)
+    opp = mesh.tri_opposite
     for k in range(mesh.n_triangles):
         for s in range(3):
             n = mesh.tri_neighbors[k, s]
@@ -227,15 +232,17 @@ ROTATIONS = pytest.mark.parametrize(
 )
 
 
+HANGING = r"^nonconforming mesh: vertex (\d+) at .* lies inside boundary edge (\d+)-(\d+) "
+
+
 @pytest.mark.parametrize("shared_seam", [True, False], ids=["shared seam", "split seam"])
 @ROTATIONS
 def test_build_mesh_rejects_hanging_nodes(shared_seam, angle):
     # accepted, the 8|4 strips' seam would be solved as a boundary with zero inflow data
     verts, tris = hanging_node_cells(shared_seam)
-    pattern = r"^nonconforming mesh: vertex (\d+) at .* lies inside boundary edge (\d+)-(\d+) "
-    with pytest.raises(MeshError, match=pattern + r"\(a hanging node\)$") as exc:
+    with pytest.raises(MeshError, match=HANGING + r"\(a hanging node\)$") as exc:
         build_mesh(verts @ rotation(angle), tris)
-    v, a, b = map(int, re.match(pattern, str(exc.value)).groups())
+    v, a, b = map(int, re.match(HANGING, str(exc.value)).groups())
     p, q = verts[a], verts[b]
     assert p[0] == q[0] == verts[v][0] == 0.5  # a vertex of the seam
     assert min(p[1], q[1]) < verts[v][1] < max(p[1], q[1])
@@ -259,9 +266,55 @@ def test_build_mesh_accepts_holes_and_rotated_meshes(angle):
     centroids = grid.vertices[grid.triangles].mean(axis=1)
     keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
     holed = build_mesh(grid.vertices @ rotation(angle), grid.triangles[keep])
-    assert (holed.edge_right == BOUNDARY).sum() == 16 + 8
+    assert (holed.tri_neighbors == BOUNDARY).sum() == 16 + 8
     for mesh in (perturbed_mesh(5, seed=3), refine_regular(build_structured_unit_square(3))):
         build_mesh(mesh.vertices @ rotation(angle), mesh.triangles)
+
+
+def local_edge_mesh(kind):
+    if kind == "structured":
+        return build_structured_unit_square(6)
+    if kind == "refined":
+        return refine_regular(refine_regular(build_structured_unit_square(3)))
+    base = perturbed_mesh(5, seed=12)
+    if kind == "perturbed":
+        return refine_regular(base)
+    return build_mesh(base.vertices @ rotation(0.3), base.triangles)
+
+
+@pytest.mark.parametrize("kind", ["structured", "refined", "perturbed", "rotated"])
+def test_each_interior_edge_is_seen_negated_from_the_other_side(kind):
+    # the peel relies on it: an edge is inflow on one side only if it is outflow on the other
+    mesh = local_edge_mesh(kind)
+    assert (mesh.tri_opposite[mesh.tri_neighbors == BOUNDARY] == BOUNDARY).all()
+    k, s = np.nonzero(mesh.tri_neighbors != BOUNDARY)
+    n, sp = mesh.tri_neighbors[k, s], mesh.tri_opposite[k, s]
+    np.testing.assert_array_equal(mesh.tri_neighbors[n, sp], k)
+    np.testing.assert_array_equal(mesh.tri_opposite[n, sp], s)
+    np.testing.assert_array_equal(mesh.tri_edges[n, sp], mesh.tri_edges[k, s])
+    np.testing.assert_array_equal(mesh.tri_normal[n, sp], -mesh.tri_normal[k, s])
+    np.testing.assert_array_equal(mesh.tri_edge_length[n, sp], mesh.tri_edge_length[k, s])
+    dots = omega_dot_n(mesh, trapezoid_circle(20).directions)
+    np.testing.assert_array_equal(dots[:, n, sp], -dots[:, k, s])
+
+
+@pytest.mark.parametrize("shift, scale, angle", [
+    (0.0, 1.0, 0.0), (1e8, 1.0, 0.0), (1e3, 1e-3, 0.0), (1e6, 1e-3, 0.0), (1e4, 1e-6, 0.0),
+    (1e9, 1.0, 0.0),
+    # rotated, so the seam's offset carries the rounding of the coordinates
+    (1e3, 1e-3, 0.5), (1e5, 1e-2, 1.5),
+])
+def test_hanging_node_check_follows_the_mesh_not_the_origin(shift, scale, angle):
+    # the tolerance scales with the boundary's extent, not with its distance
+    # from the origin, and no finer than the coordinates' own resolution
+    verts, tris = hanging_node_cells()
+    with pytest.raises(MeshError, match=HANGING) as exc:
+        build_mesh(verts @ rotation(angle) * scale + shift, tris)
+    v, a, b = map(int, re.match(HANGING, str(exc.value)).groups())
+    assert verts[a][0] == verts[b][0] == verts[v][0] == 0.5  # a vertex of the seam
+    assert min(verts[a][1], verts[b][1]) < verts[v][1] < max(verts[a][1], verts[b][1])
+    grid = build_structured_unit_square(6)
+    build_mesh(grid.vertices @ rotation(angle) * scale + shift, grid.triangles)
 
 
 def test_refinement_quarters_elements_and_halves_h():
@@ -294,7 +347,7 @@ def test_classification_partitions_edges():
 
 def test_classification_antisymmetric_across_interior_edges():
     mesh = perturbed_mesh(4, seed=5)
-    opp = opposite_local_edge(mesh)
+    opp = mesh.tri_opposite
     cls = classify_edges(mesh, unit_direction(0.37))
     for k in range(mesh.n_triangles):
         for s in range(3):
@@ -316,10 +369,9 @@ def test_omega_dot_n_of_a_stack_matches_classification():
     directions = np.array([unit_direction(t) for t in np.linspace(0.0, 2 * np.pi, 7)])
     dots = omega_dot_n(mesh, directions)
     assert dots.shape == (7, mesh.n_triangles, 3)
-    normals = mesh.edge_normal[mesh.tri_edges]
     for omega, dot in zip(directions, dots):
         np.testing.assert_array_equal(dot, classify_edges(mesh, omega).omega_dot_n)
-        np.testing.assert_allclose(dot, (normals @ omega) * mesh.tri_edge_sign, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dot, mesh.tri_normal @ omega, rtol=0, atol=1e-15)
 
 
 def test_classify_requires_unit_vector():

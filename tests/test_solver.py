@@ -25,7 +25,7 @@ from rte2d import (
     triple_norm_stability,
     weighted_norm,
 )
-from rte2d.mesh import BOUNDARY, opposite_local_edge
+from rte2d.mesh import BOUNDARY
 from rte2d.quadrature import triangle_rule
 from rte2d.solver import iterate
 from helpers import perturbed_mesh, project_exact, random_solution
@@ -506,13 +506,13 @@ def quadratic_form_oracle(coeffs, mesh, quad, sigma_t, eps_n=1e-12):
     """a_h(v, v) for delta=0, sigma_s=0 via the integrated-by-parts form:
     (sigma_t v, v) + half the squared inflow jumps + half the boundary flux.
     """
-    opp = opposite_local_edge(mesh)
-    elen = mesh.edge_length[mesh.tri_edges]
+    opp = mesh.tri_opposite
+    elen = mesh.tri_edge_length
     M_unit = (np.ones((3, 3)) + np.eye(3)) / 12.0
     total = 0.0
     for l in range(quad.n_directions):
         omega = quad.directions[l]
-        dot = (mesh.edge_normal[mesh.tri_edges] @ omega) * mesh.tri_edge_sign
+        dot = mesh.tri_normal @ omega
         acc = 0.0
         for k in range(mesh.n_triangles):
             c = coeffs[l, k]

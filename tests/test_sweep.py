@@ -97,13 +97,13 @@ def test_build_schedules_match_brute_force_for_every_direction():
 
 
 def test_build_schedules_names_the_cyclic_direction():
-    # flipping one side's sign of the shared diagonal makes both triangles
+    # flipping one side's normal of the shared diagonal makes both triangles
     # see it as inflow (a 2-cycle) or both as outflow, by direction
     mesh = build_mesh(SQUARE, TWO_TRIANGLES)
     s = int(np.flatnonzero(mesh.tri_neighbors[0] == 1)[0])
-    sign = mesh.tri_edge_sign.copy()
-    sign[0, s] *= -1
-    bad = dataclasses.replace(mesh, tri_edge_sign=sign)
+    normal = mesh.tri_normal.copy()
+    normal[0, s] *= -1
+    bad = dataclasses.replace(mesh, tri_normal=normal)
     ok, cyc = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     assert [list(l) for l in build_schedules(bad, [ok]).layers] == [[0, 1]]
     with pytest.raises(SweepCycleError, match="direction 1, omega = \\(-1, 0\\)") as exc:
