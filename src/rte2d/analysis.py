@@ -12,13 +12,12 @@ and 1 + (c/4) cos(theta); its nonzero boundary trace supplies the inflow data.
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
 jump on inflow edges; eh is their root-sum-square. They, the stability norm
-`triple_norm_stability` and the bilinear form `apply_ah` share one pass per
-direction (`_form_directions`: d = grad(phi) . omega and the edge weights
-|e| |omega . n|) and one edge-index table per call (`_edge_table`), which
-gathers the own and upwind endpoints of every local edge in one take. P1
-traces are linear, so a jump j integrates exactly as j^T EDGE_MASS_2 j; only
-the boundary edges of `error_norms`, against the exact solution, take the
-4-point trace rule.
+`triple_norm_stability` and the bilinear form `apply_ah` share one walk over
+the directions (`_form_directions`). It checks the solutions, then yields
+d = grad(phi) . omega, the edge weights |e| |omega . n| and each solution's
+own and upwind endpoint values on every local edge. P1 traces are linear, so
+a jump j integrates exactly as j^T EDGE_MASS_2 j; only the boundary edges of
+`error_norms`, against the exact solution, take the 4-point trace rule.
 """
 
 import math
@@ -211,41 +210,40 @@ def _volume_rule(mesh):
     return rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
 
 
-def _form_directions(quad, mesh):
-    """Per direction: l, w_l, d = grad(phi) . omega, and the weights |e| |omega . n|
-    of the inflow edges and of the outflow boundary edges (zero elsewhere), (nt, 3)."""
+def _form_directions(mesh, quad, *sols):
+    """The norms' and forms' one walk over the directions. ValueError, before anything
+    is sampled, unless every solution lives on mesh and on quad's directions. Then per
+    direction: l, w_l, d = grad(phi) . omega, the weights |e| |omega . n| of the inflow
+    edges and of the outflow boundary edges (zero elsewhere), (nt, 3) each, and per
+    solution (coeffs[l], own, up): the endpoint values (2, nt, 3) at t = 0, 1 of every
+    local edge and of its upwind neighbour's, zero across the boundary."""
+    for sol in sols:
+        if sol.mesh is not mesh:
+            raise ValueError("the solution must live on the given mesh")
+        if not np.array_equal(sol.quad.directions, quad.directions):
+            raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
     grad = element_basis(mesh)
+    gx, gy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
     elen = mesh.tri_edge_length
-    boundary = mesh.tri_neighbors == BOUNDARY
-    for l, (omega, dot) in enumerate(zip(quad.directions, omega_dot_n(mesh, quad.directions))):
-        w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
-        w_out = np.where((dot > EPS_N) & boundary, elen * dot, 0.0)
-        yield l, quad.weights[l], grad[..., 0] * omega[0] + grad[..., 1] * omega[1], w_in, w_out
-
-
-def _check_solution(sol, mesh, quad):
-    """ValueError unless sol lives on mesh and on the directions of quad."""
-    if sol.mesh is not mesh:
-        raise ValueError("the solution must live on the given mesh")
-    if not np.array_equal(sol.quad.directions, quad.directions):
-        raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
-
-
-def _edge_table(mesh):
-    """Flat indices (4, nt, 3) into coeffs[l].ravel() of every local edge's own endpoints
-    at t = 0, 1, then its upwind neighbour's (0 across the boundary), and the interior mask."""
     inner = mesh.tri_neighbors != BOUNDARY
     own = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)
     nbr = 3 * np.where(inner, mesh.tri_neighbors, 0)
     opp = np.where(inner, mesh.tri_opposite, 0)
-    return np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp]), inner
+    idx = np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp])
+    dots = omega_dot_n(mesh, quad.directions)
 
+    def ends(c):
+        e = c.ravel().take(idx)
+        return c, e[:2], np.where(inner, e[2:], 0.0)
 
-def _edge_ends(c, idx, inner):
-    """Own and upwind endpoint values (2, nt, 3) of a P1 field c (nt, 3) on every local
-    edge, from `_edge_table`; the upwind trace is zero across the boundary."""
-    ends = c.ravel().take(idx)
-    return ends[:2], np.where(inner, ends[2:], 0.0)
+    def walk():
+        for l, ((ox, oy), dot) in enumerate(zip(quad.directions, dots)):
+            w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
+            w_out = np.where((dot > EPS_N) & ~inner, elen * dot, 0.0)
+            yield (l, quad.weights[l], gx * ox + gy * oy, w_in, w_out,
+                   *[ends(sol.coeffs[l]) for sol in sols])
+
+    return walk()
 
 
 def _edge_mass(a, b):
@@ -270,9 +268,8 @@ def error_norms(
     on the inflow boundary the exact solution is the inflow data. Raises
     ValueError unless sol lives on mesh and on quad's directions.
     """
-    _check_solution(sol, mesh, quad)
+    walk = _form_directions(mesh, quad, sol)
     bary, areaw, pts = _volume_rule(mesh)
-    table = _edge_table(mesh)
     bk, bs, bpts = boundary_points(mesh, TRACE_T)
     # u = a_l U: the spatial field once per mesh, scaled per direction
     u, grad = case.field(pts[..., 0], pts[..., 1])
@@ -282,12 +279,11 @@ def error_norms(
     hw = mesh.tri_h[:, None] * areaw
 
     e = np.zeros(4)
-    for l, wl, d, w_in, w_out in _form_directions(quad, mesh):
-        (ox, oy), cu = a[l] * quad.directions[l], sol.coeffs[l]
+    for l, wl, d, w_in, w_out, (cu, own, up) in walk:
+        ox, oy = a[l] * quad.directions[l]
         du = ux * ox
         du += uy * oy
         du -= np.einsum("ki,ki->k", d, cu)[:, None]
-        own, up = _edge_ends(cu, *table)
         jump2 = _edge_mass(up - own, up - own)
         jump2[bk, bs] = (a[l] * u_b - own[:, bk, bs].T @ _EDGE_SHAPE) ** 2 @ TRACE_W
         r = cu @ bary.T
@@ -307,24 +303,19 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     Inflow boundary traces of the upwind state are treated as zero, matching
     the homogeneous setting of the form. delta is one number.
     """
-    _check_solution(u, mesh, problem.quad)
-    _check_solution(v, mesh, problem.quad)
+    walk = _form_directions(mesh, problem.quad, u, v)
     delta = float(delta)
-    G = scatter_matrix(problem.phase, u.quad)
+    G = scatter_matrix(problem.phase, problem.quad)
     bary, areaw, pts = _volume_rule(mesh)
     st = sample("sigma_t", problem.sigma_t, pts)
     ss = sample("sigma_s", problem.sigma_s, pts)
     u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
     s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
-    table = _edge_table(mesh)
     total = 0.0
-    for l, wl, d, w_in, _ in _form_directions(u.quad, mesh):
-        cu, cv = u.coeffs[l], v.coeffs[l]
+    for l, wl, d, w_in, _, (cu, u_own, u_up), (cv, v_own, _) in walk:
         du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
         test = cv @ bary.T + (delta * (d * cv).sum(axis=1))[:, None]
         vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
-        u_own, u_up = _edge_ends(cu, *table)
-        v_own, _ = _edge_ends(cv, *table)
         total += wl * (vol + (w_in * _edge_mass(u_own - u_up, v_own)).sum())
     return float(total)
 
@@ -336,16 +327,14 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
         raise AssumptionError(
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
         )
-    _check_solution(v, mesh, problem.quad)
+    walk = _form_directions(mesh, problem.quad, v)
     bary, areaw, _ = _volume_rule(mesh)
-    table = _edge_table(mesh)
     total = 0.0
-    for l, wl, d, w_in, w_out in _form_directions(v.quad, mesh):
-        cv = v.coeffs[l]
+    for l, wl, d, w_in, w_out, (cv, own, up) in walk:
         l2 = (areaw * (cv @ bary.T) ** 2).sum()
         grad = (delta * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
-        own, up = _edge_ends(cv, *table)
-        faces = (w_in * _edge_mass(own - up, own - up) + w_out * _edge_mass(own, own)).sum()
+        # up is zero across the boundary, so an outflow boundary edge's jump is its own trace
+        faces = ((w_in + w_out) * _edge_mass(own - up, own - up)).sum()
         total += wl * (c0_prime * l2 + grad + faces)
     return float(np.sqrt(total))
 
@@ -408,11 +397,7 @@ def convergence_study(
         if level > 0:
             mesh = refine_regular(mesh)
         sol, report = solve(problem, mesh, config)
-        rows.append(
-            error_norms(
-                sol, case, mesh, quad, level=level, iterations=report.iterations
-            )
-        )
+        rows.append(error_norms(sol, case, mesh, quad, level=level, iterations=report.iterations))
     return ConvergenceTable(
         case_id=case.id,
         method=config.method,

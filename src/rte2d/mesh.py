@@ -157,36 +157,47 @@ def build_mesh(vertices, triangles) -> TriangleMesh:
     )
 
 
-# Line angles are keyed in steps of 1e-9 rad; the step at pi is the step at 0.
-_WRAP = np.rint(np.pi * 1e9) - 0.5
-
-
 def _reject_hanging_nodes(z, bv):
     """MeshError naming a vertex that lies inside a boundary edge, and the edge.
 
     z holds the vertices as x + iy and bv the boundary edges' vertex ids.
     The coarse side of a hanging node has a boundary edge through it, and
-    the fine side boundary edges along the same line that end at it. Each
-    boundary edge gets a line key, its angle mod pi and its offset rounded
-    to a tolerance, and an interval along the line. Sorted by key and
-    interval, a hanging node makes some edge overlap the one before it; one
-    of the two then has an endpoint inside the other. Edges that coincide
-    end to end, as on a slit, have none and are left alone. O(nb log nb)
-    in the nb boundary edges.
+    the fine side boundary edges along the same line that end at it. An
+    angle from rounded endpoints is good to 2 tol / length, so edges whose
+    angle intervals overlap, mod pi, form a run of directions, turned by its
+    longest edge's angle: an endpoint shared by two edges of a run gets one
+    coordinate along it. Their offsets across the run form runs the same
+    way, one per line, spread by tol and by that angle's error over the
+    boundary's extent. Sorted by line and interval along it, a hanging node
+    makes some edge overlap the one before it; one of the two then has an
+    endpoint inside the other. Edges that coincide end to end, as on a
+    slit, have none and are left alone. O(nb log nb) in the nb boundary edges.
     """
     zb = z[bv]  # (nb, 2) endpoints
-    d = zb[:, 1] - zb[:, 0]
-    a9 = np.arctan2(d.imag, d.real) % np.pi * 1e9
-    # an edge and its reverse, at either side of 0 mod pi, get one key and one w
-    a9[a9 >= _WRAP] -= np.pi * 1e9
     # offsets from one boundary vertex: the tolerance follows the boundary's
     # extent, not its distance from the origin, and is no finer than a few ulps
     w = zb - zb[0, 0]
-    tol = max(1e-10 * abs(w).max(), 4 * np.spacing(abs(zb).max()))
-    w *= np.exp(-1e-9j * a9)[:, None]  # along the line + i across it
+    extent = abs(w).max()
+    tol = max(1e-10 * extent, 4 * np.spacing(abs(zb).max()))
+    d = zb[:, 1] - zb[:, 0]
+    length = abs(d)
+    err = 2 * tol / length
+    a = np.angle(d) % np.pi
+    o = np.argsort(a - err)
+    lo, hi = (a - err)[o], np.maximum.accumulate((a + err)[o])
+    run = _runs(o, lo[1:] > hi[:-1])
+    if hi[-1] - np.pi >= lo[0]:  # the run through pi is the run from 0
+        run[run == run[o[-1]]] = 0
+    o = np.lexsort((length, run))
+    ro = run[o]
+    ref = o[np.searchsorted(ro, np.arange(ro[-1] + 1), "right") - 1]  # each run's longest edge
+    w *= (np.conj(d[ref]) / length[ref])[run][:, None]  # along the run + i across it
     t = np.sort(w.real, axis=1)
-    line = np.rint(a9) + 1j * np.rint(w[:, 0].imag / tol)
-    o = np.lexsort((t[:, 1], t[:, 0], line.imag, line.real))
+    off = w[:, 0].imag
+    o = np.lexsort((off, run))
+    ro, oo, gap = run[o], off[o], 2 * (tol + err[ref] * extent)
+    line = _runs(o, (ro[1:] != ro[:-1]) | (oo[1:] - oo[:-1] > gap[ro[1:]]))
+    o = np.lexsort((t[:, 1], t[:, 0], line))
     ls, ts = line[o], t[o]
     overlap = (ls[1:] == ls[:-1]) & (ts[1:, 0] < ts[:-1, 1] - tol)
     for i in np.flatnonzero(overlap):
@@ -194,11 +205,19 @@ def _reject_hanging_nodes(z, bv):
             inside = (w[f].real > t[e, 0] + tol) & (w[f].real < t[e, 1] - tol)
             if inside.any():
                 v = bv[f, inside.argmax()]
-                x, y = z[v].real, z[v].imag
+                x, y = float(z[v].real), float(z[v].imag)
                 raise MeshError(
-                    f"nonconforming mesh: vertex {v} at ({x:.6g}, {y:.6g}) lies inside "
+                    f"nonconforming mesh: vertex {v} at ({x!r}, {y!r}) lies inside "
                     f"boundary edge {bv[e, 0]}-{bv[e, 1]} (a hanging node)"
                 )
+
+
+def _runs(o, new):
+    """Labels 0, 1, ... of runs in the order o, a new run where new (len(o) - 1) holds."""
+    label = np.empty(len(o), dtype=np.int64)
+    label[o[0]] = 0
+    label[o[1:]] = np.cumsum(new)
+    return label
 
 
 def build_structured_unit_square(n: int) -> TriangleMesh:

@@ -235,6 +235,56 @@ ROTATIONS = pytest.mark.parametrize(
 HANGING = r"^nonconforming mesh: vertex (\d+) at .* lies inside boundary edge (\d+)-(\d+) "
 
 
+def line_cells():
+    """Six vertices: vertex 3 hangs on the coarse boundary edge 1-0, on the x axis."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.5, 0.0], [0.25, 1.0], [0.75, 1.0]])
+    return verts, np.array([[0, 2, 1], [0, 3, 4], [3, 1, 5]])
+
+
+def holed_cells():
+    """A 4x4-square grid without its middle 2x2 squares."""
+    grid = build_structured_unit_square(4)
+    centroids = grid.vertices[grid.triangles].mean(axis=1)
+    return grid.vertices, grid.triangles[~((np.abs(centroids - 0.5) < 0.25).all(axis=1))]
+
+
+SIMILAR_NAMES = ["hanging", "split hanging", "line", "grid", "perturbed", "holed", "refined"]
+
+
+def cells(name):
+    """Vertices and triangles of a named mesh; the first three in SIMILAR_NAMES hang."""
+    if name in ("hanging", "split hanging"):
+        return hanging_node_cells(name == "hanging")
+    if name == "line":
+        return line_cells()
+    if name == "holed":
+        return holed_cells()
+    mesh = {
+        "grid": lambda: build_structured_unit_square(6),
+        "perturbed": lambda: perturbed_mesh(5, seed=3),
+        "refined": lambda: refine_regular(build_structured_unit_square(3)),
+    }[name]()
+    return mesh.vertices, mesh.triangles
+
+
+def check_similar_copy(name, angle, scale, shift):
+    """Build a rotated, scaled and shifted copy of a named mesh: a hanging one
+    must raise, naming a vertex inside an edge of its own line; the rest must build."""
+    verts, tris = cells(name)
+    moved = verts @ rotation(angle) * scale + shift
+    if name not in SIMILAR_NAMES[:3]:
+        build_mesh(moved, tris)
+        return
+    with pytest.raises(MeshError, match=HANGING) as exc:
+        build_mesh(moved, tris)
+    v, a, b = map(int, re.match(HANGING, str(exc.value)).groups())
+    if name == "line":
+        assert (v, a, b) == (3, 1, 0)
+    else:
+        assert verts[a][0] == verts[b][0] == verts[v][0] == 0.5  # a vertex of the seam
+        assert min(verts[a][1], verts[b][1]) < verts[v][1] < max(verts[a][1], verts[b][1])
+
+
 @pytest.mark.parametrize("shared_seam", [True, False], ids=["shared seam", "split seam"])
 @ROTATIONS
 def test_build_mesh_rejects_hanging_nodes(shared_seam, angle):
@@ -252,8 +302,7 @@ def test_build_mesh_rejects_hanging_nodes(shared_seam, angle):
 def test_build_mesh_rejects_a_hanging_node_on_a_line_at_angle_0(angle):
     # float noise puts the coarse edge 1 -> 0 and the fine edge 0 -> 3 at
     # angles either side of 0 mod pi; they are still one line
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.5, 0.0], [0.25, 1.0], [0.75, 1.0]])
-    tris = np.array([[0, 2, 1], [0, 3, 4], [3, 1, 5]])
+    verts, tris = line_cells()
     with pytest.raises(MeshError, match=r"vertex 3 at .* lies inside boundary edge 1-0 "):
         build_mesh(verts @ rotation(angle), tris)
 
@@ -262,10 +311,8 @@ def test_build_mesh_rejects_a_hanging_node_on_a_line_at_angle_0(angle):
 def test_build_mesh_accepts_holes_and_rotated_meshes(angle):
     # a 4x4-square grid without its middle 2x2 squares: the hole's boundary
     # has no hanging node; nor do rotated structured, perturbed and refined meshes
-    grid = build_structured_unit_square(4)
-    centroids = grid.vertices[grid.triangles].mean(axis=1)
-    keep = ~((np.abs(centroids - 0.5) < 0.25).all(axis=1))
-    holed = build_mesh(grid.vertices @ rotation(angle), grid.triangles[keep])
+    verts, tris = holed_cells()
+    holed = build_mesh(verts @ rotation(angle), tris)
     assert (holed.tri_neighbors == BOUNDARY).sum() == 16 + 8
     for mesh in (perturbed_mesh(5, seed=3), refine_regular(build_structured_unit_square(3))):
         build_mesh(mesh.vertices @ rotation(angle), mesh.triangles)
@@ -303,18 +350,41 @@ def test_each_interior_edge_is_seen_negated_from_the_other_side(kind):
     (1e9, 1.0, 0.0),
     # rotated, so the seam's offset carries the rounding of the coordinates
     (1e3, 1e-3, 0.5), (1e5, 1e-2, 1.5),
+    # the grid was rejected when each edge was turned by its own angle: a vertex
+    # then lay inside its own edge
+    (2370.0, 0.015, 2.1476), (587.0, 0.00605, 0.6947), (8.01e4, 0.487, 4.7514),
+    # the seam was missed when collinear edges straddled a step of a rounded line key
+    (1e5, 1e-2, 2.0),
 ])
 def test_hanging_node_check_follows_the_mesh_not_the_origin(shift, scale, angle):
     # the tolerance scales with the boundary's extent, not with its distance
     # from the origin, and no finer than the coordinates' own resolution
+    check_similar_copy("hanging", angle, scale, shift)
+    check_similar_copy("grid", angle, scale, shift)
+
+
+def test_hanging_node_check_finds_a_turned_far_line():
+    # missed when the coarse and fine edges' rounded angles fell in different steps
+    check_similar_copy("line", 2.849, 3.44e-4, 6.63e4)
+
+
+@pytest.mark.parametrize("name", SIMILAR_NAMES)
+def test_hanging_node_check_on_random_similar_copies(name):
+    # any rotation, scale 1e-4 to 1, shift 1e2 to 1e9 on both axes
+    draws = np.random.default_rng(19).uniform([0.0, -4.0, 2.0], [2 * math.pi, 0.0, 9.0], (100, 3))
+    for angle, lg_scale, lg_shift in draws:
+        check_similar_copy(name, angle, 10.0**lg_scale, 10.0**lg_shift)
+
+
+def test_hanging_node_message_gives_the_exact_coordinates():
+    # far from the origin a short format names every vertex alike
     verts, tris = hanging_node_cells()
+    moved = verts @ rotation(0.5) * 1e-3 + 1e6
     with pytest.raises(MeshError, match=HANGING) as exc:
-        build_mesh(verts @ rotation(angle) * scale + shift, tris)
-    v, a, b = map(int, re.match(HANGING, str(exc.value)).groups())
-    assert verts[a][0] == verts[b][0] == verts[v][0] == 0.5  # a vertex of the seam
-    assert min(verts[a][1], verts[b][1]) < verts[v][1] < max(verts[a][1], verts[b][1])
-    grid = build_structured_unit_square(6)
-    build_mesh(grid.vertices @ rotation(angle) * scale + shift, grid.triangles)
+        build_mesh(moved, tris)
+    v = int(re.match(HANGING, str(exc.value)).group(1))
+    x, y = re.search(r" at \((\S+), (\S+)\) lies ", str(exc.value)).groups()
+    assert (float(x), float(y)) == tuple(moved[v])
 
 
 def test_refinement_quarters_elements_and_halves_h():

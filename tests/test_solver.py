@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rte2d import (
+    EPS_N,
     AssumptionError,
     DGSolution,
     NonConvergenceError,
@@ -17,6 +18,7 @@ from rte2d import (
     build_schedules,
     build_structured_unit_square,
     delta_value,
+    element_basis,
     m_bound,
     scatter_matrix,
     solve,
@@ -29,7 +31,7 @@ from rte2d.mesh import BOUNDARY
 from rte2d.quadrature import triangle_rule
 from rte2d.solver import iterate
 from helpers import perturbed_mesh, project_exact, random_solution
-from oracle import scattering_source, sweep_direction
+from oracle import assemble_local, scattering_source, sweep_direction
 
 
 def const(v):
@@ -535,6 +537,99 @@ def quadratic_form_oracle(coeffs, mesh, quad, sigma_t, eps_n=1e-12):
                     acc += 0.5 * elen[k, s] * (-dot[k, s]) * edge_sq_integral(j0, j1)
         total += quad.weights[l] * acc
     return total
+
+
+def p1_trace(mesh, c, n, x, y):
+    """The P1 field c (nt, 3) of element n at the points (x, y), from its vertices."""
+    corners = np.vstack([mesh.vertices[mesh.triangles[n]].T, np.ones(3)])
+    return c[n] @ np.linalg.solve(corners, np.vstack([x, y, np.ones(np.shape(x))]))
+
+
+def test_apply_ah_matches_the_element_assembly():
+    # sum_l w_l sum_K v_K . (A_K u_K - b_K): A_K, b_K from the per-element assembly,
+    # the neighbour's trace of u upwind (zero on the boundary), the scattering of u
+    # as the source; every integrand has degree <= 2, so both sides are exact
+    mesh = perturbed_mesh(3, seed=31)
+    quad = trapezoid_circle(6)
+    problem = TransportProblem(
+        sigma_t=const(4.0), sigma_s=const(1.5), phase=PhaseFunction.henyey_greenstein(0.5),
+        f=lambda x, y, l: np.ones(np.shape(x)), quad=quad,
+    )
+    u = random_solution(mesh, quad, seed=11)
+    v = random_solution(mesh, quad, seed=12)
+    delta = 0.7 * mesh.h
+    G = scatter_matrix(problem.phase, quad)
+    basis = element_basis(mesh)
+    expect = 0.0
+    for l, omega in enumerate(quad.directions):
+        source = scattering_source(u, G, problem.sigma_s, l)
+        dot = mesh.tri_normal @ omega
+        for k in range(mesh.n_triangles):
+            inflow = np.flatnonzero(dot[k] < -EPS_N)
+
+            def upwind(s, x, y):
+                n = mesh.tri_neighbors[k, s]
+                if n == BOUNDARY:
+                    return np.zeros(np.shape(x))
+                return p1_trace(mesh, u.coeffs[l], n, x, y)
+
+            local = assemble_local(
+                mesh, basis, k, omega, delta, problem.sigma_t, inflow, upwind, source
+            )
+            expect += quad.weights[l] * (v.coeffs[l, k] @ (local.A @ u.coeffs[l, k] - local.b))
+    assert (mesh.tri_neighbors == BOUNDARY).any()
+    assert apply_ah(u, v, problem, mesh, delta) == pytest.approx(expect, rel=1e-11)
+
+
+def triple_norm_oracle(coeffs, mesh, quad, delta, c0p):
+    """The stability norm element by element: c0' L2, delta times the squared
+    streamline derivative, and |omega . n| times the squared jump on inflow edges
+    (the own trace on the boundary) and the squared own trace on outflow boundary
+    edges. The upwind end of an endpoint is the neighbour's value at the same vertex."""
+    basis = element_basis(mesh)
+    M_unit = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    total = 0.0
+    for l, omega in enumerate(quad.directions):
+        dot = mesh.tri_normal @ omega
+        acc = 0.0
+        for k in range(mesh.n_triangles):
+            c, area = coeffs[l, k], mesh.tri_area[k]
+            acc += c0p * area * (c @ M_unit @ c) + delta * area * ((basis[k] @ omega) @ c) ** 2
+            for s in range(3):
+                n, inflow = mesh.tri_neighbors[k, s], dot[k, s] < -EPS_N
+                if not (inflow or (dot[k, s] > EPS_N and n == BOUNDARY)):
+                    continue
+                ends = mesh.triangles[k, [s, (s + 1) % 3]]
+                jump = c[[s, (s + 1) % 3]]
+                if inflow and n != BOUNDARY:
+                    jump = jump - coeffs[l, n, [list(mesh.triangles[n]).index(i) for i in ends]]
+                acc += mesh.tri_edge_length[k, s] * abs(dot[k, s]) * edge_sq_integral(*jump)
+        total += quad.weights[l] * acc
+    return np.sqrt(total)
+
+
+def test_triple_norm_matches_an_element_loop():
+    mesh = perturbed_mesh(4, seed=32)
+    quad = trapezoid_circle(8)
+    problem = isotropic_problem(quad)
+    v = random_solution(mesh, quad, seed=13)
+    delta = 0.6 * mesh.h
+    expect = triple_norm_oracle(v.coeffs, mesh, quad, delta, 2.5)
+    assert triple_norm_stability(v, problem, mesh, delta, 2.5) == pytest.approx(expect, rel=1e-11)
+
+
+def test_apply_ah_checks_the_solutions_before_sampling():
+    # a solution on another mesh is named before the NaN in sigma_t is found
+    mesh = build_structured_unit_square(4)
+    quad = trapezoid_circle(4)
+    problem = isotropic_problem(quad)
+    problem.sigma_t = nan_left(1.0)
+    u = random_solution(mesh, quad, seed=14)
+    other = random_solution(perturbed_mesh(4, seed=5), quad, seed=15)
+    with pytest.raises(ValueError, match="mesh"):
+        apply_ah(u, other, problem, mesh, mesh.h)
+    with pytest.raises(AssumptionError, match="sigma_t"):
+        apply_ah(u, u, problem, mesh, mesh.h)
 
 
 def test_apply_ah_integrated_by_parts_identity():
