@@ -63,7 +63,8 @@ class SolverConfig:
             raise ValueError(f"c_bar must be positive and finite, got {self.c_bar!r}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        it = self.max_iter
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral) or it < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -85,10 +86,14 @@ def weighted_norm(coeffs, quad_weights, tri_area) -> float:
     The arithmetic runs on the three component planes, so an (L+1, nt, 3)
     array and a view of the same values stored as planes (3, L+1, nt) give
     the same bits."""
-    # c^T M c with M = (area/12)(I + ones): sum c_i^2 + (sum c_i)^2, scaled.
+    # c^T M c with M = (area/12)(I + ones): ((c0^2 + c1^2) + c2^2) + s^2, s = sum c_i, in place
     c0, c1, c2 = np.moveaxis(coeffs, -1, 0)
-    s = c0 + c1 + c2
-    q = c0 * c0 + c1 * c1 + c2 * c2 + s * s
+    q, t = c0 * c0, c1 * c1
+    q += t
+    q += np.multiply(c2, c2, out=t)
+    s = np.add(c0, c1, out=t)
+    s += c2
+    q += np.multiply(s, s, out=s)
     return float(np.sqrt(quad_weights @ (q @ (tri_area / 12.0))))
 
 

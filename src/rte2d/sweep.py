@@ -19,6 +19,11 @@ from .errors import SweepCycleError, sample
 from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n
 from .quadrature import TriangleRule, triangle_rule
 
+try:  # np.einsum without its Python dispatch, which costs as much as a narrow step's product
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
+
 
 @dataclass(frozen=True)
 class SweepSchedule:
@@ -48,7 +53,7 @@ class SweepSchedule:
     @property
     def layers(self) -> tuple:
         """The pair ids l * nt + k (element ids for one direction) of each layer,
-        ascending: the kernel's order split at its bounds."""
+        ascending: the pairs of each of the kernel's steps."""
         order, bounds = _sweep_order(self.layer_of)
         return tuple(np.split(order, bounds[1:-1]))
 
@@ -149,35 +154,29 @@ class SweepKernel:
     """Batched transport solve of a stack of directions.
 
     The sweep visits the (direction, element) pairs in (layer, direction,
-    element) order, so layer i of every direction is the slice
-    bounds[i]:bounds[i+1] of the sweep positions and one step solves it.
-    Every per-pair array is stored component-major, the pair index last:
-    blocks and b0 in direction order (pair l * nt + k), fold and nbr in
-    sweep order. A sweep forms b0 + blocks @ x in direction order, gathers
-    it once into a (3, n + 1) buffer of coefficient planes in sweep order,
-    whose column n stays zero, and steps through the layers. A step gathers
-    the upwind coefficients of at most two inflow edges per pair (nbr: flat
-    indices into that buffer, column n if none) and applies a 3x4 block
-    (fold) on contiguous rows. blocks are the inverted local matrices, for
-    run(rhs), or, built with scatter_w, those times the scattering moments,
-    for run_scattered(G @ u). d = omega . grad phi is derived on demand. One
-    direction's kernel is a stack of one without the leading direction axis
-    on omega, on the input and on the output; it keeps its schedule, and a
-    stack keeps none, so the schedule can be freed once it is built."""
+    element) order; layer i of every direction is step i. blocks and b0 are
+    planes in direction order (pair l * nt + k). A sweep scatters b0 +
+    blocks @ x through slots into a (3n + 1,) coefficient buffer whose last
+    slot stays zero, and a step adds fold times the upwind coefficients that
+    nbr gathers (the zero slot for none), all in contiguous per-step blocks.
+    blocks are the inverted local matrices, for run(rhs), or, built with
+    scatter_w, those times the scattering moments, for run_scattered(G @ u).
+    d = omega . grad phi is derived on demand. One direction's kernel is a
+    stack of one without the leading direction axis on omega, on the input
+    and on the output; it keeps its schedule, and a stack keeps none."""
 
     schedule: SweepSchedule  # of a one-direction kernel; None for a stack
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     grad: np.ndarray  # (nt, 3, 2) basis gradients
     delta: float
     bary: np.ndarray  # (nq, 3)
-    order: np.ndarray  # (n,) pair index l * nt + k at each sweep position
-    pos: np.ndarray  # (n,) sweep position of each pair; inverse of order
-    bounds: tuple  # (max layers + 1) slice bounds into the sweep positions
+    slots: np.ndarray  # (2, n) int64 buffer offsets of coefficients 0, 1 (2: 2 slots[1] - slots[0])
+    steps: tuple  # (buffer slice (3, m), fold block (4, 3, m), nbr block (4, m)) of each step
     scattering: bool  # built with scatter_w: blocks hold the scattering moments
     blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], direction order
     b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), direction order
-    fold: np.ndarray  # (3, 4, n) inverted local matrix @ coupling to 2 upwind coefficients per edge
-    nbr: np.ndarray  # (4, n) int32 flat index of those coefficients in the (3, n + 1) buffer
+    fold: np.ndarray  # (12n,) inverted local matrix @ coupling to 2 upwind coefficients per edge
+    nbr: np.ndarray  # (4n,) int32 buffer offsets of those coefficients
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
@@ -203,26 +202,28 @@ class SweepKernel:
 
     def _sweep(self, x):
         """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x,
-        x planes of that shape (nothing added if None). The start vector is
-        formed in direction order and gathered into sweep order once."""
-        n = self.order.size
-        c = np.zeros((3, n + 1))  # column n stays zero: the "no neighbour" target
+        x planes of that shape (nothing added if None), formed in the result."""
+        n = self.b0.shape[1]
         if x is None:
-            start = self.b0
+            c = self.b0.copy()
         else:
-            start = np.einsum("ijk,jk->ik", self.blocks, x.reshape(3, n))
-            start += self.b0
-        # row by row into the buffer: take(out=) with mode="raise" would buffer
-        # a whole copy first, and an in-range permutation is never clipped
-        for i in range(3):
-            np.take(start[i], self.order, out=c[i, :n], mode="clip")
-        del start  # freed before the result is allocated
-        flat, fold, nbr = c.reshape(-1), self.fold, self.nbr
-        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            step = c[:, lo:hi]
-            step += np.einsum("ijk,jk->ik", fold[:, :, lo:hi], flat.take(nbr[:, lo:hi]))
-        # from the contiguous c: a take from the strided head would copy it first
-        return c.take(self.pos, axis=1).reshape((3, *self.omega.shape[:-1], self.grad.shape[0]))
+            c = _einsum("ijk,jk->ik", self.blocks, x.reshape(3, n))
+            c += self.b0
+        buf = np.empty(3 * n + 1)  # each slot but the zero last one takes a coefficient
+        buf[-1] = 0.0
+        s0, s1 = self.slots
+        buf[s0], buf[s1] = c[0], c[1]
+        # row 0 is in the buffer now, so its memory holds row 2's offsets until the end
+        s2 = np.multiply(s1, 2, out=c[0].view(np.int64))
+        s2 -= s0
+        buf[s2] = c[2]
+        for span, fold, nbr in self.steps:
+            step = buf[span].reshape(3, -1)
+            step += _einsum("jik,jk->ik", fold, buf.take(nbr))
+        # an in-range index is never clipped; mode="raise" would buffer out= first
+        for row, off in ((2, s2), (0, s0), (1, s1)):
+            buf.take(off, out=c[row], mode="clip")
+        return c.reshape((3, *self.omega.shape[:-1], self.grad.shape[0]))
 
 
 def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
@@ -306,10 +307,10 @@ def build_kernel(
     s_sigma)^T in the element moments M_sigma = sum_q w sigma_t phi phi^T,
     s1 = sum_q w phi, W = sum_q w and s_sigma = sum_q w sigma_t phi, plus
     the inflow edge masses; only d changes between directions. Every entry
-    is formed as an (nt,) row, the element index last, as the kernel stores
-    it: each direction's products go into its contiguous column slice, and
-    fold and nbr are then permuted into sweep order one row at a time. A
-    stacked kernel keeps no reference to the schedule.
+    is formed as an (nt,) row, the element index last: each direction's
+    blocks and b0 go into its contiguous column slice, and its fold and nbr
+    straight into the blocks of the steps its pairs belong to. A stacked
+    kernel keeps no reference to the schedule.
     """
     one = schedule.omega.ndim == 1
     if one:
@@ -323,9 +324,16 @@ def build_kernel(
     dot, inflow = schedule.dot.reshape(nl, nt, 3), schedule.inflow.reshape(nl, nt, 3)
     bary = tables.rule.points
 
+    # A pair at sweep position p of the step [lo, lo + m) keeps row r of a step-blocked array
+    # of R rows per pair at R lo + (p - lo) + r m; slots holds rows 0 and 1 of the buffer's.
     order, bounds = _sweep_order(schedule.layer_of)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
+    lo_of, width = np.array(bounds[:-1]), np.diff(bounds)
+    layer_of = schedule.layer_of.reshape(nl, nt)
+    slots = np.empty((2, n), dtype=np.int64)
+    slots[0, order] = np.arange(n)
+    del order
+    slots[0] += 2 * lo_of.take(layer_of.ravel())
+    slots[1] = slots[0] + width.take(layer_of.ravel())
 
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
@@ -339,19 +347,22 @@ def build_kernel(
         s_mat = pp @ scatter_w.T  # (3, 3, nt)
     elen = mesh.tri_edge_length
     interior = mesh.tri_neighbors != BOUNDARY
-    up = np.maximum(mesh.tri_neighbors, 0)  # the upwind neighbour across a live edge
     bnd = None if inflow_data is None else boundary_points(mesh, TRACE_T)
 
     blocks = np.empty((3, 3, n))
     b0 = np.empty((3, n))
-    fold = np.empty((3, 4, n))
-    nbr = np.empty((4, n), dtype=np.int32)
+    fold = np.empty(12 * n)
+    nbr = np.empty(4 * n, dtype=np.int32)
+    # one direction's work arrays, reused: its buffer offsets (element nt stands for the zero
+    # slot 3n), the couplings to all 6 upwind coefficients, and the 4 picked ones
+    offs, rows = np.full((3, nt + 1), 3 * n, dtype=np.int32), np.arange(12)[:, None]
+    all_edges, pick = np.empty((18, nt)), np.empty((12, nt), dtype=np.int64)
     grad = tables.grad
     gx, gy = grad.transpose(2, 1, 0).copy()  # (3, nt) each
-    # row 2s + c: plane offset of the upwind neighbour's coefficient c on edge s
-    coef_off = ((mesh.tri_opposite.T[:, None, :] + np.array([0, 1])[:, None]) % 3) * (n + 1)
-    # flat offsets of the picked rows of the (18, nt) coupling and the (6, nt) indices, per pattern
-    pick_rows, pick_cols, elem = _PICK_FLAT.T * nt, _PICK_COLS.T * nt, np.arange(nt)
+    # row 2s + c: flat offset in offs of the upwind neighbour's coefficient c on edge s
+    coef = (mesh.tri_opposite.T[:, None, :] + np.array([0, 1])[:, None]) % 3 * (nt + 1)
+    # flat offsets of the picked rows of the (18, nt) coupling, per pattern
+    pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
     for l, om in enumerate(omega):
         dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
         ddl = delta * dl
@@ -366,27 +377,41 @@ def build_kernel(
         if inflow_data is not None:
             fixed += _inflow_rhs(dot[l], inflow[l], inflow_data, l, elen, bnd)
         pattern = upwind_pattern(live, direction=l)
-        coupling = _EDGE_COUPLING.reshape(18, 3) @ np.where(interior.T, edge_w, 0.0)
-        coupling = coupling.take(pick_rows.take(pattern, axis=1) + elem).reshape(3, 4, nt)
+        np.matmul(_EDGE_COUPLING.reshape(18, 3), np.where(interior.T, edge_w, 0.0), out=all_edges)
+        np.add(pick_rows.take(pattern, axis=1), elem, out=pick)  # rows 0-3 pick the (6, nt) indices
+        coupling = all_edges.take(pick).reshape(3, 4, nt)
 
         cols = slice(l * nt, (l + 1) * nt)
         inv = inverse_3x3(a, direction=l)
-        np.einsum("ijk,jk->ik", inv, fixed.T, out=b0[:, cols])
-        np.einsum("imk,mjk->ijk", inv, coupling, out=fold[:, :, cols])
+        _einsum("ijk,jk->ik", inv, fixed.T, out=b0[:, cols])
+        _einsum("imk,mjk->jik", inv, coupling, out=all_edges[:12].reshape(4, 3, nt))
         if scatter_w is None:
             blocks[:, :, cols] = inv
         else:
-            np.einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec, out=blocks[:, :, cols])
-        # the sweep positions of the upwind neighbours, offset into the buffer
-        slots = pos[cols]
-        flat = (coef_off + np.where(live, slots[up], n).T[:, None]).reshape(6, nt)
-        nbr[:, cols] = flat.take(pick_cols.take(pattern, axis=1) + elem)
-    # a step reads contiguous fold and nbr columns: one temporary row at a time
-    for row in (*fold.reshape(12, n), *nbr):
-        row[:] = row[order]
+            _einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec, out=blocks[:, :, cols])
+        # all_edges and pick are spent, so they hold the fold and the positions of a pair's
+        # fold rows, slots[0] + 9 lo + r m, then of its nbr rows, slots[0] + lo + r m
+        lo, m = lo_of.take(layer_of[l]), width.take(layer_of[l])
+        offs[:2, :nt] = slots[:, cols]
+        o0, o1, o2 = offs[:, :nt]
+        np.add(o1, m, out=o2)
+        up = np.where(live, mesh.tri_neighbors, nt).T[:, None]  # (3, 1, nt)
+        upwind = offs.take((coef + up).reshape(6, nt).take(pick[:4]))
+        np.multiply(rows, m, out=pick)
+        pick += o0 + 9 * lo
+        fold[pick] = all_edges[:12]
+        np.multiply(rows[:4], m, out=pick[:4])
+        pick[:4] += o0 + lo
+        nbr[pick[:4]] = upwind
 
+    # fold is transposed: einsum would sum a contiguous (3, 4, 1) block in another order
+    steps = tuple(
+        (slice(3 * a, 3 * b), fold[12 * a : 12 * b].reshape(4, 3, -1),
+         nbr[4 * a : 4 * b].reshape(4, -1))
+        for a, b in zip(bounds[:-1], bounds[1:])
+    )
     return SweepKernel(
         schedule=schedule if one else None, omega=schedule.omega, grad=grad, delta=delta,
-        bary=bary, order=order, pos=pos, bounds=bounds, scattering=scatter_w is not None,
+        bary=bary, slots=slots, steps=steps, scattering=scatter_w is not None,
         blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

@@ -460,7 +460,8 @@ def test_solver_config_validation():
             SolverConfig(tol=bad)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    for bad in (2.5, float("nan"), "10"):
+    # a bool is an Integral, but max_iter=True would run one sweep
+    for bad in (2.5, float("nan"), "10", True, False):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverConfig(max_iter=bad)
     for bad in (float("inf"), float("nan")):

@@ -387,10 +387,14 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
         tables, sched, 0.8 * mesh.h, f_vals=[np.cos(px + l) for l in range(nl)],
         inflow_data=g, scatter_w=tables.areaw * sigma_s(px, py),
     )
-    # the edge padding a pattern leaves over has zero weight: its index is the
-    # zero column n of the (3, n + 1) coefficient buffer
+    # the edge padding a pattern leaves over has zero weight: its offset is the
+    # zero last slot 3n of the (3n + 1,) coefficient buffer
     n = nl * nt
-    assert (kern.fold.transpose(1, 2, 0)[kern.nbr % (n + 1) == n] == 0.0).all()
+    padding = 0
+    for _, fold, nbr in kern.steps:
+        assert (fold.transpose(1, 0, 2)[:, nbr == 3 * n] == 0.0).all()
+        padding += (nbr == 3 * n).sum()
+    assert padding > 0
     u = random_solution(mesh, quad, seed=8)
     G = scatter_matrix(PhaseFunction.henyey_greenstein(0.3), quad)
     got = np.moveaxis(kern.run_scattered(np.matmul(G, np.moveaxis(u.coeffs, -1, 0))), 0, -1)
@@ -406,8 +410,8 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
 
 
 def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
-    # blocks 72, b0 24, fold 96, nbr 16, order 8, pos 8; a second 3x3 block
-    # array, a 3x6 fold or a stored (nl, nt, 3) d would break it
+    # blocks 72, b0 24, fold 96, nbr 16, slots 16; a second 3x3 block array,
+    # a 3x6 fold, a third slots row or a stored (nl, nt, 3) d would break it
     mesh = perturbed_mesh(6, seed=18)
     quad = trapezoid_circle(20)
     nt = mesh.n_triangles
@@ -415,16 +419,18 @@ def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     kern = build_kernel(
         tables, build_schedules(mesh, quad.directions), 0.1, scatter_w=0.5 * tables.areaw
     )
-    n = kern.order.size
+    n = kern.b0.shape[1]
     assert n == quad.n_directions * nt
     fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedule"]
     arrays = [a for a in fields if isinstance(a, np.ndarray)]
-    # per-pair arrays are stored as planes, the pair index last
-    per_pair = sum(a.nbytes for a in arrays if a.shape[-1] == n)
+    # per-pair arrays, planes or step-blocked flat arrays, hold a multiple of n entries
+    per_pair = sum(a.nbytes for a in arrays if a.size % n == 0)
     assert per_pair <= 224 * n
     # per element only grad (3x2); bary and omega are a few rows
-    rest = sum(a.nbytes for a in arrays if a.shape[-1] != n)
+    rest = sum(a.nbytes for a in arrays if a.size % n != 0)
     assert rest <= 48 * nt + kern.bary.nbytes + kern.omega.nbytes
+    # the step views share the flat arrays' memory
+    assert all(f.base is kern.fold and b.base is kern.nbr for _, f, b in kern.steps)
 
 
 def test_run_scattered_allocates_one_plane_set_beyond_its_result():
@@ -476,6 +482,28 @@ def test_stacked_kernel_stores_blocks_in_direction_order():
         np.testing.assert_array_equal(one.b0, stack.b0[:, cols])
 
 
+def test_stack_and_one_direction_kernels_give_the_same_bits():
+    # solve sweeps the stack and the traced replay one-direction kernels: with
+    # sigma_s = 0 each direction's coefficients agree bit for bit, although its
+    # pairs sit at other positions of other step blocks
+    mesh = perturbed_mesh(6, seed=24)
+    quad = trapezoid_circle(12)
+    tables = space_tables(mesh, lambda x, y: 2.0 + x * y)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    fv = [1.0 + np.sin(px + l) * py for l in range(quad.n_directions)]
+    g = lambda x, y, l: 1.0 + 0.1 * l * x - y
+    delta = 0.8 * mesh.h
+    stacked = build_schedules(mesh, quad.directions)
+    got = build_kernel(tables, stacked, delta, f_vals=fv, inflow_data=g).run()
+    one_pair_steps = 0
+    for l, omega in enumerate(quad.directions):
+        gl = lambda x, y: g(x, y, l)
+        one = build_kernel(tables, build_schedule(mesh, omega), delta, f_vals=fv[l], inflow_data=gl)
+        np.testing.assert_array_equal(one.run(), got[l])
+        one_pair_steps += sum(nbr.shape[1] == 1 for _, _, nbr in one.steps)
+    assert one_pair_steps > 0  # einsum sums a contiguous one-pair block in another order
+
+
 def test_stacked_kernel_releases_its_schedules():
     mesh = perturbed_mesh(3, seed=22)
     quad = trapezoid_circle(4)
@@ -497,20 +525,53 @@ def test_stacked_sweep_steps_are_global_layers():
     scheds = [build_schedule(mesh, omega) for omega in quad.directions]
     stack = build_schedules(mesh, quad.directions)
     kern = build_kernel(space_tables(mesh, const(1.0)), stack, 0.1)
-    n_steps = len(kern.bounds) - 1
+    n_steps = len(kern.steps)
     assert n_steps == stack.n_layers == max(s.n_layers for s in scheds)
     assert n_steps < sum(s.n_layers for s in scheds)
     # step i is layer i of every direction, in (direction, element) order:
-    # the stack's layers, the pair ids of each step
+    # the stack's layers, the pair ids of each step, whose coefficient 0
+    # fills the first row of the step's buffer block
     assert len(stack.layers) == n_steps
-    for i in range(n_steps):
+    first = kern.slots[0]
+    for i, (span, _, _) in enumerate(kern.steps):
         want = [l * nt + s.layers[i] for l, s in enumerate(scheds) if i < s.n_layers]
-        step = kern.order[kern.bounds[i] : kern.bounds[i + 1]]
+        m = (span.stop - span.start) // 3
+        step = np.flatnonzero((first >= span.start) & (first < span.start + m))
+        np.testing.assert_array_equal(first[step], span.start + np.arange(m))
         np.testing.assert_array_equal(step, np.concatenate(want))
         np.testing.assert_array_equal(stack.layers[i], step)
     one = build_kernel(space_tables(mesh, const(1.0)), scheds[0], 0.1)
-    assert len(one.bounds) - 1 == one.schedule.n_layers == scheds[0].n_layers
+    assert len(one.steps) == one.schedule.n_layers == scheds[0].n_layers
     assert kern.schedule is None
+
+
+def test_every_step_reads_and_writes_contiguous_blocks():
+    # step i owns the (3, m) block 3 lo:3 hi of the (3n + 1,) buffer and the
+    # (4, 3, m) and (4, m) blocks 12 lo:12 hi of fold and 4 lo:4 hi of nbr:
+    # C-contiguous views, one after another; nbr points into earlier steps'
+    # blocks or at the zero last slot; slots is a bijection onto the blocks
+    mesh = perturbed_mesh(5, seed=23)
+    quad = trapezoid_circle(8)
+    tables = space_tables(mesh, const(2.0))
+    kern = build_kernel(
+        tables, build_schedules(mesh, quad.directions), 0.1, scatter_w=0.5 * tables.areaw
+    )
+    n = quad.n_directions * mesh.n_triangles
+    buf = np.zeros(3 * n + 1)
+    lo = 0
+    for span, fold, nbr in kern.steps:
+        step = buf[span].reshape(3, -1)
+        m = step.shape[1]
+        assert span.start == 3 * lo and fold.shape == (4, 3, m) and nbr.shape == (4, m)
+        for block, flat, width in ((step, buf, 3), (fold, kern.fold, 12), (nbr, kern.nbr, 4)):
+            assert block.flags.c_contiguous and np.shares_memory(block, flat)
+            assert block.ctypes.data == flat.ctypes.data + width * lo * flat.itemsize
+        assert ((nbr < 3 * lo) | (nbr == 3 * n)).all()
+        lo += m
+    assert lo == n and kern.fold.size == 12 * n and kern.nbr.size == 4 * n
+    s0, s1 = kern.slots
+    offsets = np.concatenate((s0, s1, 2 * s1 - s0))
+    np.testing.assert_array_equal(np.sort(offsets), np.arange(3 * n))
 
 
 def test_inverse_3x3_matches_linalg():
