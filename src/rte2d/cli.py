@@ -42,7 +42,7 @@ from .errors import (
 )
 from .mesh import build_structured_unit_square, load_mesh, refine_regular
 from .solver import SolverConfig, solve
-from .sweep import build_schedule
+from .sweep import SweepSchedule, build_schedules
 
 ERROR_CODES = (
     (NonConvergenceError, "nonconvergence", 3),
@@ -94,7 +94,7 @@ def build_parser():
         type=int,
         default=None,
         metavar="L",
-        help="also write sweep layers for direction index L",
+        help="also write the sweep layers of direction index L, as solve sweeps them",
     )
 
     p = _subcommand(sub, "convergence", "error table over nested refinements")
@@ -203,8 +203,9 @@ def _cmd_solve(args):
         mesh = refine_regular(mesh)
     sol, report = solve(problem, mesh, _config(args))
 
-    if l is not None:
-        sched = build_schedule(mesh, quad.directions[l])
+    if l is not None:  # direction l's slice of the stacked peel that solve sweeps
+        stack = build_schedules(mesh, quad.directions)
+        sched = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.dot[l])
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:
             for layer in sched.layers:

@@ -30,7 +30,9 @@ class SweepSchedule:
     """Layered solve order of a stack of directions: what the peel decides.
 
     layer_of[l, k] is the layer of element k in direction l; every interior
-    inflow edge's upwind neighbour sits in a strictly earlier layer.
+    inflow edge's upwind neighbour sits in a strictly earlier layer. A
+    mirrored direction (see build_schedules) has its own peel's layer
+    count, but usually not its layers.
     dot[l, k, s] = omega_l . n with n = mesh.tri_normal[k, s], outward from k.
     One direction's schedule has no leading direction axis. The inflow
     mask, the layer count and the layers are derived from these two; the
@@ -70,8 +72,12 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
     """The stacked SweepSchedule of the directions (nl, 2), peeled in one loop.
 
     The (direction, element) pairs are numbered l * nt + k, so one step of
-    the loop peels layer i of every direction: max_l n_layers(l) steps in
-    all. Each direction's slice equals the schedule it would get alone.
+    the loop peels layer i of every peeled direction. Direction l takes
+    n_layers - 1 minus the layers of its partner p, the direction nearest
+    -omega_l, instead, if p < l was peeled, p's graph is consistent and l's
+    interior inflow and outflow masks are p's outflow and inflow masks. Only
+    a peeled slice equals its build_schedule; every slice keeps the upwind
+    order and its own peel's layer count.
     """
     om = np.asarray(directions, dtype=float)
     # written so that a NaN component fails too
@@ -83,33 +89,47 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
     nbr = mesh.tri_neighbors
     interior = nbr != BOUNDARY
     dot = omega_dot_n(mesh, om)
-    indeg = ((dot < -EPS_N) & interior).sum(axis=2).ravel()
-    # the pair downwind of each edge, -1 if none
-    targets = np.where((dot > EPS_N) & interior, nbr + (np.arange(nl) * nt)[:, None, None], -1)
+    into, out = (dot < -EPS_N) & interior, (dot > EPS_N) & interior
+    # p's graph is consistent if an edge is inflow here iff outflow across, on the neighbour's side
+    across = np.where(interior, 3 * nbr + mesh.tri_opposite, 0)
+    mirror = np.full(nl, -1)
+    for l, p in enumerate((om @ om.T).argmin(axis=1)):  # p: the direction nearest -omega_l
+        if p < l and mirror[p] < 0 and (into[l] == out[p]).all() and (out[l] == into[p]).all():
+            if (into[p] == out[p].take(across) & interior).all():
+                mirror[l] = p
+    peel = np.flatnonzero(mirror < 0)
+    n = peel.size * nt
+    # pairs j * nt + k of the peeled directions; every edge that is not outflow points at the
+    # sentinel pair n, whose in-degree no number of decrements brings to zero
+    indeg = np.append(into[peel].sum(axis=2), 3 * n + 1)
+    targets = np.where(out[peel], nbr + (np.arange(peel.size) * nt)[:, None, None], n)
     targets = targets.reshape(-1, 3)
 
-    layer_of = np.full(nl * nt, -1, dtype=np.int64)
+    layer = np.full(n, -1, dtype=np.int64)
     steps = 0
     current = np.flatnonzero(indeg == 0)
     while current.size:
-        layer_of[current] = steps
+        layer[current] = steps
         steps += 1
-        t = targets[current].ravel()
-        t = t[t >= 0]
+        t = targets.take(current, axis=0).ravel()
         np.subtract.at(indeg, t, 1)
         t = t[indeg[t] == 0]  # ready, once per upwind edge: sort, drop repeats
         t.sort()
         current = np.concatenate((t[:1], t[1:][t[1:] != t[:-1]]))
-    stuck = np.flatnonzero(layer_of < 0)
+    stuck = np.flatnonzero(layer < 0)
     if stuck.size:
-        l = int(stuck[0] // nt)
-        ks = stuck[stuck // nt == l] - l * nt
+        j = int(stuck[0] // nt)
+        ks, l = stuck[stuck // nt == j] - j * nt, peel[j]
         raise SweepCycleError(
             f"sweep dependency graph of direction {l}, omega = ({om[l, 0]:.6g}, "
             f"{om[l, 1]:.6g}), has a cycle touching {ks.size} elements",
             elements=tuple(int(k) for k in ks[:20]),
         )
-    return SweepSchedule(omega=om, layer_of=layer_of.reshape(nl, nt), dot=dot)
+    layer_of = np.empty((nl, nt), dtype=np.int64)
+    layer_of[peel] = layer.reshape(-1, nt)
+    for l in np.flatnonzero(mirror >= 0):  # the reverse topological order of the partner's peel
+        layer_of[l] = layer_of[mirror[l]].max() - layer_of[mirror[l]]
+    return SweepSchedule(omega=om, layer_of=layer_of, dot=dot)
 
 
 def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:

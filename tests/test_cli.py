@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import rte2d
-from rte2d import SolverConfig, build_structured_unit_square, save_mesh
+from rte2d import (
+    SolverConfig, SweepSchedule, build_schedule, build_schedules, build_structured_unit_square,
+    load_mesh, save_mesh, trapezoid_circle,
+)
 from rte2d import analysis, cli
 from rte2d.cli import main
 from rte2d.analysis import compare_methods, convergence_study, make_case
-from helpers import hanging_node_cells, read_table_csv, write_mesh_text
+from helpers import hanging_node_cells, perturbed_mesh, read_table_csv, write_mesh_text
 
 
 def run(tmp_path, *argv):
@@ -171,6 +174,30 @@ def test_solve_with_mesh_file_and_level(tmp_path):
     assert code == 0
     lines = (tmp_path / "field.csv").read_text().splitlines()
     assert len(lines) == 1 + 4 * (8 * 4)  # one refinement quadruples 8 elements
+
+
+def test_schedule_dump_is_the_slice_that_solve_sweeps(tmp_path):
+    # on a perturbed mesh, direction 4 of 8 takes the mirror of direction 0's peel,
+    # which is not the layering that direction 4 gets when peeled alone
+    mesh_file = tmp_path / "perturbed.mesh"
+    save_mesh(perturbed_mesh(5, seed=31), mesh_file)
+    mesh, quad = load_mesh(mesh_file), trapezoid_circle(8)
+    dumps = {}
+    for l in (0, 4):
+        out = tmp_path / f"dir{l}"
+        code = run(
+            out, "solve", "--case", "1", "--mesh", str(mesh_file),
+            "--n-dirs", "8", "--dump-schedule", str(l),
+        )
+        assert code == 0
+        dumps[l] = (out / "schedule.txt").read_text().splitlines()
+    stack = build_schedules(mesh, quad.directions)
+    for l, lines in dumps.items():
+        slice_l = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.dot[l])
+        assert lines == [" ".join(map(str, layer)) for layer in slice_l.layers]
+    assert dumps[4] == dumps[0][::-1]
+    alone = build_schedule(mesh, quad.directions[4])
+    assert dumps[4] != [" ".join(map(str, layer)) for layer in alone.layers]
 
 
 def test_exit_code_mesh_without_triangles(tmp_path, capsys):

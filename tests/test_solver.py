@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from rte2d import (
     delta_value,
     element_basis,
     m_bound,
+    refine_regular,
     scatter_matrix,
     solve,
     space_tables,
@@ -149,6 +151,18 @@ def test_solve_matches_reference_source_iteration():
     np.testing.assert_allclose(sol.coeffs, coeffs, atol=1e-9)
 
 
+def scattering_kernel(problem, mesh, cfg):
+    """The stacked kernel and scatter matrix that solve builds for a scattering problem."""
+    tables = space_tables(mesh, problem.sigma_t)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    kernel = build_kernel(
+        tables, build_schedules(mesh, problem.quad.directions), delta_value(cfg, mesh),
+        f_vals=[problem.f(px, py, l) for l in range(problem.quad.n_directions)],
+        inflow_data=problem.inflow, scatter_w=tables.areaw * problem.sigma_s(px, py),
+    )
+    return kernel, scatter_matrix(problem.phase, problem.quad)
+
+
 def test_iterate_is_the_iteration_of_solve():
     # a kernel built by hand from the problem's data: the same planes, bit for
     # bit, the same history and sweep count; at max_iter, the history so far
@@ -161,14 +175,7 @@ def test_iterate_is_the_iteration_of_solve():
     cfg = SolverConfig(tol=1e-12)
     sol, report = solve(problem, mesh, cfg)
 
-    tables = space_tables(mesh, problem.sigma_t)
-    px, py = tables.points[..., 0], tables.points[..., 1]
-    kernel = build_kernel(
-        tables, build_schedules(mesh, quad.directions), delta_value(cfg, mesh),
-        f_vals=[problem.f(px, py, l) for l in range(quad.n_directions)],
-        inflow_data=problem.inflow, scatter_w=tables.areaw * problem.sigma_s(px, py),
-    )
-    G = scatter_matrix(problem.phase, quad)
+    kernel, G = scattering_kernel(problem, mesh, cfg)
     planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, cfg)
     assert planes.shape == (3, quad.n_directions, mesh.n_triangles)
     np.testing.assert_array_equal(np.moveaxis(planes, 0, -1), sol.coeffs)
@@ -178,6 +185,57 @@ def test_iterate_is_the_iteration_of_solve():
     with pytest.raises(NonConvergenceError, match="did not converge in 3 iterations") as exc:
         iterate(kernel, G, quad.weights, mesh.tri_area, SolverConfig(max_iter=3))
     assert exc.value.residual_history == list(history[:3])
+
+
+def test_first_sweep_is_the_kernel_run_with_residual_one():
+    # u_0 = 0, so the first sweep is run() with no scattering rhs, and its update is itself
+    mesh = perturbed_mesh(4, seed=28)
+    quad = trapezoid_circle(8)
+    problem = isotropic_problem(quad, inflow=lambda x, y, l: 0.5 + 0.1 * l * y)
+    kernel, G = scattering_kernel(problem, mesh, SolverConfig())
+    first = np.moveaxis(kernel.run(), -1, 0)
+    with pytest.raises(NonConvergenceError, match="did not converge in 1 iterations") as exc:
+        iterate(kernel, G, quad.weights, mesh.tri_area, SolverConfig(max_iter=1))
+    assert exc.value.residual_history == [1.0]
+    planes, history, sweeps = iterate(
+        kernel, G, quad.weights, mesh.tri_area, SolverConfig(tol=1.0, max_iter=1)
+    )
+    np.testing.assert_array_equal(planes, first)
+    assert history == (1.0,) and sweeps == 1
+
+
+def test_iterate_holds_at_most_four_plane_sets():
+    # the iterate, G @ u, the new planes and the sweep's buffer: no G @ u kept between
+    # sweeps, and the norms' scratch a few block rows
+    mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
+    quad = trapezoid_circle(20)
+    problem = isotropic_problem(quad)
+    problem.phase = PhaseFunction.henyey_greenstein(0.5)
+    kernel, G = scattering_kernel(problem, mesh, SolverConfig())
+    tracemalloc.start()
+    try:
+        planes, _, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, SolverConfig(tol=1e-8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweeps > 2
+    assert peak <= 4.1 * planes.nbytes
+
+
+def test_blocked_residual_norms_are_weighted_norms():
+    # 3200 elements and 20 directions: the norms run over blocks of 8, 8 and 4 directions
+    mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
+    quad = trapezoid_circle(20)
+    kernel, G = scattering_kernel(isotropic_problem(quad), mesh, SolverConfig())
+    u1 = kernel.run()
+    u2 = np.moveaxis(kernel.run_scattered(G @ np.moveaxis(u1, -1, 0)), 0, -1)
+    want = weighted_norm(u2 - u1, quad.weights, mesh.tri_area) / weighted_norm(
+        u2, quad.weights, mesh.tri_area
+    )
+    with pytest.raises(NonConvergenceError) as exc:
+        iterate(kernel, G, quad.weights, mesh.tri_area, SolverConfig(max_iter=2))
+    assert exc.value.residual_history[0] == 1.0
+    assert exc.value.residual_history[1] == pytest.approx(want, rel=1e-15)
 
 
 def test_solve_samples_the_inflow_data_once_per_direction():
