@@ -11,13 +11,9 @@ and 1 + (c/4) cos(theta); its nonzero boundary trace supplies the inflow data.
 
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
-jump on inflow edges; eh is their root-sum-square. They, the stability norm
-`triple_norm_stability` and the bilinear form `apply_ah` share one walk over
-the directions (`_form_directions`). It checks the solutions, then yields
-d = grad(phi) . omega, the edge weights |e| |omega . n| and each solution's
-own and upwind endpoint values on every local edge. P1 traces are linear, so
-a jump j integrates exactly as j^T EDGE_MASS_2 j; only the boundary edges of
-`error_norms`, against the exact solution, take the 4-point trace rule.
+jump on inflow edges; eh is their root-sum-square. They and the stability
+norm `triple_norm_stability` walk the directions in `_form_directions`; the
+bilinear form `apply_ah` multiplies with the sweep kernel's operator.
 """
 
 import math
@@ -39,6 +35,7 @@ from .mesh import (
 )
 from .quadrature import triangle_rule
 from .solver import SolverConfig, TransportProblem, solve
+from .sweep import _local_forms, space_tables
 
 NORM_NAMES = ("e1", "e2", "e3", "e4", "eh")
 
@@ -205,23 +202,25 @@ _EDGE_SHAPE = np.stack([1.0 - TRACE_T, TRACE_T])
 
 
 def _volume_rule(mesh):
-    """Degree-6 rule of the norms and forms: bary (nq, 3), areaw (nt, nq), points (nt, nq, 2)."""
+    """Degree-6 rule of the norms: bary (nq, 3), areaw (nt, nq), points (nt, nq, 2)."""
     rule = triangle_rule(6)
     return rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
 
 
-def _form_directions(mesh, quad, *sols):
-    """The norms' and forms' one walk over the directions. ValueError, before anything
-    is sampled, unless every solution lives on mesh and on quad's directions. Then per
-    direction: l, w_l, d = grad(phi) . omega, the weights |e| |omega . n| of the inflow
-    edges and of the outflow boundary edges (zero elsewhere), (nt, 3) each, and per
-    solution (coeffs[l], own, up): the endpoint values (2, nt, 3) at t = 0, 1 of every
-    local edge and of its upwind neighbour's, zero across the boundary."""
-    for sol in sols:
-        if sol.mesh is not mesh:
-            raise ValueError("the solution must live on the given mesh")
-        if not np.array_equal(sol.quad.directions, quad.directions):
-            raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
+def _check_solution(sol, mesh, quad):
+    """ValueError unless sol lives on mesh and on quad's directions."""
+    if sol.mesh is not mesh:
+        raise ValueError("the solution must live on the given mesh")
+    if not np.array_equal(sol.quad.directions, quad.directions):
+        raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
+
+
+def _form_directions(mesh, quad, sol):
+    """The norms' walk over the directions, after _check_solution. Per direction: l, w_l, d
+    = grad(phi) . omega, the weights |e| |omega . n| (nt, 3) of the inflow edges and of the
+    outflow boundary edges, coeffs[l], and the endpoint values (2, nt, 3) at t = 0, 1 of
+    every local edge and of its upwind neighbour's (zero across the boundary)."""
+    _check_solution(sol, mesh, quad)
     grad = element_basis(mesh)
     gx, gy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
     elen = mesh.tri_edge_length
@@ -232,16 +231,14 @@ def _form_directions(mesh, quad, *sols):
     idx = np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp])
     dots = omega_dot_n(mesh, quad.directions)
 
-    def ends(c):
-        e = c.ravel().take(idx)
-        return c, e[:2], np.where(inner, e[2:], 0.0)
-
     def walk():
         for l, ((ox, oy), dot) in enumerate(zip(quad.directions, dots)):
             w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
             w_out = np.where((dot > EPS_N) & ~inner, elen * dot, 0.0)
+            c = sol.coeffs[l]
+            e = c.ravel().take(idx)
             yield (l, quad.weights[l], gx * ox + gy * oy, w_in, w_out,
-                   *[ends(sol.coeffs[l]) for sol in sols])
+                   c, e[:2], np.where(inner, e[2:], 0.0))
 
     return walk()
 
@@ -279,7 +276,7 @@ def error_norms(
     hw = mesh.tri_h[:, None] * areaw
 
     e = np.zeros(4)
-    for l, wl, d, w_in, w_out, (cu, own, up) in walk:
+    for l, wl, d, w_in, w_out, cu, own, up in walk:
         ox, oy = a[l] * quad.directions[l]
         du = ux * ox
         du += uy * oy
@@ -298,25 +295,25 @@ def error_norms(
 
 
 def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
-    """Global bilinear form (volume + inflow jump - scattering); test use only.
-
-    Inflow boundary traces of the upwind state are treated as zero, matching
-    the homogeneous setting of the form. delta is one number.
-    """
-    walk = _form_directions(mesh, problem.quad, u, v)
-    delta = float(delta)
-    G = scatter_matrix(problem.phase, problem.quad)
-    bary, areaw, pts = _volume_rule(mesh)
-    st = sample("sigma_t", problem.sigma_t, pts)
-    ss = sample("sigma_s", problem.sigma_s, pts)
-    u_pts = np.einsum("lkj,qj->lkq", u.coeffs, bary)
-    s_pts = (G @ u_pts.reshape(len(G), -1)).reshape(u_pts.shape)
+    """sum_l w_l sum_K v_lK . (a u_lK - C u_up - (S + delta d s^T)(G u)_lK): the kernel's
+    operator (sweep._local_forms), zero inflow data; test use only. delta is one number."""
+    quad, dirs, nt = problem.quad, problem.quad.directions, mesh.n_triangles
+    for sol in (u, v):
+        _check_solution(sol, mesh, quad)
+    delta, tables = float(delta), space_tables(mesh, problem.sigma_t)
+    scatter_w = tables.areaw * sample("sigma_s", problem.sigma_s, tables.points)
+    # each direction's coefficients as rows (3, nt), the layout of the forms
+    uc, vc = (np.ascontiguousarray(sol.coeffs.transpose(0, 2, 1)) for sol in (u, v))
+    gc = (scatter_matrix(problem.phase, quad) @ uc.reshape(len(dirs), -1)).reshape(uc.shape)
+    # C's column 2 s + c: the upwind coefficient (tri_opposite + c) % 3, or the zero slot 3 nt
+    nbr, opp = mesh.tri_neighbors[..., None], mesh.tri_opposite[..., None]
+    col = np.where(nbr != BOUNDARY, (opp + [0, 1]) % 3 * nt + nbr, 3 * nt).reshape(nt, 6).T
     total = 0.0
-    for l, wl, d, w_in, _, (cu, u_own, u_up), (cv, v_own, _) in walk:
-        du = (d * cu).sum(axis=1)  # omega . grad u, constant per element
-        test = cv @ bary.T + (delta * (d * cv).sum(axis=1))[:, None]
-        vol = (areaw * (du[:, None] + st * u_pts[l] - ss * s_pts[l]) * test).sum()
-        total += wl * (vol + (w_in * _edge_mass(u_own - u_up, v_own)).sum())
+    forms = _local_forms(tables, dirs, omega_dot_n(mesh, dirs), delta, scatter_w)
+    for l, (_, a, c, scat) in enumerate(forms):
+        r = np.einsum("ijk,jk->ik", a, uc[l]) - np.einsum("ijk,jk->ik", scat, gc[l])
+        r -= np.einsum("imk,mk->ik", c.reshape(3, 6, nt), np.append(uc[l], 0.0).take(col))
+        total += quad.weights[l] * np.einsum("ik,ik->", vc[l], r)
     return float(total)
 
 
@@ -330,7 +327,7 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
     walk = _form_directions(mesh, problem.quad, v)
     bary, areaw, _ = _volume_rule(mesh)
     total = 0.0
-    for l, wl, d, w_in, w_out, (cv, own, up) in walk:
+    for l, wl, d, w_in, w_out, cv, own, up in walk:
         l2 = (areaw * (cv @ bary.T) ** 2).sum()
         grad = (delta * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
         # up is zero across the boundary, so an outflow boundary edge's jump is its own trace

@@ -200,7 +200,7 @@ class SweepKernel:
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
-        om = self.omega[..., None, None, :]  # d = omega . grad(phi), as build_kernel forms it
+        om = self.omega[..., None, None, :]  # d = omega . grad(phi), as _local_forms forms it
         d = self.grad[..., 0] * om[..., 0] + self.grad[..., 1] * om[..., 1]
         return _volume_rhs(qw, self.bary, self.delta, d)
 
@@ -265,11 +265,8 @@ def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
     return adj.reshape(a.shape)
 
 
-# The inflow edge s as weights of its |e| |omega . n|: its edge mass in the
-# local matrix (rows and columns s, s + 1), and its coupling to the upwind
-# neighbour's coefficients opp, opp + 1 (columns 2s, 2s + 1 of the 3x6
-# block), whose trace runs against the edge parameter. The edge index is
-# last, so a product with the (3, nt) edge weights gives coefficient planes.
+# Per unit |e| |omega . n| of the inflow edge s (the last index): its edge mass in rows and
+# columns s, s + 1 of a, and C's columns 2s, 2s + 1, whose trace runs against the edge parameter.
 _EDGE_MASS = np.zeros((3, 3, 3))
 _EDGE_COUPLING = np.zeros((3, 6, 3))
 for _s in range(3):
@@ -299,12 +296,48 @@ def _inflow_rhs(dot, inflow, inflow_data, l, elen, bnd):
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
     fixed = np.zeros(dot.shape)
     if ks.size:
-        tq, tw = TRACE_T, TRACE_W
         g = sample(f"inflow data (direction {l})", inflow_data, pts, l)
         w = -elen[ks, ss] * dot[ks, ss]
-        np.add.at(fixed, (ks, ss), w * ((tw * (1.0 - tq))[None, :] * g).sum(axis=1))
-        np.add.at(fixed, (ks, (ss + 1) % 3), w * ((tw * tq)[None, :] * g).sum(axis=1))
+        np.add.at(fixed, (ks, ss), w * ((TRACE_W * (1.0 - TRACE_T))[None, :] * g).sum(axis=1))
+        np.add.at(fixed, (ks, (ss + 1) % 3), w * ((TRACE_W * TRACE_T)[None, :] * g).sum(axis=1))
     return fixed
+
+
+def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
+    """The discrete DODSD/DODG operator of the directions omega (nl, 2), dot (nl, nt, 3).
+
+    With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t u, v + delta
+    omega . grad v) is a = M_sigma + s1 d^T + delta d (W d + s_sigma)^T in the degree-4
+    element moments M_sigma = sum_q w sigma_t phi phi^T, s1 = sum_q w phi, W = sum_q w and
+    s_sigma = sum_q w sigma_t phi, plus the inflow edge masses. An element solves a u_K =
+    C u_up + (S + delta d s^T)(G u)_K + its fixed rhs, where C (18, nt), row 6 i + 2 s + c,
+    weighs the upwind coefficient (tri_opposite + c) % 3 across interior inflow edges s, and
+    S and s are the moments of scatter_w, the area-weighted sigma_s (nt, nq). Yields per
+    direction d (3, nt) and a (3, 3, nt), C and S + delta d s^T (3, 3, nt) or None, three
+    buffers that the next direction refills."""
+    bary = tables.rule.points
+    # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
+    pp = bary.T[:, None, :] * bary.T[None, :, :]
+    w, wst = tables.areaw, tables.areaw * tables.sigma_t
+    m_sig = pp @ wst.T  # (3, 3, nt)
+    s1, s_sig, w_sum = bary.T @ w.T, bary.T @ wst.T, w.sum(axis=1)
+    a, coupling, scat = np.empty_like(m_sig), np.empty((18, len(w))), None
+    if scatter_w is not None:
+        s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, np.empty_like(m_sig)
+    elen, interior = tables.mesh.tri_edge_length, tables.mesh.tri_neighbors != BOUNDARY
+    gx, gy = tables.grad.transpose(2, 1, 0).copy()  # (3, nt) each
+    for om, dot_l in zip(omega, dot):
+        dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
+        ddl = delta * dl
+        edge_w = np.where(dot_l < -EPS_N, -elen * dot_l, 0.0).T
+        # in place, as m_sig + s1 d^T and S + delta d s^T: a sum has the same bits either way
+        np.add(np.multiply(s1[:, None], dl, out=a), m_sig, out=a)
+        a += ddl[:, None] * (w_sum * dl + s_sig)
+        a += _EDGE_MASS @ edge_w
+        np.matmul(_EDGE_COUPLING.reshape(18, 3), np.where(interior.T, edge_w, 0.0), out=coupling)
+        if scat is not None:
+            np.add(np.multiply(ddl[:, None], s_vec, out=scat), s_mat, out=scat)
+        yield dl, a, coupling, scat
 
 
 def build_kernel(
@@ -313,24 +346,15 @@ def build_kernel(
 ):
     """Assemble the sweep kernel of a schedule's stack of directions, or of its one direction.
 
-    delta is one number. f_vals is the fixed volume source at the table's
-    quadrature points (nt, nq), a sequence of them for a stack, or None for
-    zero. inflow_data is the inflow trace g(x, y, l) of
-    TransportProblem.inflow, g(x, y) for one direction, or None for zero; it
-    is sampled once per direction, at the inflow boundary points, and a
-    non-finite sample raises AssumptionError. scatter_w, the area-weighted
-    sigma_s at the quadrature points (nt, nq), folds the scattering moments
-    into the blocks for run_scattered.
-
-    With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t
-    u, v + delta omega . grad v) is M_sigma + s1 d^T + delta d (W d +
-    s_sigma)^T in the element moments M_sigma = sum_q w sigma_t phi phi^T,
-    s1 = sum_q w phi, W = sum_q w and s_sigma = sum_q w sigma_t phi, plus
-    the inflow edge masses; only d changes between directions. Every entry
-    is formed as an (nt,) row, the element index last: each direction's
-    blocks and b0 go into its contiguous column slice, and its fold and nbr
-    straight into the blocks of the steps its pairs belong to. A stacked
-    kernel keeps no reference to the schedule.
+    delta is one number. f_vals is the fixed volume source at the table's quadrature points
+    (nt, nq), a sequence of them for a stack, or None for zero. inflow_data is the inflow
+    trace g(x, y, l) of TransportProblem.inflow, g(x, y) for one direction, or None for
+    zero; it is sampled once per direction, at the inflow boundary points, and a non-finite
+    sample raises AssumptionError. With scatter_w (see _local_forms) the blocks hold the
+    scattering moments, for run_scattered. It inverts each local matrix a of _local_forms
+    and folds the inverse into C's 4 live columns and the scattering moments: each
+    direction's blocks and b0 into its column slice, its fold and nbr into the steps of its
+    pairs. A stack keeps no schedule.
     """
     one = schedule.omega.ndim == 1
     if one:
@@ -355,17 +379,6 @@ def build_kernel(
     slots[0] += 2 * lo_of.take(layer_of.ravel())
     slots[1] = slots[0] + width.take(layer_of.ravel())
 
-    # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
-    pp = bary.T[:, None, :] * bary.T[None, :, :]
-    w = tables.areaw
-    wst = w * tables.sigma_t
-    m_sig = pp @ wst.T  # (3, 3, nt)
-    s1, s_sig, w_sum = bary.T @ w.T, bary.T @ wst.T, w.sum(axis=1)
-    # scattering moments: volume_rhs of w * (gc . phi) is (S_k + delta d s_k^T) gc
-    if scatter_w is not None:
-        s_vec = bary.T @ scatter_w.T  # (3, nt)
-        s_mat = pp @ scatter_w.T  # (3, 3, nt)
-    elen = mesh.tri_edge_length
     interior = mesh.tri_neighbors != BOUNDARY
     bnd = None if inflow_data is None else boundary_points(mesh, TRACE_T)
 
@@ -373,43 +386,33 @@ def build_kernel(
     b0 = np.empty((3, n))
     fold = np.empty(12 * n)
     nbr = np.empty(4 * n, dtype=np.int32)
-    # one direction's work arrays, reused: its buffer offsets (element nt stands for the zero
-    # slot 3n), the couplings to all 6 upwind coefficients, and the 4 picked ones
+    # one direction's reused work arrays: buffer offsets (element nt is the zero slot 3n), picks
     offs, rows = np.full((3, nt + 1), 3 * n, dtype=np.int32), np.arange(12)[:, None]
-    all_edges, pick = np.empty((18, nt)), np.empty((12, nt), dtype=np.int64)
-    grad = tables.grad
-    gx, gy = grad.transpose(2, 1, 0).copy()  # (3, nt) each
+    pick = np.empty((12, nt), dtype=np.int64)
     # row 2s + c: flat offset in offs of the upwind neighbour's coefficient c on edge s
     coef = (mesh.tri_opposite.T[:, None, :] + np.array([0, 1])[:, None]) % 3 * (nt + 1)
     # flat offsets of the picked rows of the (18, nt) coupling, per pattern
     pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
-    for l, om in enumerate(omega):
-        dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
-        ddl = delta * dl
+    for l, (dl, a, c6, scat) in enumerate(_local_forms(tables, omega, dot, delta, scatter_w)):
         live = inflow[l] & interior  # the edges with an upwind neighbour
-        edge_w = np.where(inflow[l], -elen * dot[l], 0.0).T
-        a = m_sig + s1[:, None] * dl
-        a += ddl[:, None] * (w_sum * dl + s_sig)
-        a += _EDGE_MASS @ edge_w
         fixed = np.zeros((nt, 3))
         if f_vals is not None and f_vals[l] is not None:
-            fixed += _volume_rhs(w * f_vals[l], bary, delta, dl.T)
+            fixed += _volume_rhs(tables.areaw * f_vals[l], bary, delta, dl.T)
         if inflow_data is not None:
-            fixed += _inflow_rhs(dot[l], inflow[l], inflow_data, l, elen, bnd)
+            fixed += _inflow_rhs(dot[l], inflow[l], inflow_data, l, mesh.tri_edge_length, bnd)
         pattern = upwind_pattern(live, direction=l)
-        np.matmul(_EDGE_COUPLING.reshape(18, 3), np.where(interior.T, edge_w, 0.0), out=all_edges)
         np.add(pick_rows.take(pattern, axis=1), elem, out=pick)  # rows 0-3 pick the (6, nt) indices
-        coupling = all_edges.take(pick).reshape(3, 4, nt)
+        coupling = c6.take(pick).reshape(3, 4, nt)
 
         cols = slice(l * nt, (l + 1) * nt)
         inv = inverse_3x3(a, direction=l)
         _einsum("ijk,jk->ik", inv, fixed.T, out=b0[:, cols])
-        _einsum("imk,mjk->jik", inv, coupling, out=all_edges[:12].reshape(4, 3, nt))
-        if scatter_w is None:
+        _einsum("imk,mjk->jik", inv, coupling, out=c6[:12].reshape(4, 3, nt))
+        if scat is None:
             blocks[:, :, cols] = inv
         else:
-            _einsum("imk,mjk->ijk", inv, s_mat + ddl[:, None] * s_vec, out=blocks[:, :, cols])
-        # all_edges and pick are spent, so they hold the fold and the positions of a pair's
+            _einsum("imk,mjk->ijk", inv, scat, out=blocks[:, :, cols])
+        # c6 (C) and pick are spent, so they hold the fold and the positions of a pair's
         # fold rows, slots[0] + 9 lo + r m, then of its nbr rows, slots[0] + lo + r m
         lo, m = lo_of.take(layer_of[l]), width.take(layer_of[l])
         offs[:2, :nt] = slots[:, cols]
@@ -419,7 +422,7 @@ def build_kernel(
         upwind = offs.take((coef + up).reshape(6, nt).take(pick[:4]))
         np.multiply(rows, m, out=pick)
         pick += o0 + 9 * lo
-        fold[pick] = all_edges[:12]
+        fold[pick] = c6[:12]
         np.multiply(rows[:4], m, out=pick[:4])
         pick[:4] += o0 + lo
         nbr[pick[:4]] = upwind
@@ -431,7 +434,7 @@ def build_kernel(
         for a, b in zip(bounds[:-1], bounds[1:])
     )
     return SweepKernel(
-        schedule=schedule if one else None, omega=schedule.omega, grad=grad, delta=delta,
+        schedule=schedule if one else None, omega=schedule.omega, grad=tables.grad, delta=delta,
         bary=bary, slots=slots, steps=steps, scattering=scatter_w is not None,
         blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

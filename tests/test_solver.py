@@ -604,10 +604,41 @@ def p1_trace(mesh, c, n, x, y):
     return c[n] @ np.linalg.solve(corners, np.vstack([x, y, np.ones(np.shape(x))]))
 
 
+def weak_forms_oracle(u, v, problem, mesh, delta):
+    """(a_h(u, v), l(v)) element by element from the per-element assembly: a_h with the
+    neighbour's trace of u upwind (zero on the boundary) and the scattering of u as the
+    source; l(v) = (f, v + delta omega . grad v) + sum |e| |omega . n| <g, v> over the
+    inflow boundary edges. The oracle's default degree-4 rule is the kernel's."""
+    quad = problem.quad
+    G = scatter_matrix(problem.phase, quad)
+    basis = element_basis(mesh)
+    zero = const(0.0)
+    a_h = l_v = 0.0
+    for l, omega in enumerate(quad.directions):
+        source = scattering_source(u, G, problem.sigma_s, l)
+        f = lambda x, y: problem.f(x, y, l)
+        dot = mesh.tri_normal @ omega
+        for k in range(mesh.n_triangles):
+            inflow = np.flatnonzero(dot[k] < -EPS_N)
+
+            def upwind(s, x, y):
+                n = mesh.tri_neighbors[k, s]
+                return zero(x, y) if n == BOUNDARY else p1_trace(mesh, u.coeffs[l], n, x, y)
+
+            def data(s, x, y):
+                on_boundary = mesh.tri_neighbors[k, s] == BOUNDARY
+                return problem.inflow(x, y, l) if on_boundary and problem.inflow else zero(x, y)
+
+            args = (mesh, basis, k, omega, delta, problem.sigma_t, inflow)
+            form = assemble_local(*args, upwind, source)
+            rhs = assemble_local(*args, data, f)
+            a_h += quad.weights[l] * (v.coeffs[l, k] @ (form.A @ u.coeffs[l, k] - form.b))
+            l_v += quad.weights[l] * (v.coeffs[l, k] @ rhs.b)
+    return a_h, l_v
+
+
 def test_apply_ah_matches_the_element_assembly():
-    # sum_l w_l sum_K v_K . (A_K u_K - b_K): A_K, b_K from the per-element assembly,
-    # the neighbour's trace of u upwind (zero on the boundary), the scattering of u
-    # as the source; every integrand has degree <= 2, so both sides are exact
+    # every integrand has degree <= 2, so both sides are exact
     mesh = perturbed_mesh(3, seed=31)
     quad = trapezoid_circle(6)
     problem = TransportProblem(
@@ -617,27 +648,46 @@ def test_apply_ah_matches_the_element_assembly():
     u = random_solution(mesh, quad, seed=11)
     v = random_solution(mesh, quad, seed=12)
     delta = 0.7 * mesh.h
-    G = scatter_matrix(problem.phase, quad)
-    basis = element_basis(mesh)
-    expect = 0.0
-    for l, omega in enumerate(quad.directions):
-        source = scattering_source(u, G, problem.sigma_s, l)
-        dot = mesh.tri_normal @ omega
-        for k in range(mesh.n_triangles):
-            inflow = np.flatnonzero(dot[k] < -EPS_N)
-
-            def upwind(s, x, y):
-                n = mesh.tri_neighbors[k, s]
-                if n == BOUNDARY:
-                    return np.zeros(np.shape(x))
-                return p1_trace(mesh, u.coeffs[l], n, x, y)
-
-            local = assemble_local(
-                mesh, basis, k, omega, delta, problem.sigma_t, inflow, upwind, source
-            )
-            expect += quad.weights[l] * (v.coeffs[l, k] @ (local.A @ u.coeffs[l, k] - local.b))
     assert (mesh.tri_neighbors == BOUNDARY).any()
+    expect, _ = weak_forms_oracle(u, v, problem, mesh, delta)
     assert apply_ah(u, v, problem, mesh, delta) == pytest.approx(expect, rel=1e-11)
+
+
+def test_apply_ah_integrates_with_the_kernels_rule():
+    # for a non-polynomial sigma, apply_ah is the discrete operator solve inverts
+    mesh = perturbed_mesh(3, seed=34)
+    quad = trapezoid_circle(6)
+    problem = TransportProblem(
+        sigma_t=lambda x, y: 4.0 + np.sin(3.0 * x) * np.cos(2.0 * y),
+        sigma_s=lambda x, y: 1.0 + 0.5 * np.exp(-x * y),
+        phase=PhaseFunction.henyey_greenstein(0.5), f=lambda x, y, l: np.ones(np.shape(x)),
+        quad=quad,
+    )
+    u = random_solution(mesh, quad, seed=17)
+    v = random_solution(mesh, quad, seed=18)
+    delta = 0.7 * mesh.h
+    expect, _ = weak_forms_oracle(u, v, problem, mesh, delta)
+    assert apply_ah(u, v, problem, mesh, delta) == pytest.approx(expect, rel=1e-11)
+
+
+@pytest.mark.parametrize("method", ["dodsd", "dodg"])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["structured", "perturbed"])
+def test_solution_satisfies_the_weak_equations(method, perturbed):
+    # a_h(u_h, v) = l(v) for random v, up to the iteration's tolerance; sigma_t, f and g
+    # are polynomial, so the kernel's rules and the oracle's integrate them exactly
+    mesh = perturbed_mesh(4, seed=33) if perturbed else build_structured_unit_square(4)
+    quad = trapezoid_circle(8)
+    problem = TransportProblem(
+        sigma_t=lambda x, y: 1.0 + 0.5 * x, sigma_s=const(0.5),
+        phase=PhaseFunction.henyey_greenstein(0.5),
+        f=lambda x, y, l: 1.0 + (l + 1) * x - 0.3 * y**2 + x * y, quad=quad,
+        inflow=lambda x, y, l: 1.0 + 0.5 * x - 0.25 * y + 0.1 * l * x * y,
+    )
+    config = SolverConfig(method=method, tol=1e-12)
+    sol, report = solve(problem, mesh, config)
+    v = random_solution(mesh, quad, seed=16)
+    a_h, l_v = weak_forms_oracle(sol, v, problem, mesh, report.delta_used)
+    assert abs(a_h - l_v) <= 10 * config.tol * abs(l_v)
 
 
 def triple_norm_oracle(coeffs, mesh, quad, delta, c0p):
