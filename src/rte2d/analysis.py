@@ -11,8 +11,9 @@ and 1 + (c/4) cos(theta); its nonzero boundary trace supplies the inflow data.
 
 Errors are measured in four weighted norms: elementwise L2, the outflow
 boundary trace, the h_K-weighted directional derivative, and the upwind
-jump on inflow edges; eh is their root-sum-square. They and the stability
-norm `triple_norm_stability` walk the directions in `_form_directions`; the
+jump on inflow edges; eh is their root-sum-square. `error_norms` reduces the
+exact field once per mesh, so a direction costs O(elements + edges), and it
+and the stability norm `triple_norm_stability` take each edge once; the
 bilinear form `apply_ah` multiplies with the sweep kernel's operator.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .angular import AngularQuadrature, PhaseFunction, scatter_matrix, trapezoid_circle
-from .dg_core import EDGE_MASS_2, TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
+from .dg_core import TRACE_T, TRACE_W, DGSolution, element_basis, quad_points
 from .errors import AssumptionError, sample
 from .mesh import (
     BOUNDARY,
@@ -34,7 +35,7 @@ from .mesh import (
     refine_regular,
 )
 from .quadrature import triangle_rule
-from .solver import SolverConfig, TransportProblem, solve
+from .solver import SolverConfig, TransportProblem, _mass_form, solve
 from .sweep import _local_forms, space_tables
 
 NORM_NAMES = ("e1", "e2", "e3", "e4", "eh")
@@ -197,16 +198,6 @@ class ErrorReport:
             raise ValueError("eh must be the root-sum-square of e1..e4")
 
 
-# The shapes 1 - t, t at the trace rule's points: a trace is its endpoint values @ _EDGE_SHAPE.
-_EDGE_SHAPE = np.stack([1.0 - TRACE_T, TRACE_T])
-
-
-def _volume_rule(mesh):
-    """Degree-6 rule of the norms: bary (nq, 3), areaw (nt, nq), points (nt, nq, 2)."""
-    rule = triangle_rule(6)
-    return rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
-
-
 def _check_solution(sol, mesh, quad):
     """ValueError unless sol lives on mesh and on quad's directions."""
     if sol.mesh is not mesh:
@@ -215,37 +206,42 @@ def _check_solution(sol, mesh, quad):
         raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
 
 
-def _form_directions(mesh, quad, sol):
-    """The norms' walk over the directions, after _check_solution. Per direction: l, w_l, d
-    = grad(phi) . omega, the weights |e| |omega . n| (nt, 3) of the inflow edges and of the
-    outflow boundary edges, coeffs[l], and the endpoint values (2, nt, 3) at t = 0, 1 of
-    every local edge and of its upwind neighbour's (zero across the boundary)."""
-    _check_solution(sol, mesh, quad)
-    grad = element_basis(mesh)
-    gx, gy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
-    elen = mesh.tri_edge_length
-    inner = mesh.tri_neighbors != BOUNDARY
-    own = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)
-    nbr = 3 * np.where(inner, mesh.tri_neighbors, 0)
-    opp = np.where(inner, mesh.tri_opposite, 0)
-    idx = np.stack([own, own[:, [1, 2, 0]], nbr + (opp + 1) % 3, nbr + opp])
-    dots = omega_dot_n(mesh, quad.directions)
-
-    def walk():
-        for l, ((ox, oy), dot) in enumerate(zip(quad.directions, dots)):
-            w_in = np.where(dot < -EPS_N, -elen * dot, 0.0)
-            w_out = np.where((dot > EPS_N) & ~inner, elen * dot, 0.0)
-            c = sol.coeffs[l]
-            e = c.ravel().take(idx)
-            yield (l, quad.weights[l], gx * ox + gy * oy, w_in, w_out,
-                   c, e[:2], np.where(inner, e[2:], 0.0))
-
-    return walk()
+def _edge_walk(mesh):
+    """Every edge once: the ni interior edges, each from its side with the lower element id,
+    then the boundary edges in boundary_points' order. Returns ni; the flat indices (2, ne)
+    into a direction's rows (3, nt) of the own endpoint values at t = 0, 1 and of the
+    neighbour's at the same points, or on the boundary 3 nt, the zero _edge_flux puts after
+    the rows; the lengths (ne,) and the outward normals (2, ne), which the neighbour sees
+    negated exactly."""
+    nbr, nt = mesh.tri_neighbors, mesh.n_triangles
+    once = nbr > np.arange(nt)[:, None]  # BOUNDARY = -1 is below every id
+    k, s = np.concatenate([np.nonzero(once), np.nonzero(nbr == BOUNDARY)], axis=1)
+    n, o = nbr[k, s], mesh.tri_opposite[k, s]
+    own = np.stack([s * nt + k, (s + 1) % 3 * nt + k])
+    up = np.where(n == BOUNDARY, 3 * nt, np.stack([(o + 1) % 3 * nt + n, o * nt + n]))
+    return int(once.sum()), own, up, mesh.tri_edge_length[k, s], mesh.tri_normal[k, s].T
 
 
-def _edge_mass(a, b):
-    """Exact edge integrals a^T EDGE_MASS_2 b of products of linear traces, (2, nt, 3) each."""
-    return (a * np.tensordot(EDGE_MASS_2, b, 1)).sum(axis=0)
+def _edge_flux(walk, directions, rows):
+    """Per direction on the walk's edges, from the coefficient rows (nl, 3, nt): omega . n
+    (nl, ne) as omega_dot_n forms it, the weights |e| |omega . n|, zero where |omega . n| <=
+    EPS_N, the own endpoint values (nl, 2, ne), and the exact integrals over t in [0, 1] of
+    the squared jumps (nl, ne), own minus neighbour: the own trace on the boundary."""
+    _, own, up, length, (nx, ny) = walk
+    dot = directions[:, :1] * nx + directions[:, 1:] * ny
+    ad = np.abs(dot)
+    w = np.where(ad > EPS_N, length * ad, 0.0)
+    flat = np.concatenate([rows.reshape(len(rows), -1), np.zeros((len(rows), 1))], axis=1)
+    ends = np.take(flat, own, axis=1)
+    j = ends - np.take(flat, up, axis=1)
+    j0, j1 = j[:, 0], j[:, 1]
+    return dot, w, ends, (j0 * (j0 + j1) + j1 * j1) / 3.0
+
+
+def _streamline(rows, basis, directions):
+    """omega_l . grad u_h (nl, nt) of the P1 fields rows (nl, 3, nt); basis: element_basis.T."""
+    gx, gy = np.einsum("ljk,ijk->ilk", rows, basis)
+    return directions[:, :1] * gx + directions[:, 1:] * gy
 
 
 def error_norms(
@@ -258,38 +254,54 @@ def error_norms(
 ) -> ErrorReport:
     """Four weighted error norms of sol against the case's exact solution.
 
-    Volume terms use a degree-6 triangle rule, traces a 4-point Gauss rule.
-    Each edge has one reference trace: the upwind trace across interior
-    edges, the exact solution on boundary edges. e2 weighs its difference
-    from the own trace on the outflow boundary, e4 on every inflow edge;
-    on the inflow boundary the exact solution is the inflow data. Raises
-    ValueError unless sol lives on mesh and on quad's directions.
+    Volume terms are degree-6 rule sums reduced once per mesh: U = p . phi + r
+    per element, p the P1 projection, so with diff = c_l - a_l p and rho = sum
+    w phi r, e1 is diff^T M diff - 2 a_l diff . rho + a_l^2 sum w r^2 (M the P1
+    mass); e3 takes grad U's h_K-weighted mean m and the moments of grad U - m.
+    Jumps take each interior edge once; on the boundary a 4-point rule compares
+    with the exact solution. e2 weighs the outflow boundary, e4 every inflow
+    edge. Raises ValueError unless sol lives on mesh and on quad's directions.
     """
-    walk = _form_directions(mesh, quad, sol)
-    bary, areaw, pts = _volume_rule(mesh)
-    bk, bs, bpts = boundary_points(mesh, TRACE_T)
+    _check_solution(sol, mesh, quad)
+    rule = triangle_rule(6)
+    bary, areaw, pts = rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
+    bpts = boundary_points(mesh, TRACE_T)[2]
     # u = a_l U: the spatial field once per mesh, scaled per direction
     u, grad = case.field(pts[..., 0], pts[..., 1])
-    ux, uy = np.ascontiguousarray(grad[..., 0]), np.ascontiguousarray(grad[..., 1])
     u_b = case.field(bpts[..., 0], bpts[..., 1])[0]
-    a = case.angular(quad.angles)[0]
+    a = np.asarray(case.angular(quad.angles)[0], dtype=float)[:, None]
+    om, nt, a12 = quad.directions, mesh.n_triangles, mesh.tri_area / 12
+    # Once per mesh, as rows (3, nt); the large totals are pairwise sums on contiguous axes.
+    # The rule's P1 mass 12 a12 (I + ones) has the inverse (I - ones/4) / a12.
+    b = bary.T @ (areaw * u).T
+    p = (b - 0.25 * b.sum(axis=0)) / a12
+    r = u - (bary @ p).T
+    rho, rr = (bary.T @ (areaw * r).T).ravel(), np.sum(areaw * r * r)
     hw = mesh.tri_h[:, None] * areaw
+    hk = hw.sum(axis=1)
+    m = [np.einsum("kq,kq->k", hw, grad[..., i]) / hk for i in (0, 1)]
+    g = [grad[..., i] - m[i][:, None] for i in (0, 1)]
+    vxx, vxy, vyy = (np.sum(hw * g[i] * g[j]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    walk, basis = _edge_walk(mesh), np.ascontiguousarray(element_basis(mesh).T)
+    ni, rows = walk[0], np.ascontiguousarray(sol.coeffs.transpose(0, 2, 1))
 
-    e = np.zeros(4)
-    for l, wl, d, w_in, w_out, cu, own, up in walk:
-        ox, oy = a[l] * quad.directions[l]
-        du = ux * ox
-        du += uy * oy
-        du -= np.einsum("ki,ki->k", d, cu)[:, None]
-        jump2 = _edge_mass(up - own, up - own)
-        jump2[bk, bs] = (a[l] * u_b - own[:, bk, bs].T @ _EDGE_SHAPE) ** 2 @ TRACE_W
-        r = cu @ bary.T
-        r -= a[l] * u
-        e += wl * np.array([
-            np.einsum("kq,kq,kq->", areaw, r, r), (w_out * jump2).sum(),
-            np.einsum("kq,kq,kq->", hw, du, du), (w_in * jump2).sum(),
-        ])
-
+    # blocks of about 2^12 (direction, element) pairs keep the temporaries small
+    e, block = np.empty((4, len(om))), max(1, 2**12 // nt)
+    for d in (slice(i, i + block) for i in range(0, len(om), block)):
+        al, ox, oy, c = a[d], om[d, :1], om[d, 1:], rows[d]
+        diff = c - al[..., None] * p
+        e[0, d] = (_mass_form(diff.swapaxes(0, 1)) * a12).sum(axis=1)
+        e[0, d] += al[:, 0] * (al[:, 0] * rr - 2 * (diff.reshape(len(c), -1) @ rho))
+        t = al * (ox * m[0] + oy * m[1]) - _streamline(c, basis, om[d])
+        e[2, d] = (hk * t * t).sum(axis=1)
+        e[2, d] += (al * al * (ox * ox * vxx + 2 * ox * oy * vxy + oy * oy * vyy))[:, 0]
+        dot, w, ends, jump2 = _edge_flux(walk, om[d], c)
+        e[3, d] = (w[:, :ni] * jump2[:, :ni]).sum(axis=1)
+        trace = ends[:, 0, ni:, None] * (1.0 - TRACE_T) + ends[:, 1, ni:, None] * TRACE_T
+        wb = w[:, ni:] * (((al[..., None] * u_b - trace) ** 2) @ TRACE_W)
+        e[1, d] = np.where(dot[:, ni:] > 0, wb, 0.0).sum(axis=1)
+        e[3, d] += np.where(dot[:, ni:] < 0, wb, 0.0).sum(axis=1)
+    e = e @ quad.weights
     return ErrorReport(*np.sqrt(e).tolist(), eh=math.sqrt(e.sum()), h=mesh.h, level=level,
                        iterations=iterations, n_elems=mesh.n_triangles)
 
@@ -318,22 +330,20 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
 
 
 def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> float:
-    """Stability norm: c0' L2 + outflow-boundary + delta gradient + inflow jump."""
+    """Stability norm: c0' L2 + outflow-boundary + delta gradient + inflow jump; the L2
+    term is the exact P1 mass form, and the traces take error_norms' edge walk."""
     delta = float(delta)
     if not c0_prime > 0:
         raise AssumptionError(
-            f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}"
-        )
-    walk = _form_directions(mesh, problem.quad, v)
-    bary, areaw, _ = _volume_rule(mesh)
-    total = 0.0
-    for l, wl, d, w_in, w_out, cv, own, up in walk:
-        l2 = (areaw * (cv @ bary.T) ** 2).sum()
-        grad = (delta * mesh.tri_area * (d * cv).sum(axis=1) ** 2).sum()
-        # up is zero across the boundary, so an outflow boundary edge's jump is its own trace
-        faces = ((w_in + w_out) * _edge_mass(own - up, own - up)).sum()
-        total += wl * (c0_prime * l2 + grad + faces)
-    return float(np.sqrt(total))
+            f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}")
+    quad, area = problem.quad, mesh.tri_area
+    _check_solution(v, mesh, quad)
+    rows = np.ascontiguousarray(v.coeffs.transpose(0, 2, 1))
+    _, w, _, jump2 = _edge_flux(_edge_walk(mesh), quad.directions, rows)
+    sd = _streamline(rows, np.ascontiguousarray(element_basis(mesh).T), quad.directions)
+    l2 = _mass_form(rows.swapaxes(0, 1)) * (area / 12)
+    total = (c0_prime * l2 + delta * area * sd * sd).sum(axis=1) + (w * jump2).sum(axis=1)
+    return float(np.sqrt(quad.weights @ total))
 
 
 # errors below this are rounding noise; rate extraction reports nan instead
@@ -345,13 +355,8 @@ def observed_rates(rows) -> dict:
     rates = {}
     for name in NORM_NAMES:
         vals = [getattr(r, name) for r in rows]
-        seq = []
-        for a, b in zip(vals, vals[1:]):
-            if a < RATE_FLOOR or b < RATE_FLOOR:
-                seq.append(float("nan"))
-            else:
-                seq.append(math.log2(a / b))
-        rates[name] = seq
+        rates[name] = [float("nan") if a < RATE_FLOOR or b < RATE_FLOOR else math.log2(a / b)
+                       for a, b in zip(vals, vals[1:])]
     return rates
 
 
@@ -395,13 +400,8 @@ def convergence_study(
             mesh = refine_regular(mesh)
         sol, report = solve(problem, mesh, config)
         rows.append(error_norms(sol, case, mesh, quad, level=level, iterations=report.iterations))
-    return ConvergenceTable(
-        case_id=case.id,
-        method=config.method,
-        n_dirs=quad.n_directions,
-        rows=rows,
-        rates=observed_rates(rows),
-    )
+    return ConvergenceTable(case_id=case.id, method=config.method, n_dirs=quad.n_directions,
+                            rows=rows, rates=observed_rates(rows))
 
 
 @dataclass

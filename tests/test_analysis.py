@@ -22,8 +22,10 @@ from rte2d import (
     trapezoid_circle,
     triple_norm_stability,
 )
-from rte2d.analysis import NORM_NAMES, RATE_FLOOR, observed_rates
+from rte2d.analysis import NORM_NAMES, RATE_FLOOR, _edge_walk, observed_rates
+from rte2d.dg_core import element_basis, quad_points
 from rte2d.mesh import BOUNDARY, EPS_N, omega_dot_n
+from rte2d.quadrature import triangle_rule
 from helpers import perturbed_mesh, project_exact, random_solution
 import oracle
 
@@ -294,6 +296,73 @@ def test_error_norms_match_per_edge_oracle(name):
     for norm in NORM_NAMES:
         assert getattr(got, norm) == pytest.approx(getattr(ref, norm), rel=1e-13), norm
     assert (got.level, got.iterations, got.n_elems, got.h) == (1, 3, mesh.n_triangles, mesh.h)
+
+
+def volume_sums_longdouble(sol, case, mesh, quad):
+    """e1^2 and e3^2 as the pointwise degree-6 sums, accumulated in np.longdouble: sum_l w_l
+    sum_K sum_q w (c . phi - a U)^2 and sum_l w_l sum_K h_K sum_q w (a omega . grad U -
+    d . c)^2, d = grad(phi) . omega. The field and the geometry come in as float64."""
+    ld = np.longdouble
+    rule = triangle_rule(6)
+    pts = quad_points(mesh, rule)
+    u, grad = (np.asarray(v, dtype=ld) for v in case.field(pts[..., 0], pts[..., 1]))
+    bary, basis = rule.points.astype(ld), element_basis(mesh).astype(ld)
+    areaw = mesh.tri_area.astype(ld)[:, None] * rule.weights.astype(ld)
+    hw = mesh.tri_h.astype(ld)[:, None] * areaw
+    a = np.asarray(case.angular(quad.angles)[0], dtype=ld)
+    e1 = e3 = ld(0)
+    for l, (ox, oy) in enumerate(quad.directions.astype(ld)):
+        c = sol.coeffs[l].astype(ld)
+        r = c @ bary.T - a[l] * u
+        dc = ((basis[..., 0] * ox + basis[..., 1] * oy) * c).sum(axis=1)
+        s = a[l] * (grad[..., 0] * ox + grad[..., 1] * oy) - dc[:, None]
+        e1 += ld(quad.weights[l]) * (areaw * r * r).sum()
+        e3 += ld(quad.weights[l]) * (hw * s * s).sum()
+    return e1, e3
+
+
+@pytest.mark.parametrize("cid", [1, 4])
+def test_error_norms_volume_terms_to_full_precision(cid):
+    # a field within 1e-3 of the exact one on 3200 elements: without the projection
+    # defect rho, e1 is off by about 1.6e-12 relative
+    case = make_case(cid)
+    quad = case_quadrature(case)
+    mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
+    assert mesh.n_triangles == 3200
+
+    def u(x, y, theta):
+        return (1.0 + 1e-3 * np.sin(3.0 * x + 2.0 * y)) * case.exact_u(x, y, theta)
+
+    sol = project_exact(u, mesh, quad)
+    rep = error_norms(sol, case, mesh, quad)
+    e1, e3 = volume_sums_longdouble(sol, case, mesh, quad)
+    assert rep.e1 == pytest.approx(float(np.sqrt(e1)), rel=1e-13, abs=0.0)
+    assert rep.e3 == pytest.approx(float(np.sqrt(e3)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed"])
+def test_edge_walk_takes_each_interior_edge_once(kind):
+    mesh = build_structured_unit_square(6) if kind == "structured" else perturbed_mesh(6, seed=11)
+    nt, nbr = mesh.n_triangles, mesh.tri_neighbors
+    ni, own, up, length, normal = _edge_walk(mesh)
+    n_boundary = int((nbr == BOUNDARY).sum())
+    assert (up[:, ni:] == 3 * nt).all()  # the zero slot after the rows
+    up = up[:, :ni]
+    assert 2 * ni == 3 * nt - n_boundary
+    assert own.shape[1] == ni + n_boundary
+    # flat indices into the rows (3, nt): local edge s of element k starts at s nt + k
+    k, s = own[0] % nt, own[0] // nt
+    assert np.array_equal(own[1], (s + 1) % 3 * nt + k)
+    inner = nbr[k[:ni], s[:ni]]
+    assert (inner > k[:ni]).all() and (nbr[k[ni:], s[ni:]] == BOUNDARY).all()
+    assert len({(min(a, b), max(a, b)) for a, b in zip(k[:ni], inner)}) == ni  # no edge twice
+    assert np.array_equal(up[0] % nt, inner) and np.array_equal(up[1] % nt, inner)
+    # the neighbour's values sit at the same vertices, and its normal is the exact negation
+    verts = mesh.triangles.ravel(order="F")
+    assert np.array_equal(verts[own[:, :ni]], verts[up])
+    s_up = up[1] // nt
+    assert np.array_equal(mesh.tri_normal[inner, s_up].T, -normal[:, :ni])
+    assert np.array_equal(mesh.tri_edge_length[inner, s_up], length[:ni])
 
 
 def test_error_report_invariant():
