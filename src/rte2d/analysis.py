@@ -29,9 +29,10 @@ from .mesh import (
     BOUNDARY,
     EPS_N,
     TriangleMesh,
+    across_index,
     boundary_points,
     build_structured_unit_square,
-    omega_dot_n,
+    omega_dot,
     refine_regular,
 )
 from .quadrature import triangle_rule
@@ -198,37 +199,38 @@ class ErrorReport:
             raise ValueError("eh must be the root-sum-square of e1..e4")
 
 
-def _check_solution(sol, mesh, quad):
-    """ValueError unless sol lives on mesh and on quad's directions."""
+def _rows(sol, mesh, quad):
+    """sol's coefficients as each direction's rows (nl, 3, nt), the layout of the forms;
+    ValueError unless sol lives on mesh and on quad's directions."""
     if sol.mesh is not mesh:
         raise ValueError("the solution must live on the given mesh")
     if not np.array_equal(sol.quad.directions, quad.directions):
         raise ValueError(f"the solution's {sol.quad.n_directions} directions are not quad's")
+    return np.ascontiguousarray(sol.coeffs.transpose(0, 2, 1))
 
 
 def _edge_walk(mesh):
     """Every edge once: the ni interior edges, each from its side with the lower element id,
     then the boundary edges in boundary_points' order. Returns ni; the flat indices (2, ne)
-    into a direction's rows (3, nt) of the own endpoint values at t = 0, 1 and of the
-    neighbour's at the same points, or on the boundary 3 nt, the zero _edge_flux puts after
-    the rows; the lengths (ne,) and the outward normals (2, ne), which the neighbour sees
+    into a direction's rows (3, nt) of the own endpoint values at t = 0, 1 and, by
+    mesh.across_index, of the neighbour's at the same points, or on the boundary the zero
+    slot 3 nt; the lengths (ne,) and the outward normals (ne, 2), which the neighbour sees
     negated exactly."""
     nbr, nt = mesh.tri_neighbors, mesh.n_triangles
     once = nbr > np.arange(nt)[:, None]  # BOUNDARY = -1 is below every id
     k, s = np.concatenate([np.nonzero(once), np.nonzero(nbr == BOUNDARY)], axis=1)
-    n, o = nbr[k, s], mesh.tri_opposite[k, s]
     own = np.stack([s * nt + k, (s + 1) % 3 * nt + k])
-    up = np.where(n == BOUNDARY, 3 * nt, np.stack([(o + 1) % 3 * nt + n, o * nt + n]))
-    return int(once.sum()), own, up, mesh.tri_edge_length[k, s], mesh.tri_normal[k, s].T
+    up = across_index(mesh)[s, ::-1, k].T.copy()
+    return int(once.sum()), own, up, mesh.tri_edge_length[k, s], mesh.tri_normal[k, s]
 
 
 def _edge_flux(walk, directions, rows):
     """Per direction on the walk's edges, from the coefficient rows (nl, 3, nt): omega . n
-    (nl, ne) as omega_dot_n forms it, the weights |e| |omega . n|, zero where |omega . n| <=
-    EPS_N, the own endpoint values (nl, 2, ne), and the exact integrals over t in [0, 1] of
-    the squared jumps (nl, ne), own minus neighbour: the own trace on the boundary."""
-    _, own, up, length, (nx, ny) = walk
-    dot = directions[:, :1] * nx + directions[:, 1:] * ny
+    (nl, ne), the weights |e| |omega . n|, zero where |omega . n| <= EPS_N, the own endpoint
+    values (nl, 2, ne), and the exact integrals over t in [0, 1] of the squared jumps (nl,
+    ne), own minus neighbour: the own trace on the boundary."""
+    _, own, up, length, normal = walk
+    dot = omega_dot(normal, directions)
     ad = np.abs(dot)
     w = np.where(ad > EPS_N, length * ad, 0.0)
     flat = np.concatenate([rows.reshape(len(rows), -1), np.zeros((len(rows), 1))], axis=1)
@@ -262,7 +264,7 @@ def error_norms(
     with the exact solution. e2 weighs the outflow boundary, e4 every inflow
     edge. Raises ValueError unless sol lives on mesh and on quad's directions.
     """
-    _check_solution(sol, mesh, quad)
+    rows = _rows(sol, mesh, quad)
     rule = triangle_rule(6)
     bary, areaw, pts = rule.points, mesh.tri_area[:, None] * rule.weights, quad_points(mesh, rule)
     bpts = boundary_points(mesh, TRACE_T)[2]
@@ -279,11 +281,11 @@ def error_norms(
     rho, rr = (bary.T @ (areaw * r).T).ravel(), np.sum(areaw * r * r)
     hw = mesh.tri_h[:, None] * areaw
     hk = hw.sum(axis=1)
-    m = [np.einsum("kq,kq->k", hw, grad[..., i]) / hk for i in (0, 1)]
-    g = [grad[..., i] - m[i][:, None] for i in (0, 1)]
+    m = np.stack([np.einsum("kq,kq->k", hw, grad[..., i]) / hk for i in (0, 1)], axis=-1)
+    g = [grad[..., i] - m[:, i, None] for i in (0, 1)]
     vxx, vxy, vyy = (np.sum(hw * g[i] * g[j]) for i, j in ((0, 0), (0, 1), (1, 1)))
     walk, basis = _edge_walk(mesh), np.ascontiguousarray(element_basis(mesh).T)
-    ni, rows = walk[0], np.ascontiguousarray(sol.coeffs.transpose(0, 2, 1))
+    ni = walk[0]
 
     # blocks of about 2^12 (direction, element) pairs keep the temporaries small
     e, block = np.empty((4, len(om))), max(1, 2**12 // nt)
@@ -292,7 +294,7 @@ def error_norms(
         diff = c - al[..., None] * p
         e[0, d] = (_mass_form(diff.swapaxes(0, 1)) * a12).sum(axis=1)
         e[0, d] += al[:, 0] * (al[:, 0] * rr - 2 * (diff.reshape(len(c), -1) @ rho))
-        t = al * (ox * m[0] + oy * m[1]) - _streamline(c, basis, om[d])
+        t = al * omega_dot(m, om[d]) - _streamline(c, basis, om[d])
         e[2, d] = (hk * t * t).sum(axis=1)
         e[2, d] += (al * al * (ox * ox * vxx + 2 * ox * oy * vxy + oy * oy * vyy))[:, 0]
         dot, w, ends, jump2 = _edge_flux(walk, om[d], c)
@@ -310,18 +312,13 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     """sum_l w_l sum_K v_lK . (a u_lK - C u_up - (S + delta d s^T)(G u)_lK): the kernel's
     operator (sweep._local_forms), zero inflow data; test use only. delta is one number."""
     quad, dirs, nt = problem.quad, problem.quad.directions, mesh.n_triangles
-    for sol in (u, v):
-        _check_solution(sol, mesh, quad)
+    uc, vc = (_rows(sol, mesh, quad) for sol in (u, v))
     delta, tables = float(delta), space_tables(mesh, problem.sigma_t)
     scatter_w = tables.areaw * sample("sigma_s", problem.sigma_s, tables.points)
-    # each direction's coefficients as rows (3, nt), the layout of the forms
-    uc, vc = (np.ascontiguousarray(sol.coeffs.transpose(0, 2, 1)) for sol in (u, v))
     gc = (scatter_matrix(problem.phase, quad) @ uc.reshape(len(dirs), -1)).reshape(uc.shape)
-    # C's column 2 s + c: the upwind coefficient (tri_opposite + c) % 3, or the zero slot 3 nt
-    nbr, opp = mesh.tri_neighbors[..., None], mesh.tri_opposite[..., None]
-    col = np.where(nbr != BOUNDARY, (opp + [0, 1]) % 3 * nt + nbr, 3 * nt).reshape(nt, 6).T
+    col = across_index(mesh).reshape(6, nt)  # C's column 2 s + c
     total = 0.0
-    forms = _local_forms(tables, dirs, omega_dot_n(mesh, dirs), delta, scatter_w)
+    forms = _local_forms(tables, dirs, omega_dot(mesh.tri_normal, dirs), delta, scatter_w)
     for l, (_, a, c, scat) in enumerate(forms):
         r = np.einsum("ijk,jk->ik", a, uc[l]) - np.einsum("ijk,jk->ik", scat, gc[l])
         r -= np.einsum("imk,mk->ik", c.reshape(3, 6, nt), np.append(uc[l], 0.0).take(col))
@@ -337,8 +334,7 @@ def triple_norm_stability(v: DGSolution, problem, mesh, delta, c0_prime) -> floa
         raise AssumptionError(
             f"c0' = min(sigma_t - m sigma_s) must be positive, got {c0_prime:.3e}")
     quad, area = problem.quad, mesh.tri_area
-    _check_solution(v, mesh, quad)
-    rows = np.ascontiguousarray(v.coeffs.transpose(0, 2, 1))
+    rows = _rows(v, mesh, quad)
     _, w, _, jump2 = _edge_flux(_edge_walk(mesh), quad.directions, rows)
     sd = _streamline(rows, np.ascontiguousarray(element_basis(mesh).T), quad.directions)
     l2 = _mass_form(rows.swapaxes(0, 1)) * (area / 12)

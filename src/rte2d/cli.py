@@ -26,6 +26,7 @@ import numpy as np
 
 from .analysis import (
     _N0,
+    NORM_NAMES,
     case_problem,
     case_quadrature,
     compare_methods,
@@ -153,28 +154,16 @@ def _write_csv(path, header, rows):
             w.writerow([repr(float(v)) if isinstance(v, float) else str(v) for v in row])
 
 
-def _table_rows(table):
-    for r in table.rows:
-        yield (r.level, r.h, r.n_elems, table.n_dirs, r.e1, r.e2, r.e3, r.e4, r.eh, r.iterations)
-
-
-TABLE_HEADER = ("level", "h", "n_elems", "n_dirs", "e1", "e2", "e3", "e4", "eh", "iters")
-RATES_HEADER = ("from_level", "to_level", "e1", "e2", "e3", "e4", "eh")
-
-
-def _rates_rows(table):
-    n = len(table.rows)
-    for i in range(n - 1):
-        yield (
-            table.rows[i].level,
-            table.rows[i + 1].level,
-            *(table.rates[name][i] for name in ("e1", "e2", "e3", "e4", "eh")),
-        )
-
-
 def write_table(table, out_dir, suffix=""):
-    _write_csv(os.path.join(out_dir, f"table{suffix}.csv"), TABLE_HEADER, _table_rows(table))
-    _write_csv(os.path.join(out_dir, f"rates{suffix}.csv"), RATES_HEADER, _rates_rows(table))
+    """table{suffix}.csv, one row per level, and rates{suffix}.csv, one per pair of levels."""
+    rows = table.rows
+    _write_csv(os.path.join(out_dir, f"table{suffix}.csv"),
+               ("level", "h", "n_elems", "n_dirs", *NORM_NAMES, "iters"),
+               [(r.level, r.h, r.n_elems, table.n_dirs, *(getattr(r, e) for e in NORM_NAMES),
+                 r.iterations) for r in rows])
+    _write_csv(os.path.join(out_dir, f"rates{suffix}.csv"), ("from_level", "to_level", *NORM_NAMES),
+               [(a.level, b.level, *(table.rates[e][i] for e in NORM_NAMES))
+                for i, (a, b) in enumerate(zip(rows, rows[1:]))])
 
 
 def _config(args):

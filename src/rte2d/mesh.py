@@ -268,19 +268,32 @@ def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     return fine
 
 
-def omega_dot_n(mesh: TriangleMesh, directions) -> np.ndarray:
-    """Outward omega . n of every local edge for a stack of directions (nl, 2): (nl, nt, 3).
+def omega_dot(v, directions) -> np.ndarray:
+    """omega . v of vectors v (..., 2), such as mesh.tri_normal or basis gradients, for a
+    stack of directions (nl, 2): (nl, ...), or (...) for one direction (2,).
 
-    Elementwise: a (nt, 3, 2) @ (2,) matmul runs one tiny product per block
-    and may round differently. One direction at a time into the result:
+    Elementwise from v's planes: a (..., 2) @ (2,) matmul runs one tiny product per vector
+    and may round differently. A stack goes one direction at a time into the result:
     stacked temporaries here raised a level-3 solve's peak RSS by 3-6%.
     """
-    nx, ny = mesh.tri_normal[..., 0], mesh.tri_normal[..., 1]
+    vx, vy = v[..., 0], v[..., 1]
     om = np.asarray(directions, dtype=float)
-    dot = np.empty((len(om), *nx.shape))
-    for l, (ox, oy) in enumerate(om):
-        np.add(nx * ox, ny * oy, out=dot[l])
+    if om.ndim == 1:
+        return vx * om[0] + vy * om[1]
+    dot = np.empty((len(om), *vx.shape))
+    for (ox, oy), out in zip(om, dot):
+        np.multiply(vx, ox, out=out)
+        out += vy * oy
     return dot
+
+
+def across_index(mesh: TriangleMesh) -> np.ndarray:
+    """(3, 2, nt): across local edge s of element k, the flat index (tri_opposite + c) % 3 *
+    nt + tri_neighbors into a field's rows (3, nt) of the neighbour's coefficient c, or on
+    the boundary 3 nt, a zero slot put after the rows. The neighbour runs the edge the other
+    way: its coefficient c sits at this element's vertex s + 1 - c."""
+    nbr, opp, nt = mesh.tri_neighbors.T[:, None], mesh.tri_opposite.T[:, None], mesh.n_triangles
+    return np.where(nbr != BOUNDARY, (opp + [[0], [1]]) % 3 * nt + nbr, 3 * nt)
 
 
 def boundary_points(mesh: TriangleMesh, t):

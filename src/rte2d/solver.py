@@ -9,11 +9,11 @@ and the loop stops once the relative weighted-L2 update drops below tol.
 The weighted norm is ||v||_w^2 = sum_l w_l sum_K ||v^l||^2_{0,K}.
 `solve` checks and samples the data and builds the sweep kernel; `iterate`
 runs the loop, one `SweepKernel.run_scattered` over all directions per
-sweep after a first `run()`, and both residual norms in one pass over
-blocks of directions. The iterate is kept as coefficient planes (3, L+1,
-nt), the layout the sweep kernel works in, and transposed once into the
-(L+1, nt, 3) `DGSolution`; the global forms and error norms that measure
-the result live in `analysis`.
+sweep after a first `run()`, the only sweep without scattering, and both
+residual norms in one pass over blocks of directions. The iterate is kept
+as coefficient planes (3, L+1, nt), the layout the sweep kernel works in,
+and transposed once into the (L+1, nt, 3) `DGSolution`; the global forms
+and error norms that measure the result live in `analysis`.
 """
 
 import math
@@ -82,12 +82,23 @@ def delta_value(config: SolverConfig, mesh: TriangleMesh) -> float:
 
 
 def weighted_norm(coeffs, quad_weights, tri_area) -> float:
-    """sqrt(sum_l w_l sum_K ||v^l||^2_{0,K}) for P1 coefficients (L+1, nt, 3).
+    """sqrt(sum_l w_l sum_K ||v^l||^2_{0,K}) for P1 coefficients (L+1, nt, 3): the norm
+    of iterate's stopping test, from the same pass."""
+    return float(np.sqrt(quad_weights @ _norms_sq(np.moveaxis(coeffs, -1, 0), tri_area / 12)[0]))
 
-    The arithmetic runs on the three component planes, so an (L+1, nt, 3)
-    array and a view of the same values stored as planes (3, L+1, nt) give
-    the same bits."""
-    return float(np.sqrt(quad_weights @ (_mass_form(np.moveaxis(coeffs, -1, 0)) @ (tri_area / 12))))
+
+def _norms_sq(new, a12, old=None):
+    """Per direction sum_K ||v^l||^2_{0,K} (2, nl) of the planes new (3, nl, nt) and of new -
+    old, or again of new if old is None, in one pass over blocks of directions sized for a
+    core's L2 cache: ~2^15 pairs in 4k directions. BLAS sums q @ a12 4 rows at a time, so
+    each sum keeps the bits of one product over all directions."""
+    nl, nt = new.shape[1:]
+    block, sq = min(nl, 4 * max(1, 2**13 // nt)), np.empty((2, nl))
+    for d in (slice(b, b + block) for b in range(0, nl, block)):
+        sq[:, d] = _mass_form(new[:, d]) @ a12
+        if old is not None:
+            sq[1, d] = _mass_form(new[:, d] - old[:, d]) @ a12
+    return sq
 
 
 def _mass_form(planes):
@@ -130,7 +141,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             f"sigma_t - sigma_s must be positive (sampled minimum {gap:.3e})"
         )
 
-    scattering = bool(ss.any())
+    scattering, G = bool(ss.any()), None
     if scattering:
         G = scatter_matrix(problem.phase, quad)
         m = m_bound(G)
@@ -147,42 +158,28 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
         inflow_data=problem.inflow, scatter_w=tables.areaw * ss if scattering else None,
     )
     del f_vals  # the kernel keeps no sample; they would live through the iteration
-    if scattering:
-        planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
-        coeffs = np.moveaxis(planes, 0, -1)
-    else:  # the directions decouple, and one sweep is exact
-        coeffs, history, sweeps = kernel.run(), (), 1
-        if not math.isfinite(weighted_norm(coeffs, quad.weights, mesh.tri_area)):
-            msg = "source iteration produced a non-finite iterate at iteration 1"
-            raise NonConvergenceError(msg, residual_history=(math.nan,))
+    planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
     report = SolveReport(iterations=sweeps, residual_history=history, delta_used=float(delta))
-    return DGSolution(np.ascontiguousarray(coeffs), mesh, quad), report
+    return DGSolution(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), mesh, quad), report
 
 
 def iterate(kernel, G, weights, area, config: SolverConfig):
     """Source iteration u_j = kernel.run_scattered(G @ u_{j-1}) from u_0 = 0.
 
     The iterate is kept as coefficient planes (3, nl, nt); the first sweep
-    is kernel.run(), with no G @ 0. Each sweep's relative update r =
-    ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the first
-    sweep) is recorded, unless it is 0, an exact fixed point, and the loop
-    stops once r <= config.tol. Both norms come from one pass over blocks of
-    directions sized for a core's L2 cache, with weighted_norm's per-pair
-    arithmetic and bits. Returns (planes, residual history, sweeps);
-    NonConvergenceError with the history at config.max_iter sweeps or at a
-    non-finite iterate.
+    is kernel.run(), with no G @ 0, and with G None (no scattering: the
+    directions decouple) the only one. Each later sweep's relative update r
+    = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the
+    first sweep) is recorded, unless it is 0, an exact fixed point, and the
+    loop stops once r <= config.tol. Both norms come from one weighted_norm
+    pass. Returns (planes, residual history, sweeps); NonConvergenceError
+    with the history at config.max_iter sweeps or at a non-finite iterate.
     """
-    nl, a12, u, history = len(weights), area / 12, None, []
-    # ~2^15 pairs in 4k directions: BLAS sums q @ a12 4 rows at a time, so each sum keeps its bits
-    block = min(nl, 4 * max(1, 2**13 // len(area)))
+    a12, u, history = area / 12, None, []
     for j in range(1, config.max_iter + 1):
         new = np.moveaxis(kernel.run(), -1, 0) if u is None else kernel.run_scattered(G @ u)
-        sq = np.empty((2, nl))  # per direction ||u_j||^2 and ||u_j - u_{j-1}||^2, equal for u_0 = 0
-        for d in (slice(b, b + block) for b in range(0, nl, block)):
-            sq[:, d] = _mass_form(new[:, d]) @ a12
-            if u is not None:
-                sq[1, d] = _mass_form(new[:, d] - u[:, d]) @ a12
-        den, num = (float(np.sqrt(weights @ s)) for s in sq)
+        # per direction ||u_j||^2 and ||u_j - u_{j-1}||^2, equal for u_0 = 0
+        den, num = (float(np.sqrt(weights @ s)) for s in _norms_sq(new, a12, u))
         u = new
         if not (np.isfinite(num) and np.isfinite(den)):
             history.append(float("nan"))
@@ -190,6 +187,8 @@ def iterate(kernel, G, weights, area, config: SolverConfig):
                 f"source iteration produced a non-finite iterate at iteration {j}",
                 residual_history=tuple(history),
             )
+        if G is None:
+            break
         r = num / den if den else (math.inf if num else 0.0)
         if r == 0.0:
             break

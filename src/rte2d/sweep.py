@@ -16,7 +16,7 @@ from .dg_core import (
     EDGE_MASS_2, TRACE_T, TRACE_W, check_nonsingular, element_basis, quad_points,
 )
 from .errors import SweepCycleError, sample
-from .mesh import BOUNDARY, EPS_N, TriangleMesh, boundary_points, omega_dot_n
+from .mesh import BOUNDARY, EPS_N, TriangleMesh, across_index, boundary_points, omega_dot
 from .quadrature import TriangleRule, triangle_rule
 
 try:  # np.einsum without its Python dispatch, which costs as much as a narrow step's product
@@ -88,7 +88,7 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
     nl, nt = om.shape[0], mesh.n_triangles
     nbr = mesh.tri_neighbors
     interior = nbr != BOUNDARY
-    dot = omega_dot_n(mesh, om)
+    dot = omega_dot(mesh.tri_normal, om)
     into, out = (dot < -EPS_N) & interior, (dot > EPS_N) & interior
     # p's graph is consistent if an edge is inflow here iff outflow across, on the neighbour's side
     across = np.where(interior, 3 * nbr + mesh.tri_opposite, 0)
@@ -200,9 +200,7 @@ class SweepKernel:
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
-        om = self.omega[..., None, None, :]  # d = omega . grad(phi), as _local_forms forms it
-        d = self.grad[..., 0] * om[..., 0] + self.grad[..., 1] * om[..., 1]
-        return _volume_rhs(qw, self.bary, self.delta, d)
+        return _volume_rhs(qw, self.bary, self.delta, omega_dot(self.grad, self.omega))
 
     def run(self, scatter_rhs=None) -> np.ndarray:
         """One sweep of every direction with the fixed rhs (+ scatter_rhs);
@@ -311,7 +309,7 @@ def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
     element moments M_sigma = sum_q w sigma_t phi phi^T, s1 = sum_q w phi, W = sum_q w and
     s_sigma = sum_q w sigma_t phi, plus the inflow edge masses. An element solves a u_K =
     C u_up + (S + delta d s^T)(G u)_K + its fixed rhs, where C (18, nt), row 6 i + 2 s + c,
-    weighs the upwind coefficient (tri_opposite + c) % 3 across interior inflow edges s, and
+    weighs the upwind coefficient c of mesh.across_index across interior inflow edges s, and
     S and s are the moments of scatter_w, the area-weighted sigma_s (nt, nq). Yields per
     direction d (3, nt) and a (3, 3, nt), C and S + delta d s^T (3, 3, nt) or None, three
     buffers that the next direction refills."""
@@ -325,9 +323,9 @@ def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
     if scatter_w is not None:
         s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, np.empty_like(m_sig)
     elen, interior = tables.mesh.tri_edge_length, tables.mesh.tri_neighbors != BOUNDARY
-    gx, gy = tables.grad.transpose(2, 1, 0).copy()  # (3, nt) each
+    grad = np.moveaxis(tables.grad.T.copy(), 0, -1)  # (3, nt, 2) with contiguous planes
     for om, dot_l in zip(omega, dot):
-        dl = gx * om[0] + gy * om[1]  # 8x faster than (nt, 3, 2) @ (2,)
+        dl = omega_dot(grad, om)
         ddl = delta * dl
         edge_w = np.where(dot_l < -EPS_N, -elen * dot_l, 0.0).T
         # in place, as m_sig + s1 d^T and S + delta d s^T: a sum has the same bits either way
@@ -386,11 +384,12 @@ def build_kernel(
     b0 = np.empty((3, n))
     fold = np.empty(12 * n)
     nbr = np.empty(4 * n, dtype=np.int32)
-    # one direction's reused work arrays: buffer offsets (element nt is the zero slot 3n), picks
-    offs, rows = np.full((3, nt + 1), 3 * n, dtype=np.int32), np.arange(12)[:, None]
+    # one direction's reused work arrays: buffer offsets of rows (3, nt), then of the zero
+    # slot 3n, and picks
+    offs, rows = np.full(3 * nt + 1, 3 * n, dtype=np.int32), np.arange(12)[:, None]
+    o0, o1, o2 = o = offs[:-1].reshape(3, nt)
     pick = np.empty((12, nt), dtype=np.int64)
-    # row 2s + c: flat offset in offs of the upwind neighbour's coefficient c on edge s
-    coef = (mesh.tri_opposite.T[:, None, :] + np.array([0, 1])[:, None]) % 3 * (nt + 1)
+    across = across_index(mesh)  # row 2s + c: index in offs
     # flat offsets of the picked rows of the (18, nt) coupling, per pattern
     pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
     for l, (dl, a, c6, scat) in enumerate(_local_forms(tables, omega, dot, delta, scatter_w)):
@@ -415,11 +414,10 @@ def build_kernel(
         # c6 (C) and pick are spent, so they hold the fold and the positions of a pair's
         # fold rows, slots[0] + 9 lo + r m, then of its nbr rows, slots[0] + lo + r m
         lo, m = lo_of.take(layer_of[l]), width.take(layer_of[l])
-        offs[:2, :nt] = slots[:, cols]
-        o0, o1, o2 = offs[:, :nt]
+        o[:2] = slots[:, cols]
         np.add(o1, m, out=o2)
-        up = np.where(live, mesh.tri_neighbors, nt).T[:, None]  # (3, 1, nt)
-        upwind = offs.take((coef + up).reshape(6, nt).take(pick[:4]))
+        up = np.where(live.T[:, None], across, 3 * nt)  # (3, 2, nt)
+        upwind = offs.take(up.reshape(6, nt).take(pick[:4]))
         np.multiply(rows, m, out=pick)
         pick += o0 + 9 * lo
         fold[pick] = c6[:12]

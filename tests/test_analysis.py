@@ -10,6 +10,7 @@ from rte2d import (
     ManufacturedCase,
     PhaseFunction,
     SolverConfig,
+    build_schedules,
     build_structured_unit_square,
     case_problem,
     case_quadrature,
@@ -22,9 +23,9 @@ from rte2d import (
     trapezoid_circle,
     triple_norm_stability,
 )
-from rte2d.analysis import NORM_NAMES, RATE_FLOOR, _edge_walk, observed_rates
+from rte2d.analysis import NORM_NAMES, RATE_FLOOR, _edge_flux, _edge_walk, observed_rates
 from rte2d.dg_core import element_basis, quad_points
-from rte2d.mesh import BOUNDARY, EPS_N, omega_dot_n
+from rte2d.mesh import BOUNDARY, EPS_N, across_index, omega_dot
 from rte2d.quadrature import triangle_rule
 from helpers import perturbed_mesh, project_exact, random_solution
 import oracle
@@ -278,7 +279,7 @@ def oracle_setting(name):
         mesh = refine_regular(perturbed_mesh(3, seed=6))
         return case, mesh, solve(case_problem(case, quad), mesh, SolverConfig(method="dodg"))[0]
     mesh = build_structured_unit_square(5)  # axis directions meet tangential edges
-    assert (abs(omega_dot_n(mesh, quad.directions)) <= EPS_N).any()
+    assert (abs(omega_dot(mesh.tri_normal, quad.directions)) <= EPS_N).any()
     return case, mesh, random_solution(mesh, quad, seed=2)
 
 
@@ -294,7 +295,7 @@ def test_error_norms_match_per_edge_oracle(name):
     got = error_norms(sol, case, mesh, sol.quad, level=1, iterations=3)
     ref = oracle.error_norms(sol, case, mesh, sol.quad, level=1, iterations=3)
     for norm in NORM_NAMES:
-        assert getattr(got, norm) == pytest.approx(getattr(ref, norm), rel=1e-13), norm
+        assert getattr(got, norm) == pytest.approx(getattr(ref, norm), rel=1e-13, abs=0.0), norm
     assert (got.level, got.iterations, got.n_elems, got.h) == (1, 3, mesh.n_triangles, mesh.h)
 
 
@@ -361,7 +362,7 @@ def test_edge_walk_takes_each_interior_edge_once(kind):
     verts = mesh.triangles.ravel(order="F")
     assert np.array_equal(verts[own[:, :ni]], verts[up])
     s_up = up[1] // nt
-    assert np.array_equal(mesh.tri_normal[inner, s_up].T, -normal[:, :ni])
+    assert np.array_equal(mesh.tri_normal[inner, s_up], -normal[:ni])
     assert np.array_equal(mesh.tri_edge_length[inner, s_up], length[:ni])
 
 
@@ -412,3 +413,21 @@ def test_convergence_study_small():
     assert table.rows[1].eh < table.rows[0].eh
     assert set(table.rates) == set(NORM_NAMES)
     assert len(table.rates["eh"]) == 1
+
+
+@pytest.mark.parametrize("kind, n_dirs", [("structured", 8), ("structured", 20), ("perturbed", 20)])
+def test_norms_and_sweep_classify_edges_alike(kind, n_dirs):
+    # the norms' walk sees each edge as the sweep does: the same omega . n, bit for bit, so
+    # the same inflow, outflow and tangential edges, and the kernel's upwind neighbour values
+    mesh = build_structured_unit_square(5) if kind == "structured" else perturbed_mesh(5, seed=12)
+    dirs, nt = trapezoid_circle(n_dirs).directions, mesh.n_triangles
+    walk = _edge_walk(mesh)
+    ni, own, up, _, _ = walk
+    k, s = own[0] % nt, own[0] // nt
+    dot = _edge_flux(walk, dirs, np.zeros((n_dirs, 3, nt)))[0]
+    assert np.array_equal(dot, build_schedules(mesh, dirs).dot[:, k, s])
+    if kind == "structured":  # axis directions run along interior edges
+        assert (abs(dot[:, :ni]) <= EPS_N).any()
+    # the neighbour runs the edge the other way: its coefficient c sits at own vertex 1 - c
+    across = across_index(mesh)
+    assert np.array_equal(up[0], across[s, 1, k]) and np.array_equal(up[1], across[s, 0, k])

@@ -18,7 +18,7 @@ from rte2d import (
 def test_trapezoid_weights_and_angles():
     q = trapezoid_circle(20)
     assert q.n_directions == 20
-    assert q.weights.sum() == pytest.approx(2 * math.pi, rel=1e-14)
+    assert q.weights.sum() == pytest.approx(2 * math.pi, rel=1e-14, abs=0.0)
     np.testing.assert_allclose(q.angles, np.arange(20) * (math.pi / 10), atol=1e-15)
     np.testing.assert_allclose(
         np.hypot(q.directions[:, 0], q.directions[:, 1]), 1.0, atol=1e-14
@@ -36,7 +36,7 @@ def test_trapezoid_kills_low_harmonics(k):
 
 def test_trapezoid_cos_squared():
     q = trapezoid_circle(20)
-    assert q.weights @ np.cos(q.angles) ** 2 == pytest.approx(math.pi, rel=1e-14)
+    assert q.weights @ np.cos(q.angles) ** 2 == pytest.approx(math.pi, rel=1e-14, abs=0.0)
 
 
 def test_trapezoid_rejects_tiny_counts():
@@ -78,17 +78,17 @@ def test_sphere_rule_normalization_and_moments():
 def test_hg_point_values():
     hg = PhaseFunction.henyey_greenstein(0.5)
     # forward peak: (1 - eta^2) / (2 pi (1 + eta^2 - 2 eta)) = 3/(2 pi)
-    assert hg(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14)
+    assert hg(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
     iso = PhaseFunction.henyey_greenstein(0.0)
-    assert iso(0.3) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
+    assert iso(0.3) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14, abs=0.0)
     hg3 = PhaseFunction.henyey_greenstein(0.5, dim=3)
-    assert hg3(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14)
+    assert hg3(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_linear_phase_values():
     lin = PhaseFunction.linear_anisotropic()
-    assert lin(1.0) == pytest.approx(1.5 / (2 * math.pi), rel=1e-14)
-    assert lin(-1.0) == pytest.approx(0.5 / (2 * math.pi), rel=1e-14)
+    assert lin(1.0) == pytest.approx(1.5 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert lin(-1.0) == pytest.approx(0.5 / (2 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_phase_eval_clamps_roundoff_but_rejects_garbage():

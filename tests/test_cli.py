@@ -35,7 +35,7 @@ def test_quad_check_isotropic(tmp_path, capsys):
     assert header == "phase,eta,n_dirs,weight_sum,m,max_row_dev"
     vals = line.split(",")
     assert vals[0] == "hg"
-    assert float(vals[3]) == pytest.approx(2.0 * np.pi, rel=1e-15)
+    assert float(vals[3]) == pytest.approx(2.0 * np.pi, rel=1e-15, abs=0.0)
     assert abs(float(vals[4]) - 1.0) <= 1e-14
     assert float(vals[5]) <= 1e-14
 
@@ -90,7 +90,7 @@ def test_compare_outputs(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         _, _, a, b, r = line.split(",")
-        assert float(r) == pytest.approx(float(a) / float(b), rel=1e-15)
+        assert float(r) == pytest.approx(float(a) / float(b), rel=1e-15, abs=0.0)
     _, sd = read_table_csv(tmp_path / "table_dodsd.csv")
     _, dg = read_table_csv(tmp_path / "table_dodg.csv")
     assert [r[1] for r in sd] == [r[1] for r in dg]  # identical meshes
