@@ -318,8 +318,7 @@ def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     gc = (scatter_matrix(problem.phase, quad) @ uc.reshape(len(dirs), -1)).reshape(uc.shape)
     col = across_index(mesh).reshape(6, nt)  # C's column 2 s + c
     total = 0.0
-    forms = _local_forms(tables, dirs, omega_dot(mesh.tri_normal, dirs), delta, scatter_w)
-    for l, (_, a, c, scat) in enumerate(forms):
+    for l, (_, _, a, c, scat) in enumerate(_local_forms(tables, dirs, delta, scatter_w)):
         r = np.einsum("ijk,jk->ik", a, uc[l]) - np.einsum("ijk,jk->ik", scat, gc[l])
         r -= np.einsum("imk,mk->ik", c.reshape(3, 6, nt), np.append(uc[l], 0.0).take(col))
         total += quad.weights[l] * np.einsum("ik,ik->", vc[l], r)

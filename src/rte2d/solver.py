@@ -153,11 +153,13 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             )
 
     delta = delta_value(config, mesh)
+    # inline and one by one: the fill frees the schedule's dot table, then each spent sample
     kernel = build_kernel(
-        tables, build_schedules(mesh, quad.directions), delta, f_vals=f_vals,
+        tables, build_schedules(mesh, quad.directions), delta,
+        f_vals=(f_vals.pop(0) for _ in range(nl)),
         inflow_data=problem.inflow, scatter_w=tables.areaw * ss if scattering else None,
     )
-    del f_vals  # the kernel keeps no sample; they would live through the iteration
+    del tables, pts, ss  # the kernel keeps what it reads of them
     planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
     report = SolveReport(iterations=sweeps, residual_history=history, delta_used=float(delta))
     return DGSolution(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), mesh, quad), report
@@ -166,21 +168,26 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
 def iterate(kernel, G, weights, area, config: SolverConfig):
     """Source iteration u_j = kernel.run_scattered(G @ u_{j-1}) from u_0 = 0.
 
-    The iterate is kept as coefficient planes (3, nl, nt); the first sweep
-    is kernel.run(), with no G @ 0, and with G None (no scattering: the
-    directions decouple) the only one. Each later sweep's relative update r
-    = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the
-    first sweep) is recorded, unless it is 0, an exact fixed point, and the
-    loop stops once r <= config.tol. Both norms come from one weighted_norm
-    pass. Returns (planes, residual history, sweeps); NonConvergenceError
-    with the history at config.max_iter sweeps or at a non-finite iterate.
+    The iterate is kept as coefficient planes (3, nl, nt); the first sweep is kernel.run(),
+    with no G @ 0, and with G None (no scattering: the directions decouple) the only one.
+    Each later sweep forms G @ u in a spare plane set, sweeps it there and swaps it with the
+    iterate: the loop holds three plane sets, u, the new planes and the sweep's buffer. Each
+    later sweep's relative update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for
+    x/0, 1 at the first sweep) is recorded, unless it is 0, an exact fixed point, and the
+    loop stops once r <= config.tol. Both norms come from one weighted_norm pass. Returns
+    (planes, residual history, sweeps); NonConvergenceError with the history at
+    config.max_iter sweeps or at a non-finite iterate.
     """
-    a12, u, history = area / 12, None, []
+    a12, u, spare, history = area / 12, None, None, []
     for j in range(1, config.max_iter + 1):
-        new = np.moveaxis(kernel.run(), -1, 0) if u is None else kernel.run_scattered(G @ u)
+        if u is None:
+            new = np.moveaxis(kernel.run(), -1, 0)
+        else:
+            spare = np.matmul(G, u, out=spare)
+            new = kernel.run_scattered(spare, out=spare)
         # per direction ||u_j||^2 and ||u_j - u_{j-1}||^2, equal for u_0 = 0
         den, num = (float(np.sqrt(weights @ s)) for s in _norms_sq(new, a12, u))
-        u = new
+        u, spare = new, u
         if not (np.isfinite(num) and np.isfinite(den)):
             history.append(float("nan"))
             raise NonConvergenceError(

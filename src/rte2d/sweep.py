@@ -210,23 +210,28 @@ class SweepKernel:
         x = None if scatter_rhs is None else np.moveaxis(scatter_rhs, -1, 0)
         return np.moveaxis(self._sweep(x), 0, -1)
 
-    def run_scattered(self, gc: np.ndarray) -> np.ndarray:
+    def run_scattered(self, gc: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i,
         given gc = G @ u as coefficient planes (3, nl, nt); returns the new
-        coefficient planes (3, nl, nt). Needs scatter_w."""
+        coefficient planes (3, nl, nt), written into out (C-contiguous planes,
+        which may be gc itself) or, if out is None, a new array. Needs scatter_w."""
         if not self.scattering:
             raise ValueError("run_scattered needs a kernel built with scatter_w")
-        return self._sweep(gc)
+        return self._sweep(gc, out)
 
-    def _sweep(self, x):
+    def _sweep(self, x, out=None):
         """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x,
-        x planes of that shape (nothing added if None), formed in the result."""
+        x planes of that shape (nothing added if None), formed in out (new if
+        None), which may be x: each chunk of x is read before it is overwritten."""
         n = self.b0.shape[1]
+        c = np.empty((3, n)) if out is None else out.reshape(3, n)
         if x is None:
-            c = self.b0.copy()
+            c[:] = self.b0
         else:
-            c = _einsum("ijk,jk->ik", self.blocks, x.reshape(3, n))
-            c += self.b0
+            x, blocks, b0 = x.reshape(3, n), self.blocks, self.b0
+            for lo in range(0, n, 4096):  # a chunk's product stays in a core's L2 cache
+                k = slice(lo, lo + 4096)
+                np.add(_einsum("ijk,jk->ik", blocks[:, :, k], x[:, k]), b0[:, k], out=c[:, k])
         buf = np.empty(3 * n + 1)  # each slot but the zero last one takes a coefficient
         buf[-1] = 0.0
         s0, s1 = self.slots
@@ -301,8 +306,8 @@ def _inflow_rhs(dot, inflow, inflow_data, l, elen, bnd):
     return fixed
 
 
-def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
-    """The discrete DODSD/DODG operator of the directions omega (nl, 2), dot (nl, nt, 3).
+def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
+    """The discrete DODSD/DODG operator of the directions omega (nl, 2), one at a time.
 
     With d = grad(phi) . omega, the local matrix of (omega . grad u + sigma_t u, v + delta
     omega . grad v) is a = M_sigma + s1 d^T + delta d (W d + s_sigma)^T in the degree-4
@@ -311,8 +316,9 @@ def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
     C u_up + (S + delta d s^T)(G u)_K + its fixed rhs, where C (18, nt), row 6 i + 2 s + c,
     weighs the upwind coefficient c of mesh.across_index across interior inflow edges s, and
     S and s are the moments of scatter_w, the area-weighted sigma_s (nt, nq). Yields per
-    direction d (3, nt) and a (3, 3, nt), C and S + delta d s^T (3, 3, nt) or None, three
-    buffers that the next direction refills."""
+    direction d (3, nt), omega . n (nt, 3) of mesh.tri_normal, the bits of build_schedules'
+    dot, and a (3, 3, nt), C and S + delta d s^T (3, 3, nt) or None, three buffers that the
+    next direction refills."""
     bary = tables.rule.points
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
@@ -324,8 +330,8 @@ def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
         s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, np.empty_like(m_sig)
     elen, interior = tables.mesh.tri_edge_length, tables.mesh.tri_neighbors != BOUNDARY
     grad = np.moveaxis(tables.grad.T.copy(), 0, -1)  # (3, nt, 2) with contiguous planes
-    for om, dot_l in zip(omega, dot):
-        dl = omega_dot(grad, om)
+    for om in omega:
+        dl, dot_l = omega_dot(grad, om), omega_dot(tables.mesh.tri_normal, om)
         ddl = delta * dl
         edge_w = np.where(dot_l < -EPS_N, -elen * dot_l, 0.0).T
         # in place, as m_sig + s1 d^T and S + delta d s^T: a sum has the same bits either way
@@ -335,7 +341,7 @@ def _local_forms(tables: SpaceTables, omega, dot, delta, scatter_w):
         np.matmul(_EDGE_COUPLING.reshape(18, 3), np.where(interior.T, edge_w, 0.0), out=coupling)
         if scat is not None:
             np.add(np.multiply(ddl[:, None], s_vec, out=scat), s_mat, out=scat)
-        yield dl, a, coupling, scat
+        yield dl, dot_l, a, coupling, scat
 
 
 def build_kernel(
@@ -345,32 +351,36 @@ def build_kernel(
     """Assemble the sweep kernel of a schedule's stack of directions, or of its one direction.
 
     delta is one number. f_vals is the fixed volume source at the table's quadrature points
-    (nt, nq), a sequence of them for a stack, or None for zero. inflow_data is the inflow
+    (nt, nq), for a stack an iterable of one per direction, read once in direction order and
+    each dropped once its direction is filled, or None for zero. inflow_data is the inflow
     trace g(x, y, l) of TransportProblem.inflow, g(x, y) for one direction, or None for
     zero; it is sampled once per direction, at the inflow boundary points, and a non-finite
     sample raises AssumptionError. With scatter_w (see _local_forms) the blocks hold the
     scattering moments, for run_scattered. It inverts each local matrix a of _local_forms
     and folds the inverse into C's 4 live columns and the scattering moments: each
     direction's blocks and b0 into its column slice, its fold and nbr into the steps of its
-    pairs. A stack keeps no schedule.
+    pairs. A stack keeps no schedule: only its directions and layers are read, and its dot
+    table is freed before the fill if the caller passed the schedule inline (CPython 3.11+
+    hands such an argument's only reference to the callee).
     """
-    one = schedule.omega.ndim == 1
+    one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of
+    kept = schedule if one else None
+    del schedule
     if one:
         f_vals = (f_vals,)
         if inflow_data is not None:  # g(x, y) of the one direction
             inflow_data = lambda x, y, l, g=inflow_data: g(x, y)
     mesh, delta = tables.mesh, float(delta)
-    omega = schedule.omega.reshape(-1, 2)
-    nl, nt = len(omega), mesh.n_triangles
+    nl, nt = omega.size // 2, mesh.n_triangles
     n = nl * nt
-    dot, inflow = schedule.dot.reshape(nl, nt, 3), schedule.inflow.reshape(nl, nt, 3)
+    f_vals = iter((None,) * nl if f_vals is None else f_vals)
     bary = tables.rule.points
 
     # A pair at sweep position p of the step [lo, lo + m) keeps row r of a step-blocked array
     # of R rows per pair at R lo + (p - lo) + r m; slots holds rows 0 and 1 of the buffer's.
-    order, bounds = _sweep_order(schedule.layer_of)
+    order, bounds = _sweep_order(layer_of)
     lo_of, width = np.array(bounds[:-1]), np.diff(bounds)
-    layer_of = schedule.layer_of.reshape(nl, nt)
+    layer_of = layer_of.reshape(nl, nt)
     slots = np.empty((2, n), dtype=np.int64)
     slots[0, order] = np.arange(n)
     del order
@@ -392,13 +402,16 @@ def build_kernel(
     across = across_index(mesh)  # row 2s + c: index in offs
     # flat offsets of the picked rows of the (18, nt) coupling, per pattern
     pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
-    for l, (dl, a, c6, scat) in enumerate(_local_forms(tables, omega, dot, delta, scatter_w)):
-        live = inflow[l] & interior  # the edges with an upwind neighbour
+    forms = _local_forms(tables, omega.reshape(-1, 2), delta, scatter_w)
+    for l, (dl, dot, a, c6, scat) in enumerate(forms):
+        inflow, f = dot < -EPS_N, next(f_vals)
+        live = inflow & interior  # the edges with an upwind neighbour
         fixed = np.zeros((nt, 3))
-        if f_vals is not None and f_vals[l] is not None:
-            fixed += _volume_rhs(tables.areaw * f_vals[l], bary, delta, dl.T)
+        if f is not None:
+            fixed += _volume_rhs(tables.areaw * f, bary, delta, dl.T)
+        del f  # before the next sample is read
         if inflow_data is not None:
-            fixed += _inflow_rhs(dot[l], inflow[l], inflow_data, l, mesh.tri_edge_length, bnd)
+            fixed += _inflow_rhs(dot, inflow, inflow_data, l, mesh.tri_edge_length, bnd)
         pattern = upwind_pattern(live, direction=l)
         np.add(pick_rows.take(pattern, axis=1), elem, out=pick)  # rows 0-3 pick the (6, nt) indices
         coupling = c6.take(pick).reshape(3, 4, nt)
@@ -432,7 +445,7 @@ def build_kernel(
         for a, b in zip(bounds[:-1], bounds[1:])
     )
     return SweepKernel(
-        schedule=schedule if one else None, omega=schedule.omega, grad=tables.grad, delta=delta,
+        schedule=kept, omega=omega, grad=tables.grad, delta=delta,
         bary=bary, slots=slots, steps=steps, scattering=scatter_w is not None,
         blocks=blocks, b0=b0, fold=fold, nbr=nbr,
     )

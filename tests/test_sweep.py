@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 import weakref
 
@@ -499,6 +500,67 @@ def test_run_scattered_allocates_one_plane_set_beyond_its_result():
     plane_set = 3 * nl * nt * 8
     assert out.nbytes == plane_set
     assert peak - base - out.nbytes <= 1.1 * plane_set
+
+
+def test_run_scattered_may_write_over_its_input():
+    # 12 directions x 800 elements = 9600 pairs: three start chunks of 4096, the last short
+    mesh = perturbed_mesh(20, seed=31)
+    quad = trapezoid_circle(12)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    assert nl * nt > 2 * 4096 and nl * nt % 4096
+    tables = space_tables(mesh, lambda x, y: 2.0 + x * y)
+    kern = build_kernel(
+        tables, build_schedules(mesh, quad.directions), 0.6 * mesh.h,
+        f_vals=[np.cos(tables.points[..., 0] + l) for l in range(nl)],
+        scatter_w=(0.5 + 0.2 * tables.points[..., 1]) * tables.areaw,
+    )
+    gc = np.random.default_rng(5).standard_normal((3, nl, nt))
+    keep = gc.copy()
+    fresh = kern.run_scattered(gc)
+    np.testing.assert_array_equal(gc, keep)
+    assert not np.shares_memory(fresh, gc)
+    got = kern.run_scattered(gc, out=gc)
+    assert np.shares_memory(got, gc)
+    np.testing.assert_array_equal(gc, fresh)
+    np.testing.assert_array_equal(got, fresh)
+
+
+def test_kernel_fill_frees_the_inline_schedule_and_each_spent_sample():
+    # when the fill asks for direction l's sample, direction l - 1's and the
+    # schedule passed inline, whose dot table the fill never reads, are gone;
+    # before 3.11 the caller's frame keeps an inline argument until the call returns
+    inline_freed = sys.version_info >= (3, 11)
+    mesh = perturbed_mesh(4, seed=32)
+    quad = trapezoid_circle(6)
+    nl = quad.n_directions
+    tables = space_tables(mesh, const(2.0))
+    px = tables.points[..., 0]
+    dead, asked = [], []
+
+    def tracked(obj):
+        dead.append(weakref.ref(obj))
+        return obj
+
+    def samples():
+        for l in range(nl):
+            asked.append(l)
+            assert dead[0]() is None or not inline_freed, "the schedule outlived the set-up"
+            if l:
+                assert dead[l]() is None, f"sample {l - 1} outlived its direction"
+            yield tracked(np.cos(px + l))
+
+    kern = build_kernel(
+        tables, tracked(build_schedules(mesh, quad.directions)), 0.1, f_vals=samples(),
+        scatter_w=0.5 * tables.areaw,
+    )
+    assert asked == list(range(nl))
+    assert kern.schedule is None
+    want = build_kernel(
+        tables, build_schedules(mesh, quad.directions), 0.1,
+        f_vals=[np.cos(px + l) for l in range(nl)], scatter_w=0.5 * tables.areaw,
+    )
+    np.testing.assert_array_equal(kern.b0, want.b0)
+    np.testing.assert_array_equal(kern.blocks, want.blocks)
 
 
 def test_stacked_kernel_stores_blocks_in_direction_order():
