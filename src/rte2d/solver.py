@@ -169,22 +169,18 @@ def iterate(kernel, G, weights, area, config: SolverConfig):
     """Source iteration u_j = kernel.run_scattered(G @ u_{j-1}) from u_0 = 0.
 
     The iterate is kept as coefficient planes (3, nl, nt); the first sweep is kernel.run(),
-    with no G @ 0, and with G None (no scattering: the directions decouple) the only one.
-    Each later sweep forms G @ u in a spare plane set, sweeps it there and swaps it with the
-    iterate: the loop holds three plane sets, u, the new planes and the sweep's buffer. Each
-    later sweep's relative update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for
-    x/0, 1 at the first sweep) is recorded, unless it is 0, an exact fixed point, and the
-    loop stops once r <= config.tol. Both norms come from one weighted_norm pass. Returns
-    (planes, residual history, sweeps); NonConvergenceError with the history at
-    config.max_iter sweeps or at a non-finite iterate.
+    with no G @ 0, and with G None (no scattering) the only one. Each later sweep forms
+    G @ u in a spare plane set that run_scattered overwrites with the new planes, then swaps
+    it with u: the loop holds u, the spare set and the sweep's buffer. Each later relative
+    update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the first sweep)
+    is recorded unless it is 0, an exact fixed point, and the loop stops once r <= config.tol.
+    Both norms come from one weighted_norm pass. Returns (planes, residual history, sweeps);
+    NonConvergenceError with the history at config.max_iter sweeps or at a non-finite iterate.
     """
     a12, u, spare, history = area / 12, None, None, []
     for j in range(1, config.max_iter + 1):
-        if u is None:
-            new = np.moveaxis(kernel.run(), -1, 0)
-        else:
-            spare = np.matmul(G, u, out=spare)
-            new = kernel.run_scattered(spare, out=spare)
+        gu = None if u is None else np.matmul(G, u, out=spare)
+        new = np.moveaxis(kernel.run(), -1, 0) if gu is None else kernel.run_scattered(gu)
         # per direction ||u_j||^2 and ||u_j - u_{j-1}||^2, equal for u_0 = 0
         den, num = (float(np.sqrt(weights @ s)) for s in _norms_sq(new, a12, u))
         u, spare = new, u

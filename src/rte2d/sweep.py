@@ -210,19 +210,20 @@ class SweepKernel:
         x = None if scatter_rhs is None else np.moveaxis(scatter_rhs, -1, 0)
         return np.moveaxis(self._sweep(x), 0, -1)
 
-    def run_scattered(self, gc: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i,
-        given gc = G @ u as coefficient planes (3, nl, nt); returns the new
-        coefficient planes (3, nl, nt), written into out (C-contiguous planes,
-        which may be gc itself) or, if out is None, a new array. Needs scatter_w."""
+    def run_scattered(self, gc: np.ndarray) -> np.ndarray:
+        """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i, given gc = G @ u
+        as C-contiguous float64 coefficient planes (3, nl, nt), which it consumes: the new
+        coefficient planes are written over gc and returned. Needs scatter_w."""
         if not self.scattering:
             raise ValueError("run_scattered needs a kernel built with scatter_w")
-        return self._sweep(gc, out)
+        if not (gc.flags.c_contiguous and gc.dtype == np.float64):
+            raise ValueError("run_scattered writes over gc: it must be C-contiguous float64")
+        return self._sweep(gc, gc)
 
     def _sweep(self, x, out=None):
-        """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x,
-        x planes of that shape (nothing added if None), formed in out (new if
-        None), which may be x: each chunk of x is read before it is overwritten."""
+        """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x, x planes of that
+        shape (nothing added if None), formed in out (new if None, else C-contiguous so that
+        its reshape is no copy), which may be x: each chunk of x is read before it is written."""
         n = self.b0.shape[1]
         c = np.empty((3, n)) if out is None else out.reshape(3, n)
         if x is None:
@@ -352,16 +353,16 @@ def build_kernel(
 
     delta is one number. f_vals is the fixed volume source at the table's quadrature points
     (nt, nq), for a stack an iterable of one per direction, read once in direction order and
-    each dropped once its direction is filled, or None for zero. inflow_data is the inflow
-    trace g(x, y, l) of TransportProblem.inflow, g(x, y) for one direction, or None for
-    zero; it is sampled once per direction, at the inflow boundary points, and a non-finite
-    sample raises AssumptionError. With scatter_w (see _local_forms) the blocks hold the
-    scattering moments, for run_scattered. It inverts each local matrix a of _local_forms
-    and folds the inverse into C's 4 live columns and the scattering moments: each
-    direction's blocks and b0 into its column slice, its fold and nbr into the steps of its
-    pairs. A stack keeps no schedule: only its directions and layers are read, and its dot
-    table is freed before the fill if the caller passed the schedule inline (CPython 3.11+
-    hands such an argument's only reference to the callee).
+    each dropped once its direction is filled (ValueError on more or fewer), or None for
+    zero. inflow_data is the inflow trace g(x, y, l) of TransportProblem.inflow, g(x, y) for
+    one direction, or None for zero; it is sampled once per direction, at the inflow
+    boundary points, and a non-finite sample raises AssumptionError. With scatter_w (see
+    _local_forms) the blocks hold the scattering moments, for run_scattered. It inverts each
+    local matrix a of _local_forms and folds the inverse into C's 4 live columns and the
+    scattering moments: each direction's blocks and b0 into its column slice, its fold and
+    nbr into the steps of its pairs. A stack keeps no schedule: only its directions and
+    layers are read, and its dot table is freed before the fill if the caller passed the
+    schedule inline (CPython 3.11+ hands such an argument's only reference to the callee).
     """
     one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of
     kept = schedule if one else None
@@ -373,7 +374,7 @@ def build_kernel(
     mesh, delta = tables.mesh, float(delta)
     nl, nt = omega.size // 2, mesh.n_triangles
     n = nl * nt
-    f_vals = iter((None,) * nl if f_vals is None else f_vals)
+    f_vals, end = iter((None,) * nl if f_vals is None else f_vals), object()
     bary = tables.rule.points
 
     # A pair at sweep position p of the step [lo, lo + m) keeps row r of a step-blocked array
@@ -404,7 +405,9 @@ def build_kernel(
     pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
     forms = _local_forms(tables, omega.reshape(-1, 2), delta, scatter_w)
     for l, (dl, dot, a, c6, scat) in enumerate(forms):
-        inflow, f = dot < -EPS_N, next(f_vals)
+        inflow, f = dot < -EPS_N, next(f_vals, end)
+        if f is end:
+            raise ValueError(f"f_vals ends before direction {l}")
         live = inflow & interior  # the edges with an upwind neighbour
         fixed = np.zeros((nt, 3))
         if f is not None:
@@ -437,6 +440,8 @@ def build_kernel(
         np.multiply(rows[:4], m, out=pick[:4])
         pick[:4] += o0 + lo
         nbr[pick[:4]] = upwind
+    if next(f_vals, end) is not end:
+        raise ValueError(f"f_vals has more than {nl} samples")
 
     # fold is transposed: einsum would sum a contiguous (3, 4, 1) block in another order
     steps = tuple(
