@@ -194,7 +194,7 @@ def _cmd_solve(args):
 
     if l is not None:  # direction l's slice of the stacked peel that solve sweeps
         stack = build_schedules(mesh, quad.directions)
-        sched = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.dot[l])
+        sched = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.inflow[l])
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:
             for layer in sched.layers:

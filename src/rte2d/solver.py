@@ -153,7 +153,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             )
 
     delta = delta_value(config, mesh)
-    # inline and one by one: the fill frees the schedule's dot table, then each spent sample
+    # inline and one by one: the fill frees the schedule's inflow mask, then each spent sample
     kernel = build_kernel(
         tables, build_schedules(mesh, quad.directions), delta,
         f_vals=(f_vals.pop(0) for _ in range(nl)),

@@ -32,21 +32,16 @@ class SweepSchedule:
     layer_of[l, k] is the layer of element k in direction l; every interior
     inflow edge's upwind neighbour sits in a strictly earlier layer. A
     mirrored direction (see build_schedules) has its own peel's layer
-    count, but usually not its layers.
-    dot[l, k, s] = omega_l . n with n = mesh.tri_normal[k, s], outward from k.
-    One direction's schedule has no leading direction axis. The inflow
-    mask, the layer count and the layers are derived from these two; the
-    upwind neighbour across an inflow edge is mesh.tri_neighbors there.
+    count, but usually not its layers. inflow[l, k, s] is omega_l . n <
+    -EPS_N with n = mesh.tri_normal[k, s], outward from k; the upwind
+    neighbour across an inflow edge is mesh.tri_neighbors there. One
+    direction's schedule has no leading direction axis. The layer count
+    and the layers are derived from layer_of.
     """
 
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     layer_of: np.ndarray  # (nl, nt), or (nt,)
-    dot: np.ndarray  # (nl, nt, 3), or (nt, 3)
-
-    @property
-    def inflow(self) -> np.ndarray:
-        """Bool, the shape of dot: the local edges with omega . n < -EPS_N."""
-        return self.dot < -EPS_N
+    inflow: np.ndarray  # bool (nl, nt, 3), or (nt, 3)
 
     @property
     def n_layers(self) -> int:
@@ -88,8 +83,12 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
     nl, nt = om.shape[0], mesh.n_triangles
     nbr = mesh.tri_neighbors
     interior = nbr != BOUNDARY
-    dot = omega_dot(mesh.tri_normal, om)
-    into, out = (dot < -EPS_N) & interior, (dot > EPS_N) & interior
+    inflow, out = np.empty((2, nl, nt, 3), dtype=bool)
+    for l, o in enumerate(om):  # one direction's omega . n at a time: only the masks are kept
+        dot = omega_dot(mesh.tri_normal, o)
+        inflow[l], out[l] = dot < -EPS_N, dot > EPS_N
+    into = inflow & interior
+    out &= interior
     # p's graph is consistent if an edge is inflow here iff outflow across, on the neighbour's side
     across = np.where(interior, 3 * nbr + mesh.tri_opposite, 0)
     mirror = np.full(nl, -1)
@@ -129,13 +128,13 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
     layer_of[peel] = layer.reshape(-1, nt)
     for l in np.flatnonzero(mirror >= 0):  # the reverse topological order of the partner's peel
         layer_of[l] = layer_of[mirror[l]].max() - layer_of[mirror[l]]
-    return SweepSchedule(omega=om, layer_of=layer_of, dot=dot)
+    return SweepSchedule(omega=om, layer_of=layer_of, inflow=inflow)
 
 
 def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:
     """The schedule of one direction, from the same peel as build_schedules."""
     stack = build_schedules(mesh, [omega])
-    return SweepSchedule(omega=stack.omega[0], layer_of=stack.layer_of[0], dot=stack.dot[0])
+    return SweepSchedule(omega=stack.omega[0], layer_of=stack.layer_of[0], inflow=stack.inflow[0])
 
 
 @dataclass(frozen=True)
@@ -205,10 +204,12 @@ class SweepKernel:
     def run(self, scatter_rhs=None) -> np.ndarray:
         """One sweep of every direction with the fixed rhs (+ scatter_rhs);
         the rhs and the result are (nl, nt, 3), or (nt, 3) for one direction."""
-        if scatter_rhs is not None and self.scattering:
-            raise ValueError("a kernel built with scatter_w takes G @ u in run_scattered")
-        x = None if scatter_rhs is None else np.moveaxis(scatter_rhs, -1, 0)
-        return np.moveaxis(self._sweep(x), 0, -1)
+        if scatter_rhs is not None:
+            if self.scattering:
+                raise ValueError("a kernel built with scatter_w takes G @ u in run_scattered")
+            # a new C-contiguous copy for the sweep to overwrite ("K" order keeps moved strides)
+            scatter_rhs = np.array(np.moveaxis(scatter_rhs, -1, 0), dtype=float, order="C")
+        return np.moveaxis(self._sweep(scatter_rhs), 0, -1)
 
     def run_scattered(self, gc: np.ndarray) -> np.ndarray:
         """One sweep with the scattering source sigma_s * sum_i G[l, i] u^i, given gc = G @ u
@@ -218,21 +219,20 @@ class SweepKernel:
             raise ValueError("run_scattered needs a kernel built with scatter_w")
         if not (gc.flags.c_contiguous and gc.dtype == np.float64):
             raise ValueError("run_scattered writes over gc: it must be C-contiguous float64")
-        return self._sweep(gc, gc)
+        return self._sweep(gc)
 
-    def _sweep(self, x, out=None):
-        """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x, x planes of that
-        shape (nothing added if None), formed in out (new if None, else C-contiguous so that
-        its reshape is no copy), which may be x: each chunk of x is read before it is written."""
-        n = self.b0.shape[1]
-        c = np.empty((3, n)) if out is None else out.reshape(3, n)
+    def _sweep(self, x):
+        """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x: from b0 in a new
+        array if x is None, else written over x, C-contiguous float64 planes of that shape
+        (so that its reshape is no copy); each chunk of x is read before it is written."""
+        n, b0 = self.b0.shape[1], self.b0
         if x is None:
-            c[:] = self.b0
+            c = b0.copy()
         else:
-            x, blocks, b0 = x.reshape(3, n), self.blocks, self.b0
+            c, blocks = x.reshape(3, n), self.blocks
             for lo in range(0, n, 4096):  # a chunk's product stays in a core's L2 cache
                 k = slice(lo, lo + 4096)
-                np.add(_einsum("ijk,jk->ik", blocks[:, :, k], x[:, k]), b0[:, k], out=c[:, k])
+                np.add(_einsum("ijk,jk->ik", blocks[:, :, k], c[:, k]), b0[:, k], out=c[:, k])
         buf = np.empty(3 * n + 1)  # each slot but the zero last one takes a coefficient
         buf[-1] = 0.0
         s0, s1 = self.slots
@@ -317,9 +317,9 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
     C u_up + (S + delta d s^T)(G u)_K + its fixed rhs, where C (18, nt), row 6 i + 2 s + c,
     weighs the upwind coefficient c of mesh.across_index across interior inflow edges s, and
     S and s are the moments of scatter_w, the area-weighted sigma_s (nt, nq). Yields per
-    direction d (3, nt), omega . n (nt, 3) of mesh.tri_normal, the bits of build_schedules'
-    dot, and a (3, 3, nt), C and S + delta d s^T (3, 3, nt) or None, three buffers that the
-    next direction refills."""
+    direction d (3, nt), omega . n (nt, 3) of mesh.tri_normal, the product whose sign
+    build_schedules' inflow mask holds, and a (3, 3, nt), C and S + delta d s^T (3, 3, nt)
+    or None, three buffers that the next direction refills."""
     bary = tables.rule.points
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
@@ -361,7 +361,7 @@ def build_kernel(
     local matrix a of _local_forms and folds the inverse into C's 4 live columns and the
     scattering moments: each direction's blocks and b0 into its column slice, its fold and
     nbr into the steps of its pairs. A stack keeps no schedule: only its directions and
-    layers are read, and its dot table is freed before the fill if the caller passed the
+    layers are read, and its inflow mask is freed before the fill if the caller passed the
     schedule inline (CPython 3.11+ hands such an argument's only reference to the callee).
     """
     one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of

@@ -14,6 +14,7 @@ from rte2d import (
     build_structured_unit_square,
     case_problem,
     case_quadrature,
+    compare_methods,
     convergence_study,
     error_norms,
     make_case,
@@ -28,6 +29,7 @@ from rte2d.dg_core import element_basis, quad_points
 from rte2d.mesh import BOUNDARY, EPS_N, across_index, omega_dot
 from rte2d.quadrature import triangle_rule
 from helpers import perturbed_mesh, project_exact, random_solution
+from test_acceptance import RATE_BANDS
 import oracle
 
 
@@ -415,17 +417,30 @@ def test_convergence_study_small():
     assert len(table.rates["eh"]) == 1
 
 
+@pytest.mark.parametrize("seed", [1, 5])
+@pytest.mark.parametrize("cid", [1, 4])
+def test_rates_on_a_perturbed_base_mesh(cid, seed):
+    # the acceptance bands hold off the structured grid too: the finest-pair rates of
+    # levels 1-2 of a perturbed base mesh, for both methods
+    cmp = compare_methods(make_case(cid), 3, mesh0=perturbed_mesh(10, seed=seed))
+    for table in (cmp.dodsd, cmp.dodg):
+        for name, (lo, hi) in RATE_BANDS.items():
+            assert lo <= table.rates[name][-1] <= hi, (table.method, name, table.rates[name])
+
+
 @pytest.mark.parametrize("kind, n_dirs", [("structured", 8), ("structured", 20), ("perturbed", 20)])
 def test_norms_and_sweep_classify_edges_alike(kind, n_dirs):
-    # the norms' walk sees each edge as the sweep does: the same omega . n, bit for bit, so
-    # the same inflow, outflow and tangential edges, and the kernel's upwind neighbour values
+    # the norms' walk sees each edge as the sweep does: the same omega . n, bit for bit, as
+    # the kernel fill forms, so the same inflow, outflow and tangential edges as the peel's
+    # inflow mask, and the kernel's upwind neighbour values
     mesh = build_structured_unit_square(5) if kind == "structured" else perturbed_mesh(5, seed=12)
     dirs, nt = trapezoid_circle(n_dirs).directions, mesh.n_triangles
     walk = _edge_walk(mesh)
     ni, own, up, _, _ = walk
     k, s = own[0] % nt, own[0] // nt
     dot = _edge_flux(walk, dirs, np.zeros((n_dirs, 3, nt)))[0]
-    assert np.array_equal(dot, build_schedules(mesh, dirs).dot[:, k, s])
+    assert np.array_equal(dot, np.array([omega_dot(mesh.tri_normal, om)[k, s] for om in dirs]))
+    assert np.array_equal(dot < -EPS_N, build_schedules(mesh, dirs).inflow[:, k, s])
     if kind == "structured":  # axis directions run along interior edges
         assert (abs(dot[:, :ni]) <= EPS_N).any()
     # the neighbour runs the edge the other way: its coefficient c sits at own vertex 1 - c

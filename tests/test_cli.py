@@ -193,7 +193,7 @@ def test_schedule_dump_is_the_slice_that_solve_sweeps(tmp_path):
         dumps[l] = (out / "schedule.txt").read_text().splitlines()
     stack = build_schedules(mesh, quad.directions)
     for l, lines in dumps.items():
-        slice_l = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.dot[l])
+        slice_l = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.inflow[l])
         assert lines == [" ".join(map(str, layer)) for layer in slice_l.layers]
     assert dumps[4] == dumps[0][::-1]
     alone = build_schedule(mesh, quad.directions[4])
@@ -215,6 +215,15 @@ def test_exit_code_mesh_token_not_a_number(tmp_path, capsys):
     assert code == 7
     err = capsys.readouterr().err
     assert f"error[mesh]: {mesh_file}: could not convert string to float: 'zero'" in err
+
+
+def test_exit_code_mesh_negative_count(tmp_path, capsys):
+    mesh_file = tmp_path / "bad.mesh"
+    mesh_file.write_text("-1 2\n0 1 2 3\n")
+    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
+    assert code == 7
+    want = f"error[mesh]: {mesh_file}: negative count in the header: -1 vertices, 2 triangles"
+    assert want in capsys.readouterr().err
 
 
 def test_exit_code_mesh_non_ascii_byte(tmp_path, capsys):

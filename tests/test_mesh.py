@@ -488,6 +488,18 @@ def test_load_mesh_rejects_bad_files(tmp_path):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("text, counts", [
+    ("-1 2\n0 1 2 3\n", "-1 vertices, 2 triangles"),  # 2 - 2 + 6 = 6 tokens, as found
+    ("3 -1\n0 0\n1 0\n0 1\n", "3 vertices, -1 triangles"),
+], ids=["vertices", "triangles"])
+def test_load_mesh_rejects_a_negative_count(tmp_path, text, counts):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    want = f"^{re.escape(str(p))}: negative count in the header: {counts}$"
+    with pytest.raises(MeshError, match=want):
+        load_mesh(p)
+
+
 @pytest.mark.parametrize("text, token", [
     ("three 1\n0 0\n1 0\n0 1\n0 1 2\n", "three"),
     ("3 1.0\n0 0\n1 0\n0 1\n0 1 2\n", "1.0"),

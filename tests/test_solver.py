@@ -15,6 +15,7 @@ from rte2d import (
     TransportProblem,
     apply_ah,
     build_kernel,
+    build_mesh,
     build_schedule,
     build_schedules,
     build_structured_unit_square,
@@ -390,6 +391,37 @@ def test_dodsd_tends_to_dodg_as_c_bar_vanishes():
     assert 0.0 < gaps[0] < 1e-3 * np.abs(dodg).max()
     assert gaps[0] / gaps[1] == pytest.approx(100.0, rel=0.01)
     assert gaps[1] / gaps[2] == pytest.approx(100.0, rel=0.01)
+
+
+@pytest.mark.parametrize("method", ["dodsd", "dodg"])
+def test_solve_turns_with_the_mesh(method):
+    # turning the mesh and the data by 90 degrees, with 20 trapezoid directions, shifts the
+    # solution's directions by 5: the turned problem's data at (x, y, l) are the original's
+    # at (y, -x), direction l - 5; the triangles keep their orientation and vertex order
+    mesh = perturbed_mesh(4, seed=3)
+    turned = build_mesh(mesh.vertices[:, ::-1] * [-1.0, 1.0], mesh.triangles)
+    quad = trapezoid_circle(20)
+    theta = quad.angles
+
+    def f(x, y, l):
+        return 1.0 + x * y + 0.5 * np.cos(theta[l]) * x - 0.3 * np.sin(theta[l]) * y**2
+
+    def g(x, y, l):
+        return 0.5 + np.cos(theta[l] - 0.3) * x + 0.2 * y + 0.1 * np.sin(2 * theta[l]) * x * y
+
+    def problem(f, g):
+        return TransportProblem(const(2.0), const(1.0), PhaseFunction.henyey_greenstein(0.5),
+                                f, quad, inflow=g)
+
+    def back(h):  # the turned problem's data, from the original's
+        return lambda x, y, l: h(y, -x, (l - 5) % 20)
+
+    config = SolverConfig(method=method, tol=1e-13)
+    sol, report = solve(problem(f, g), mesh, config)
+    sol_t, report_t = solve(problem(back(f), back(g)), turned, config)
+    assert report_t.iterations == report.iterations
+    shifted = np.roll(sol_t.coeffs, -5, axis=0)  # direction l holds the turned solve's l + 5
+    assert np.abs(shifted - sol.coeffs).max() <= 1e-12 * np.abs(sol.coeffs).max()
 
 
 def test_delta_value_modes():

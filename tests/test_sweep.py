@@ -23,7 +23,7 @@ from rte2d import (
     space_tables,
     trapezoid_circle,
 )
-from rte2d.mesh import BOUNDARY
+from rte2d.mesh import BOUNDARY, omega_dot
 from rte2d.quadrature import triangle_rule
 from rte2d.sweep import _UPWIND_PICK, inverse_3x3, upwind_pattern
 from helpers import perturbed_mesh, random_solution, unit_direction
@@ -82,12 +82,13 @@ def test_build_schedules_match_brute_force_for_every_direction():
     stack = build_schedules(mesh, quad.directions)
     nl, nt = quad.n_directions, mesh.n_triangles
     assert stack.omega.shape == (nl, 2) and stack.layer_of.shape == (nl, nt)
-    assert stack.dot.shape == stack.inflow.shape == (nl, nt, 3)
+    assert stack.inflow.shape == (nl, nt, 3) and stack.inflow.dtype == bool
+    dots = omega_dot(mesh.tri_normal, quad.directions)
     interior, differs = mesh.tri_neighbors != BOUNDARY, []
     for l, omega in enumerate(quad.directions):
         sched = build_schedule(mesh, omega)
         np.testing.assert_array_equal(stack.omega[l], sched.omega)
-        np.testing.assert_array_equal(stack.dot[l], sched.dot)
+        np.testing.assert_array_equal(dots[l], omega_dot(mesh.tri_normal, omega))
         np.testing.assert_array_equal(stack.inflow[l], sched.inflow)
         layer_of = brute_force_layers(mesh, omega)
         np.testing.assert_array_equal(sched.layer_of, layer_of)
@@ -107,7 +108,7 @@ def test_build_schedules_match_brute_force_for_every_direction():
                     want = mesh.tri_neighbors[k, s] if interior[k, s] else BOUNDARY
                 assert upwind[k, s] == want
         np.testing.assert_array_equal(sched.inflow, cls.inflow)
-        np.testing.assert_array_equal(sched.dot, cls.omega_dot_n)
+        np.testing.assert_array_equal(dots[l], cls.omega_dot_n)
         np.testing.assert_array_equal(sched.omega, omega)
     # a mirrored slice is a valid layering, but not always the one its own peel finds
     assert not any(differs[:10]) and any(differs[10:])
@@ -122,9 +123,10 @@ def test_mirrored_slices_keep_the_upwind_order_and_the_layer_count(n, seed, n_di
     mesh = perturbed_mesh(n, seed=seed)
     om = trapezoid_circle(n_dirs).directions
     stack = build_schedules(mesh, om)
-    nbr = mesh.tri_neighbors
-    into = (stack.dot < -EPS_N) & (nbr != BOUNDARY)
-    out = (stack.dot > EPS_N) & (nbr != BOUNDARY)
+    nbr, dot = mesh.tri_neighbors, omega_dot(mesh.tri_normal, om)
+    np.testing.assert_array_equal(stack.inflow, dot < -EPS_N)
+    into = stack.inflow & (nbr != BOUNDARY)
+    out = (dot > EPS_N) & (nbr != BOUNDARY)
     partner, peeled = (om @ om.T).argmin(axis=1), set()
     for l, layer_of in enumerate(stack.layer_of):
         sched = build_schedule(mesh, om[l])
@@ -198,8 +200,8 @@ def test_schedule_tangential_edges_ignored():
     # axis-aligned direction grazes the horizontal grid lines
     mesh = build_structured_unit_square(4)
     sched = build_schedule(mesh, np.array([1.0, 0.0]))
-    graze = np.abs(sched.dot) <= 1e-12
-    assert graze.any()
+    graze = np.abs(omega_dot(mesh.tri_normal, sched.omega)) <= 1e-12
+    assert graze.any() and not sched.inflow[graze].any()
     assert (upwind_map(mesh, sched.inflow)[graze] == NO_UPWIND).all()
     np.testing.assert_array_equal(sched.layer_of, brute_force_layers(mesh, (1.0, 0.0)))
 
@@ -433,7 +435,7 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     patterns = set((live @ [1, 2, 4]).ravel().tolist())
     if structured:  # two-edge patterns next to tangential edges
         assert {3, 6} <= patterns
-        assert (np.abs(sched.dot) <= 1e-12).any()
+        assert (np.abs(omega_dot(mesh.tri_normal, quad.directions)) <= 1e-12).any()
     else:  # every pattern but 0 and 7: each pair of edges is picked
         assert patterns == {0, 1, 2, 3, 4, 5, 6}
 
@@ -536,6 +538,26 @@ def test_run_scattered_writes_over_its_input():
     assert np.shares_memory(got, gc)
     np.testing.assert_array_equal(gc, want)
     np.testing.assert_array_equal(got, want)
+
+
+def test_run_sweeps_a_copy_of_its_rhs():
+    # planes moved to (nl, nt, 3) move back to C-contiguous planes that the sweep could write
+    # over; run sweeps a new copy and leaves the caller's array alone
+    mesh = perturbed_mesh(20, seed=31)
+    quad = trapezoid_circle(12)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    tables = space_tables(mesh, lambda x, y: 2.0 + x * y)
+    kern = build_kernel(
+        tables, build_schedules(mesh, quad.directions), 0.6 * mesh.h,
+        f_vals=[np.cos(tables.points[..., 0] + l) for l in range(nl)],
+    )
+    planes = np.random.default_rng(6).standard_normal((3, nl, nt))
+    kept = planes.copy()
+    got = kern.run(np.moveaxis(planes, 0, -1))
+    np.testing.assert_array_equal(planes, kept)
+    assert not np.shares_memory(got, planes)
+    np.testing.assert_array_equal(np.moveaxis(got, -1, 0), kern._sweep(kept))
+    np.testing.assert_array_equal(got, kern.run(np.moveaxis(planes, 0, -1).copy()))
 
 
 def test_kernel_fill_frees_the_inline_schedule_and_each_spent_sample():
