@@ -311,16 +311,15 @@ def error_norms(
 def apply_ah(u: DGSolution, v: DGSolution, problem, mesh, delta) -> float:
     """sum_l w_l sum_K v_lK . (a u_lK - C u_up - (S + delta d s^T)(G u)_lK): the kernel's
     operator (sweep._local_forms), zero inflow data; test use only. delta is one number."""
-    quad, dirs, nt = problem.quad, problem.quad.directions, mesh.n_triangles
+    quad, dirs = problem.quad, problem.quad.directions
     uc, vc = (_rows(sol, mesh, quad) for sol in (u, v))
     delta, tables = float(delta), space_tables(mesh, problem.sigma_t)
     scatter_w = tables.areaw * sample("sigma_s", problem.sigma_s, tables.points)
     gc = (scatter_matrix(problem.phase, quad) @ uc.reshape(len(dirs), -1)).reshape(uc.shape)
-    col = across_index(mesh).reshape(6, nt)  # C's column 2 s + c
     total = 0.0
-    for l, (_, _, a, c, scat) in enumerate(_local_forms(tables, dirs, delta, scatter_w)):
+    for l, (*_, a, c, up, scat) in enumerate(_local_forms(tables, dirs, delta, scatter_w)):
         r = np.einsum("ijk,jk->ik", a, uc[l]) - np.einsum("ijk,jk->ik", scat, gc[l])
-        r -= np.einsum("imk,mk->ik", c.reshape(3, 6, nt), np.append(uc[l], 0.0).take(col))
+        r -= np.einsum("imk,mk->ik", c, np.append(uc[l], 0.0).take(up))
         total += quad.weights[l] * np.einsum("ik,ik->", vc[l], r)
     return float(total)
 

@@ -164,8 +164,8 @@ def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> Space
     )
 
 
-def _volume_rhs(qw, bary, delta, d):
-    return qw @ bary + (delta * qw.sum(axis=-1))[..., None] * d
+def _volume_rhs(qw, bary, delta, d):  # planes (..., 3, nt) of qw (..., nq, nt) and d (..., 3, nt)
+    return bary.T @ qw + (delta * qw.sum(axis=-2))[..., None, :] * d
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,9 @@ class SweepKernel:
     nbr: np.ndarray  # (4n,) int32 buffer offsets of those coefficients
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
-        """RHS of a volume source given area-weighted point values (nl, nt, nq)."""
-        return _volume_rhs(qw, self.bary, self.delta, omega_dot(self.grad, self.omega))
+        """RHS (nl, nt, 3) of a volume source given area-weighted point values (nl, nt, nq)."""
+        d = omega_dot(self.grad, self.omega).swapaxes(-1, -2)
+        return _volume_rhs(qw.swapaxes(-1, -2).copy(), self.bary, self.delta, d).swapaxes(-1, -2)
 
     def run(self, scatter_rhs=None) -> np.ndarray:
         """One sweep of every direction with the fixed rhs (+ scatter_rhs);
@@ -250,60 +251,58 @@ class SweepKernel:
         return c.reshape((3, *self.omega.shape[:-1], self.grad.shape[0]))
 
 
-def inverse_3x3(a: np.ndarray, direction=None) -> np.ndarray:
-    """Adjugate inverses of 3x3 blocks stored as planes (3, 3, n), from
-    explicit cofactors; StabilityError on a block that check_nonsingular
-    rejects."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
-    det = a00 * c00 + a01 * c01 + a02 * c02
+def inverse_3x3(a: np.ndarray, direction=None, out=None) -> np.ndarray:
+    """Adjugate inverses of 3x3 blocks stored as planes (3, 3, n), from explicit cofactors,
+    in out (3, 3, n) if given; StabilityError on a block that check_nonsingular rejects."""
+    adj, t = np.empty_like(a) if out is None else out, np.empty_like(a[0, 0])
+    for i, j in np.ndindex(3, 3):  # adj[j, i] = a[i1, j1] a[i2, j2] - a[i1, j2] a[i2, j1], mod 3
+        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        np.multiply(a[i1, j1], a[i2, j2], out=adj[j, i])
+        adj[j, i] -= np.multiply(a[i1, j2], a[i2, j1], out=t)
+    det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[1, 0] + a[0, 2] * adj[2, 0]
     check_nonsingular(a, det, direction=direction)
-    adj = np.stack([
-        c00, a02 * a21 - a01 * a22, a01 * a12 - a02 * a11,
-        c01, a00 * a22 - a02 * a20, a02 * a10 - a00 * a12,
-        c02, a01 * a20 - a00 * a21, a00 * a11 - a01 * a10,
-    ])
     adj /= det
-    return adj.reshape(a.shape)
+    return adj
 
 
-# Per unit |e| |omega . n| of the inflow edge s (the last index): its edge mass in rows and
-# columns s, s + 1 of a, and C's columns 2s, 2s + 1, whose trace runs against the edge parameter.
-_EDGE_MASS = np.zeros((3, 3, 3))
+# Per unit |e| |omega . n| of the inflow edge s (the last index): its edge mass's 1/3 on a's
+# diagonal at s, s + 1, and C's columns 2s, 2s + 1, whose trace runs against the edge parameter.
+_EDGE_DIAG = np.zeros((3, 3))
 _EDGE_COUPLING = np.zeros((3, 6, 3))
 for _s in range(3):
     _i = [_s, (_s + 1) % 3]
-    _EDGE_MASS[np.ix_(_i, _i, [_s])] = EDGE_MASS_2[..., None]
+    _EDGE_DIAG[_i, _s] = EDGE_MASS_2[0, 0]
     _EDGE_COUPLING[np.ix_(_i, [2 * _s, 2 * _s + 1], [_s])] = EDGE_MASS_2[:, ::-1, None]
 
-# Per pattern sum_s 2^s [s is an interior inflow edge]: two edges covering those (never three,
-# as sum_s |e_s| omega . n_s = 0), their 4 columns of the 3x6 coupling block and flat offsets.
+# Per pattern p = sum_s 2^s [s is an interior inflow edge]: two edges covering those (never
+# three, as sum_s |e_s| omega . n_s = 0), and C's 4 live columns per unit edge weight, row
+# 4 i + 2 j + c: _EDGE_COUPLING's column 2 e + c of edge e = _UPWIND_PICK[p, j] if in p, else 0.
 _UPWIND_PICK = np.array([[0, 1], [0, 1], [0, 1], [0, 1], [0, 2], [0, 2], [1, 2], [0, 1]])
-_PICK_COLS = (2 * _UPWIND_PICK[:, :, None] + [0, 1]).reshape(8, 4)
-_PICK_FLAT = (6 * np.arange(3)[:, None] + _PICK_COLS[:, None, :]).reshape(8, 12)
+_LIVE_COUPLING = np.zeros((3, 2, 2, 8))
+for (_p, _j), _e in np.ndenumerate(_UPWIND_PICK):
+    _LIVE_COUPLING[:, _j, :, _p] = _EDGE_COUPLING[:, 2 * _e : 2 * _e + 2, _e] * (_p >> _e & 1)
+_LIVE_COUPLING = _LIVE_COUPLING.reshape(12, 8)
 
 
 def upwind_pattern(live: np.ndarray, direction=None) -> np.ndarray:
     """The _UPWIND_PICK row (nt,) of each element's interior inflow edges live (nt, 3)."""
-    pattern = live @ np.array([1, 2, 4])
+    pattern = live[..., 0] + 2 * live[..., 1] + 4 * live[..., 2]
     if (pattern == 7).any():
         raise ValueError(f"direction {direction}: element {pattern.argmax()} has 3 inflow edges")
     return pattern
 
 
-def _inflow_rhs(dot, inflow, inflow_data, l, elen, bnd):
-    """g(x, y, l) against the local basis on direction l's inflow boundary edges (nt, 3)."""
+def _inflow_rhs(edge_w, inflow, inflow_data, l, bnd):
+    """g(x, y, l) against the local basis on direction l's inflow boundary edges, planes (3, nt)."""
     bk, bs, bpts = bnd  # boundary_points(mesh, TRACE_T)
-    inflow = inflow[bk, bs]
+    inflow = inflow[bs, bk]
     ks, ss, pts = bk[inflow], bs[inflow], bpts[inflow]
-    fixed = np.zeros(dot.shape)
+    fixed = np.zeros(edge_w.shape)
     if ks.size:
         g = sample(f"inflow data (direction {l})", inflow_data, pts, l)
-        w = -elen[ks, ss] * dot[ks, ss]
-        np.add.at(fixed, (ks, ss), w * ((TRACE_W * (1.0 - TRACE_T))[None, :] * g).sum(axis=1))
-        np.add.at(fixed, (ks, (ss + 1) % 3), w * ((TRACE_W * TRACE_T)[None, :] * g).sum(axis=1))
+        w = edge_w[ss, ks]
+        np.add.at(fixed, (ss, ks), w * ((TRACE_W * (1.0 - TRACE_T))[None, :] * g).sum(axis=1))
+        np.add.at(fixed, ((ss + 1) % 3, ks), w * ((TRACE_W * TRACE_T)[None, :] * g).sum(axis=1))
     return fixed
 
 
@@ -314,35 +313,54 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
     omega . grad v) is a = M_sigma + s1 d^T + delta d (W d + s_sigma)^T in the degree-4
     element moments M_sigma = sum_q w sigma_t phi phi^T, s1 = sum_q w phi, W = sum_q w and
     s_sigma = sum_q w sigma_t phi, plus the inflow edge masses. An element solves a u_K =
-    C u_up + (S + delta d s^T)(G u)_K + its fixed rhs, where C (18, nt), row 6 i + 2 s + c,
-    weighs the upwind coefficient c of mesh.across_index across interior inflow edges s, and
-    S and s are the moments of scatter_w, the area-weighted sigma_s (nt, nq). Yields per
-    direction d (3, nt), omega . n (nt, 3) of mesh.tri_normal, the product whose sign
-    build_schedules' inflow mask holds, and a (3, 3, nt), C and S + delta d s^T (3, 3, nt)
-    or None, three buffers that the next direction refills."""
+    C u_up + (S + delta d s^T)(G u)_K + its fixed rhs; C weighs the upwind coefficients
+    across interior inflow edges, and S and s are the moments of scatter_w, the area-weighted
+    sigma_s (nt, nq). Yields per direction, as planes (..., nt): d, the inflow mask omega . n
+    < -EPS_N of mesh.tri_normal, the weights |e| |omega . n| of inflow edges (else 0), a, C's
+    4 live columns (3, 4, nt) and the index (4, nt) of each one's upwind coefficient in a
+    field's rows (3, nt) (3 nt, a zero slot after them, for none), and S + delta d s^T or
+    None; C, and a and S + delta d s^T (the halves of one (6, 3, nt) array), are buffers
+    that the next direction refills."""
     bary = tables.rule.points
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
-    w, wst = tables.areaw, tables.areaw * tables.sigma_t
-    m_sig = pp @ wst.T  # (3, 3, nt)
-    s1, s_sig, w_sum = bary.T @ w.T, bary.T @ wst.T, w.sum(axis=1)
-    a, coupling, scat = np.empty_like(m_sig), np.empty((18, len(w))), None
+    w = tables.areaw
+    m_sig, s_sig = (x @ (w * tables.sigma_t).T for x in (pp, bary.T))  # (3, 3, nt), (3, nt)
+    s1, w_sum, mesh, nt = bary.T @ w.T, w.sum(axis=1), tables.mesh, len(w)
+    ab, coupling, t = np.empty((6, 3, nt)), np.empty((12, nt)), np.empty((3, nt))
+    a, scat = ab[:3], None
     if scatter_w is not None:
-        s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, np.empty_like(m_sig)
-    elen, interior = tables.mesh.tri_edge_length, tables.mesh.tri_neighbors != BOUNDARY
-    grad = np.moveaxis(tables.grad.T.copy(), 0, -1)  # (3, nt, 2) with contiguous planes
-    for om in omega:
-        dl, dot_l = omega_dot(grad, om), omega_dot(tables.mesh.tri_normal, om)
-        ddl = delta * dl
-        edge_w = np.where(dot_l < -EPS_N, -elen * dot_l, 0.0).T
+        s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, ab[3:]
+    # the gradients and the edge data as planes (3, nt); vectors as (3, nt, 2) views of them
+    grad, normal = (np.moveaxis(v.T.copy(), 0, -1) for v in (tables.grad, mesh.tri_normal))
+    neg_len, interior = -mesh.tri_edge_length.T.copy(), mesh.tri_neighbors.T.copy() != BOUNDARY
+    across = across_index(mesh).transpose(1, 0, 2).ravel()  # c 3 nt + s nt + k
+    pick_off, elem = _UPWIND_PICK.T * nt, np.arange(nt)
+    for l, om in enumerate(omega):
+        dl, dot = omega_dot(grad, om), omega_dot(normal, om)
+        ddl, inflow = delta * dl, dot < -EPS_N
+        edge_w = np.where(inflow, np.multiply(neg_len, dot, out=dot), 0.0)
         # in place, as m_sig + s1 d^T and S + delta d s^T: a sum has the same bits either way
         np.add(np.multiply(s1[:, None], dl, out=a), m_sig, out=a)
-        a += ddl[:, None] * (w_sum * dl + s_sig)
-        a += _EDGE_MASS @ edge_w
-        np.matmul(_EDGE_COUPLING.reshape(18, 3), np.where(interior.T, edge_w, 0.0), out=coupling)
+        np.add(np.multiply(w_sum, dl, out=t), s_sig, out=t)
+        for i in range(3):  # dot is spent: it holds a row of delta d (W d + s_sigma)^T
+            a[i] += np.multiply(ddl[i], t, out=dot)
+        # edge masses: 1/3 |e| |omega . n| on the diagonal by BLAS (its fused sums), 1/6 off it
+        a.reshape(9, nt)[::4] += np.matmul(_EDGE_DIAG, edge_w, out=t)
+        for s, e in enumerate(np.multiply(edge_w, EDGE_MASS_2[0, 1], out=t)):
+            a[s, (s + 1) % 3] += e
+            a[(s + 1) % 3, s] += e
+        # the picked edges e nt + k; C's live columns and their upwind coefficients there
+        live = inflow & interior
+        pattern = upwind_pattern(live.T, direction=l)
+        pick = np.add(pick_off.take(pattern, axis=1), elem)
+        coupling = _LIVE_COUPLING.take(pattern, axis=1, out=coupling, mode="clip")
+        coupling.reshape(3, 2, 2, nt)[...] *= edge_w.take(pick)[:, None]
+        up = across.take(pick[:, None] + [[0], [3 * nt]])  # [j, c]
+        np.copyto(up, 3 * nt, where=~live.take(pick)[:, None])
         if scat is not None:
             np.add(np.multiply(ddl[:, None], s_vec, out=scat), s_mat, out=scat)
-        yield dl, dot_l, a, coupling, scat
+        yield dl, inflow, edge_w, a, coupling.reshape(3, 4, nt), up.reshape(4, nt), scat
 
 
 def build_kernel(
@@ -357,13 +375,12 @@ def build_kernel(
     zero. inflow_data is the inflow trace g(x, y, l) of TransportProblem.inflow, g(x, y) for
     one direction, or None for zero; it is sampled once per direction, at the inflow
     boundary points, and a non-finite sample raises AssumptionError. With scatter_w (see
-    _local_forms) the blocks hold the scattering moments, for run_scattered. It inverts each
-    local matrix a of _local_forms and folds the inverse into C's 4 live columns and the
-    scattering moments: each direction's blocks and b0 into its column slice, its fold and
-    nbr into the steps of its pairs. A stack keeps no schedule: only its directions and
-    layers are read, and its inflow mask is freed before the fill if the caller passed the
-    schedule inline (CPython 3.11+ hands such an argument's only reference to the callee).
-    """
+    _local_forms) the blocks hold the scattering moments, for run_scattered. It folds each
+    inverted local matrix into C's live columns and the scattering moments: blocks and b0
+    into the direction's column slice, fold and nbr into the steps of its pairs. A stack
+    keeps no schedule: only its directions and layers are read, and its inflow mask is freed
+    before the fill if the caller passed the schedule inline (CPython 3.11+ hands such an
+    argument's only reference to the callee)."""
     one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of
     kept = schedule if one else None
     del schedule
@@ -375,7 +392,7 @@ def build_kernel(
     nl, nt = omega.size // 2, mesh.n_triangles
     n = nl * nt
     f_vals, end = iter((None,) * nl if f_vals is None else f_vals), object()
-    bary = tables.rule.points
+    bary, areaw = tables.rule.points, tables.areaw.T
 
     # A pair at sweep position p of the step [lo, lo + m) keeps row r of a step-blocked array
     # of R rows per pair at R lo + (p - lo) + r m; slots holds rows 0 and 1 of the buffer's.
@@ -387,59 +404,42 @@ def build_kernel(
     del order
     slots[0] += 2 * lo_of.take(layer_of.ravel())
     slots[1] = slots[0] + width.take(layer_of.ravel())
-
-    interior = mesh.tri_neighbors != BOUNDARY
     bnd = None if inflow_data is None else boundary_points(mesh, TRACE_T)
 
-    blocks = np.empty((3, 3, n))
-    b0 = np.empty((3, n))
-    fold = np.empty(12 * n)
+    blocks, b0, fold = np.empty((3, 3, n)), np.empty((3, n)), np.empty(12 * n)
     nbr = np.empty(4 * n, dtype=np.int32)
-    # one direction's reused work arrays: buffer offsets of rows (3, nt), then of the zero
-    # slot 3n, and picks
+    # one direction's work arrays: qw, inverse and buffer offsets of rows (3, nt) + zero slot
+    qw, inv_l = np.empty(areaw.shape), None if scatter_w is None else np.empty((3, 3, nt))
     offs, rows = np.full(3 * nt + 1, 3 * n, dtype=np.int32), np.arange(12)[:, None]
     o0, o1, o2 = o = offs[:-1].reshape(3, nt)
-    pick = np.empty((12, nt), dtype=np.int64)
-    across = across_index(mesh)  # row 2s + c: index in offs
-    # flat offsets of the picked rows of the (18, nt) coupling, per pattern
-    pick_rows, elem = _PICK_FLAT.T * nt, np.arange(nt)
     forms = _local_forms(tables, omega.reshape(-1, 2), delta, scatter_w)
-    for l, (dl, dot, a, c6, scat) in enumerate(forms):
-        inflow, f = dot < -EPS_N, next(f_vals, end)
+    for l, (dl, inflow, edge_w, a, coupling, up, scat) in enumerate(forms):
+        f = next(f_vals, end)
         if f is end:
             raise ValueError(f"f_vals ends before direction {l}")
-        live = inflow & interior  # the edges with an upwind neighbour
-        fixed = np.zeros((nt, 3))
-        if f is not None:
-            fixed += _volume_rhs(tables.areaw * f, bary, delta, dl.T)
+        fixed = _volume_rhs(np.multiply(areaw, 0.0 if f is None else f.T, out=qw), bary, delta, dl)
         del f  # before the next sample is read
         if inflow_data is not None:
-            fixed += _inflow_rhs(dot, inflow, inflow_data, l, mesh.tri_edge_length, bnd)
-        pattern = upwind_pattern(live, direction=l)
-        np.add(pick_rows.take(pattern, axis=1), elem, out=pick)  # rows 0-3 pick the (6, nt) indices
-        coupling = c6.take(pick).reshape(3, 4, nt)
+            fixed += _inflow_rhs(edge_w, inflow, inflow_data, l, bnd)
 
         cols = slice(l * nt, (l + 1) * nt)
-        inv = inverse_3x3(a, direction=l)
-        _einsum("ijk,jk->ik", inv, fixed.T, out=b0[:, cols])
-        _einsum("imk,mjk->jik", inv, coupling, out=c6[:12].reshape(4, 3, nt))
-        if scat is None:
-            blocks[:, :, cols] = inv
-        else:
+        inv = inverse_3x3(a, direction=l, out=blocks[:, :, cols] if inv_l is None else inv_l)
+        _einsum("ijk,jk->ik", inv, fixed, out=b0[:, cols])
+        if scat is not None:
             _einsum("imk,mjk->ijk", inv, scat, out=blocks[:, :, cols])
-        # c6 (C) and pick are spent, so they hold the fold and the positions of a pair's
-        # fold rows, slots[0] + 9 lo + r m, then of its nbr rows, slots[0] + lo + r m
+        fold_l = a.base[:4]  # a and S + delta d s^T are spent: their buffer holds the fold
+        _einsum("imk,mjk->jik", inv, coupling, out=fold_l)
+        # coupling is spent, so it holds the positions of a pair's nbr rows, slots[0] + lo +
+        # r m, then of its fold rows, slots[0] + 9 lo + r m
+        pick = coupling.reshape(12, nt).view(np.int64)
         lo, m = lo_of.take(layer_of[l]), width.take(layer_of[l])
         o[:2] = slots[:, cols]
         np.add(o1, m, out=o2)
-        up = np.where(live.T[:, None], across, 3 * nt)  # (3, 2, nt)
-        upwind = offs.take(up.reshape(6, nt).take(pick[:4]))
-        np.multiply(rows, m, out=pick)
-        pick += o0 + 9 * lo
-        fold[pick] = c6[:12]
-        np.multiply(rows[:4], m, out=pick[:4])
-        pick[:4] += o0 + lo
-        nbr[pick[:4]] = upwind
+        np.add(np.multiply(rows, m, out=pick), o0 + lo, out=pick)
+        nbr[pick[:4]] = offs.take(up)
+        pick += 8 * lo
+        fold[pick] = fold_l.reshape(12, nt)
+        del fixed, lo, m  # before the next direction is formed
     if next(f_vals, end) is not end:
         raise ValueError(f"f_vals has more than {nl} samples")
 

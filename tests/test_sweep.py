@@ -25,7 +25,9 @@ from rte2d import (
 )
 from rte2d.mesh import BOUNDARY, omega_dot
 from rte2d.quadrature import triangle_rule
-from rte2d.sweep import _UPWIND_PICK, inverse_3x3, upwind_pattern
+from rte2d.sweep import (
+    _EDGE_COUPLING, _LIVE_COUPLING, _UPWIND_PICK, inverse_3x3, upwind_pattern,
+)
 from helpers import perturbed_mesh, random_solution, unit_direction
 from oracle import NO_UPWIND, classify_edges, scattering_source, sweep_direction, upwind_map
 
@@ -423,6 +425,16 @@ def test_upwind_pick_covers_every_live_edge():
         upwind_pattern(np.array([[True, False, True], [True, True, True]]), direction=4)
 
 
+def test_live_coupling_table_is_the_picked_columns_of_the_edge_coupling():
+    # per pattern, C's 4 live columns per unit weight are the picked edges' columns of the
+    # dense 3x6 block with weight 1 on the pattern's edges and 0 on the others
+    for p in range(8):
+        weights = (p >> np.arange(3)) & 1
+        dense = _EDGE_COUPLING @ weights  # (3, 6): column 2 s + c
+        cols = (2 * _UPWIND_PICK[p][:, None] + [0, 1]).ravel()
+        np.testing.assert_array_equal(_LIVE_COUPLING[:, p].reshape(3, 4), dense[:, cols])
+
+
 @pytest.mark.parametrize("structured", [False, True], ids=["perturbed", "structured-axis"])
 def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     # trapezoid_circle(8) holds the axis-aligned and diagonal directions: on
@@ -520,6 +532,30 @@ def test_run_scattered_allocates_one_plane_set_beyond_its_result():
     assert peak - base - out.nbytes <= 1.1 * plane_set
 
 
+def test_kernel_fill_holds_few_planes_beyond_its_inputs_and_the_kernel():
+    # Beyond its inputs and the kernel's own arrays, the fill holds one direction's work
+    # arrays, about 45 (3, nt) float planes: the moments, a, C's live columns, the scattering
+    # block, the inverse, the fold and their temporaries. A dense 18-row C beside the live
+    # columns would add 6 planes.
+    mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
+    quad = trapezoid_circle(4)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    tables = space_tables(mesh, lambda x, y: 2.0 + x * y)
+    px = tables.points[..., 0]
+    f_vals = [np.cos(px + l) for l in range(nl)]
+    sched, scatter_w = build_schedules(mesh, quad.directions), 0.5 * tables.areaw
+    g = lambda x, y, l: 1.0 + x - y
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kern = build_kernel(tables, sched, mesh.h, f_vals=f_vals, inflow_data=g, scatter_w=scatter_w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(x.nbytes for x in (kern.blocks, kern.b0, kern.fold, kern.nbr, kern.slots))
+    assert (peak - base - own) / (3 * nt * 8) <= 47
+
+
 def test_run_scattered_writes_over_its_input():
     # 12 directions x 800 elements = 9600 pairs: three start chunks of 4096, the last short
     mesh = perturbed_mesh(20, seed=31)
@@ -562,7 +598,7 @@ def test_run_sweeps_a_copy_of_its_rhs():
 
 def test_kernel_fill_frees_the_inline_schedule_and_each_spent_sample():
     # when the fill asks for direction l's sample, direction l - 1's and the
-    # schedule passed inline, whose dot table the fill never reads, are gone;
+    # schedule passed inline, whose inflow mask the fill never reads, are gone;
     # before 3.11 the caller's frame keeps an inline argument until the call returns
     inline_freed = sys.version_info >= (3, 11)
     mesh = perturbed_mesh(4, seed=32)
