@@ -15,7 +15,6 @@ import numpy as np
 class AngularQuadrature:
     directions: np.ndarray  # (L+1, dim) unit vectors
     weights: np.ndarray  # (L+1,) positive
-    dim: int
     angles: Optional[np.ndarray] = None  # (L+1,) polar angles, 2D only
 
     def __post_init__(self):
@@ -29,6 +28,10 @@ class AngularQuadrature:
         tol = 1e-12 if self.dim == 2 else 1e-10
         if abs(w.sum() - full) > tol * full:
             raise ValueError(f"weights sum to {w.sum()!r}, expected {full!r}")
+
+    @property
+    def dim(self):
+        return self.directions.shape[1]
 
     @property
     def n_directions(self):
@@ -48,7 +51,7 @@ def trapezoid_circle(n_dirs: int) -> AngularQuadrature:
     angles = h_theta * np.arange(n_dirs)
     directions = np.column_stack([np.cos(angles), np.sin(angles)])
     weights = np.full(n_dirs, h_theta)
-    return AngularQuadrature(directions, weights, dim=2, angles=angles)
+    return AngularQuadrature(directions, weights, angles=angles)
 
 
 def gauss_legendre_sphere(m: int) -> AngularQuadrature:
@@ -68,7 +71,7 @@ def gauss_legendre_sphere(m: int) -> AngularQuadrature:
         ]
     )
     weights = np.repeat((np.pi / m) * wbar, 2 * m)
-    return AngularQuadrature(directions, weights, dim=3)
+    return AngularQuadrature(directions, weights)
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,6 @@ class PhaseFunction:
     @classmethod
     def linear_anisotropic(cls) -> "PhaseFunction":
         return cls(kind="linear")
-
-    def __call__(self, t):
-        return phase_eval(self, t)
 
 
 def phase_eval(pf: PhaseFunction, t):

@@ -239,6 +239,10 @@ def build_structured_unit_square(n: int) -> TriangleMesh:
     return mesh
 
 
+# red children of (a, b, c) with midpoints (ab, bc, ca), by index into those six points
+_RED_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+
+
 def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     """Split every triangle into four via edge midpoints (red refinement).
 
@@ -251,18 +255,8 @@ def refine_regular(mesh: TriangleMesh) -> TriangleMesh:
     use[mesh.tri_edges.ravel()] = np.arange(t.size)
     mids = 0.5 * (v[t.ravel()[use]] + v[t[:, [1, 2, 0]].ravel()[use]])
     vertices = np.vstack([v, mids])
-
-    a, b, c = t[:, 0], t[:, 1], t[:, 2]
-    mab = nv + mesh.tri_edges[:, 0]
-    mbc = nv + mesh.tri_edges[:, 1]
-    mca = nv + mesh.tri_edges[:, 2]
-    children = np.empty((mesh.n_triangles, 4, 3), dtype=np.int64)
-    children[:, 0] = np.column_stack([a, mab, mca])
-    children[:, 1] = np.column_stack([mab, b, mbc])
-    children[:, 2] = np.column_stack([mca, mbc, c])
-    children[:, 3] = np.column_stack([mab, mbc, mca])
-
-    fine = build_mesh(vertices, children.reshape(-1, 3))
+    corners = np.concatenate([t, nv + mesh.tri_edges], axis=1)  # a, b, c, ab, bc, ca
+    fine = build_mesh(vertices, corners[:, _RED_CHILDREN].reshape(-1, 3))
     if abs(fine.total_area() - mesh.total_area()) > 1e-10 * mesh.total_area():
         raise MeshError("refinement changed the total area")
     return fine

@@ -380,8 +380,12 @@ def build_kernel(
     into the direction's column slice, fold and nbr into the steps of its pairs. A stack
     keeps no schedule: only its directions and layers are read, and its inflow mask is freed
     before the fill if the caller passed the schedule inline (CPython 3.11+ hands such an
-    argument's only reference to the callee)."""
+    argument's only reference to the callee). ValueError if the schedule's element count is
+    not the tables'."""
     one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of
+    if layer_of.shape[-1] != tables.mesh.n_triangles:
+        raise ValueError(f"the schedule orders {layer_of.shape[-1]} elements, but the tables "
+                         f"hold {tables.mesh.n_triangles}")
     kept = schedule if one else None
     del schedule
     if one:

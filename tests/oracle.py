@@ -384,13 +384,11 @@ def error_norms(
                 w_e = elen[m_ib, s] * (-dot[m_ib, s])
                 e4 += wl * float((w_e[:, None] * jump**2 * tw[None, :]).sum())
 
-    eh = math.sqrt(e1 + e2 + e3 + e4)
     return ErrorReport(
         e1=math.sqrt(e1),
         e2=math.sqrt(e2),
         e3=math.sqrt(e3),
         e4=math.sqrt(e4),
-        eh=eh,
         h=mesh.h,
         level=level,
         iterations=iterations,

@@ -8,6 +8,7 @@ from rte2d import (
     ConvergenceTable,
     ErrorReport,
     ManufacturedCase,
+    MethodComparison,
     PhaseFunction,
     SolverConfig,
     build_schedules,
@@ -83,13 +84,15 @@ def test_case_quadrature_counts():
 
 @pytest.mark.parametrize("cid", [1, 2, 3, 4])
 def test_exact_su_matches_dense_quadrature(cid):
+    # the exact scattering integral S u of u = a U is a_s U
     case = make_case(cid)
     rng = np.random.RandomState(cid)
     for _ in range(5):
         x, y = rng.uniform(0.0, 1.0, 2)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         ref = angular_integral(case, case.exact_u, x, y, theta)
-        assert case.exact_su(x, y, theta) == pytest.approx(ref, abs=1e-10)
+        su = case.angular(theta)[1] * case.field(x, y)[0]
+        assert su == pytest.approx(ref, abs=1e-10)
 
 
 @pytest.mark.parametrize("cid", [1, 2, 3, 4])
@@ -260,7 +263,7 @@ def test_exact_grad_matches_central_differences(cid):
     # one point, many angles: the derived callables broadcast theta
     assert case.exact_grad(x[0], y[0], theta).shape == (30, 2)
     assert np.shape(case.exact_u(x[0], y[0], theta)) == (30,)
-    assert np.shape(case.exact_su(x[0], y[0], theta)) == (30,)
+    assert np.shape(case.angular(theta)[1] * case.field(x[0], y[0])[0]) == (30,)
 
 
 def oracle_setting(name):
@@ -369,9 +372,9 @@ def test_edge_walk_takes_each_interior_edge_once(kind):
 
 
 def test_error_report_invariant():
-    r = ErrorReport(e1=3.0, e2=4.0, e3=0.0, e4=0.0, eh=5.0, h=0.1, level=0, iterations=1)
+    r = ErrorReport(e1=3.0, e2=4.0, e3=0.0, e4=0.0, h=0.1, level=0, iterations=1)
     assert r.eh == 5.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ErrorReport(e1=3.0, e2=4.0, e3=0.0, e4=0.0, eh=6.0, h=0.1, level=0, iterations=1)
 
 
@@ -379,9 +382,7 @@ def rows_with_errors(errs):
     rows = []
     for i, e in enumerate(errs):
         rows.append(
-            ErrorReport(
-                e1=e, e2=e, e3=e, e4=e, eh=2.0 * e, h=0.2 / 2**i, level=i, iterations=1
-            )
+            ErrorReport(e1=e, e2=e, e3=e, e4=e, h=0.2 / 2**i, level=i, iterations=1)
         )
     return rows
 
@@ -397,10 +398,27 @@ def test_observed_rates_and_floor():
 
 def test_convergence_table_checks_refinement():
     rows = rows_with_errors([1.0, 0.5])
-    ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=rows, rates={})
+    ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=rows)
     bad = [rows[0], rows_with_errors([1.0, 0.5, 0.25])[2]]
     with pytest.raises(ValueError):
-        ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=bad, rates={})
+        ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=bad)
+
+
+def test_reported_values_are_derived_from_their_rows():
+    sd = ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=rows_with_errors([1.0, 0.5]))
+    dg = ConvergenceTable(case_id=1, method="dodg", n_dirs=8, rows=rows_with_errors([2.0, 0.25]))
+    cmp = MethodComparison(case_id=1, dodsd=sd, dodg=dg)
+    assert sd.rates == observed_rates(sd.rows)
+    assert cmp.eh_ratio == [0.5, 2.0]
+    with pytest.raises(TypeError):
+        ConvergenceTable(case_id=1, method="dodsd", n_dirs=8, rows=sd.rows, rates={})
+    with pytest.raises(TypeError):
+        MethodComparison(case_id=1, dodsd=sd, dodg=dg, eh_ratio=[1.0, 1.0])
+    for obj, name in ((sd.rows[0], "eh"), (sd, "rates"), (cmp, "eh_ratio")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1.0)
+    # one spelling of the scattering integral: angular()[1] * field()[0]
+    assert not hasattr(make_case(1), "exact_su")
 
 
 def test_convergence_study_small():

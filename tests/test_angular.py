@@ -44,6 +44,20 @@ def test_trapezoid_rejects_tiny_counts():
         trapezoid_circle(1)
 
 
+def test_quadrature_dim_is_the_directions_width():
+    assert trapezoid_circle(4).dim == 2
+    assert gauss_legendre_sphere(2).dim == 3
+    q = trapezoid_circle(4)
+    with pytest.raises(TypeError):
+        AngularQuadrature(q.directions, q.weights, dim=3, angles=q.angles)
+    with pytest.raises(AttributeError):
+        q.dim = 3
+
+
+def test_phase_function_is_evaluated_by_phase_eval_only():
+    assert not callable(PhaseFunction.henyey_greenstein(0.5))
+
+
 @pytest.mark.parametrize("bad", ["zero weight", "nan weight", "long direction", "nan direction"])
 def test_quadrature_rejects_bad_weights_and_directions(bad):
     q = trapezoid_circle(4)
@@ -58,7 +72,7 @@ def test_quadrature_rejects_bad_weights_and_directions(bad):
         d[0] = np.nan
     match = "weights must be positive" if "weight" in bad else "unit vectors"
     with pytest.raises(ValueError, match=match):
-        AngularQuadrature(d, w, dim=2, angles=q.angles)
+        AngularQuadrature(d, w, angles=q.angles)
 
 
 def test_sphere_rule_normalization_and_moments():
@@ -78,22 +92,22 @@ def test_sphere_rule_normalization_and_moments():
 def test_hg_point_values():
     hg = PhaseFunction.henyey_greenstein(0.5)
     # forward peak: (1 - eta^2) / (2 pi (1 + eta^2 - 2 eta)) = 3/(2 pi)
-    assert hg(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert phase_eval(hg, 1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
     iso = PhaseFunction.henyey_greenstein(0.0)
-    assert iso(0.3) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert phase_eval(iso, 0.3) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14, abs=0.0)
     hg3 = PhaseFunction.henyey_greenstein(0.5, dim=3)
-    assert hg3(1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert phase_eval(hg3, 1.0) == pytest.approx(3.0 / (2 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_linear_phase_values():
     lin = PhaseFunction.linear_anisotropic()
-    assert lin(1.0) == pytest.approx(1.5 / (2 * math.pi), rel=1e-14, abs=0.0)
-    assert lin(-1.0) == pytest.approx(0.5 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert phase_eval(lin, 1.0) == pytest.approx(1.5 / (2 * math.pi), rel=1e-14, abs=0.0)
+    assert phase_eval(lin, -1.0) == pytest.approx(0.5 / (2 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_phase_eval_clamps_roundoff_but_rejects_garbage():
     hg = PhaseFunction.henyey_greenstein(0.3)
-    assert phase_eval(hg, 1.0 + 5e-13) == pytest.approx(hg(1.0), rel=1e-9)
+    assert phase_eval(hg, 1.0 + 5e-13) == pytest.approx(phase_eval(hg, 1.0), rel=1e-9)
     with pytest.raises(ValueError):
         phase_eval(hg, 1.5)
 
@@ -102,21 +116,21 @@ def test_phase_eval_clamps_roundoff_but_rejects_garbage():
 def test_hg_2d_normalization_oracle(eta):
     # independent check of the 1/(2 pi) constant with adaptive quadrature
     hg = PhaseFunction.henyey_greenstein(eta)
-    val, err = integrate.quad(lambda a: hg(math.cos(a)), 0.0, 2 * math.pi, limit=200)
+    val, err = integrate.quad(lambda a: phase_eval(hg, math.cos(a)), 0.0, 2 * math.pi, limit=200)
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_hg_3d_normalization_oracle():
     hg = PhaseFunction.henyey_greenstein(0.7, dim=3)
     val, err = integrate.quad(
-        lambda t: 2 * math.pi * hg(math.cos(t)) * math.sin(t), 0.0, math.pi, limit=200
+        lambda t: 2 * math.pi * phase_eval(hg, math.cos(t)) * math.sin(t), 0.0, math.pi, limit=200
     )
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
 def test_linear_phase_normalization_oracle():
     lin = PhaseFunction.linear_anisotropic()
-    val, _ = integrate.quad(lambda a: lin(math.cos(a)), 0.0, 2 * math.pi)
+    val, _ = integrate.quad(lambda a: phase_eval(lin, math.cos(a)), 0.0, 2 * math.pi)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 

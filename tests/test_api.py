@@ -3,7 +3,7 @@ across API removals import only names that exist.
 
 `perfbench/*.py` and `tests/test_acceptance.py` are parsed with `ast`; every
 name they import from `rte2d` or one of its modules must resolve there.
-README's Library example is parsed the same way, not run.
+README's Library example is parsed the same way, and then run.
 """
 
 import ast
@@ -69,10 +69,24 @@ def test_all_names_are_documented_or_used_by_a_kept_client():
     assert not extra, f"exported but neither in README nor imported by a kept client: {extra}"
 
 
-def test_readme_library_example_imports_resolve():
+def library_example():
+    """The first python block after README's "## Library" heading."""
     library = README.read_text().split("## Library", 1)[1]
-    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    imports = rte2d_imports(block, "README.md")
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def test_readme_library_example_imports_resolve():
+    imports = rte2d_imports(library_example(), "README.md")
     assert imports, "the Library example imports nothing from rte2d"
     missing = unresolved(imports)
     assert not missing, missing
+
+
+def test_readme_library_example_runs(capsys):
+    exec(compile(library_example(), "README.md", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3, printed
+    iterations, eh = printed[0].split()
+    assert int(iterations) >= 1 and float(eh) > 0
+    assert all(1.4 <= r <= 1.6 for r in ast.literal_eval(printed[1]))  # about 1.5 per halving
+    assert all(0 < r < 1 for r in ast.literal_eval(printed[2]))  # DODSD below DODG

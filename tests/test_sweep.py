@@ -415,6 +415,16 @@ def test_kernel_takes_one_sample_per_direction():
         build_kernel(tables, sched, 0.1, f_vals=[f] * (nl + 1))
 
 
+def test_kernel_rejects_a_schedule_of_another_size():
+    # a 5 x 5 mesh's 50 elements against a 4 x 4 mesh's 32, for a stack and for one direction
+    quad = trapezoid_circle(8)
+    tables = space_tables(build_structured_unit_square(4), const(2.0))
+    big = build_structured_unit_square(5)
+    for sched in (build_schedules(big, quad.directions), build_schedule(big, quad.directions[1])):
+        with pytest.raises(ValueError, match="orders 50 elements, but the tables hold 32"):
+            build_kernel(tables, sched, 0.1)
+
+
 def test_upwind_pick_covers_every_live_edge():
     live = (np.arange(7)[:, None] >> np.arange(3)) & 1 == 1  # the 7 patterns an element can have
     pick = _UPWIND_PICK[upwind_pattern(live)]
