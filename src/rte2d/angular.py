@@ -18,10 +18,12 @@ class AngularQuadrature:
     angles: Optional[np.ndarray] = None  # (L+1,) polar angles, 2D only
 
     def __post_init__(self):
-        w = self.weights
+        d, w = self.directions, self.weights
+        if d.ndim != 2 or d.shape[1] not in (2, 3) or w.shape != d.shape[:1]:
+            raise ValueError(f"directions {d.shape} and weights {w.shape}: not (n, 2 or 3), (n,)")
         if not (w > 0).all():  # NaN fails too
             raise ValueError("quadrature weights must be positive")
-        norms = np.linalg.norm(self.directions, axis=1)
+        norms = np.linalg.norm(d, axis=1)
         if not np.abs(norms - 1.0).max() <= 1e-12:
             raise ValueError("directions must be unit vectors")
         full = 2.0 * np.pi if self.dim == 2 else 4.0 * np.pi

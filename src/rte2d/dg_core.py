@@ -31,9 +31,7 @@ def element_basis(mesh: TriangleMesh) -> np.ndarray:
 
 def quad_points(mesh: TriangleMesh, rule: TriangleRule):
     """Physical coordinates of the rule's points on every triangle: (nt, nq, 2)."""
-    p = mesh.vertices[mesh.triangles].transpose(1, 2, 0)  # (3, 2, nt); an einsum ran 8-12x slower
-    pts = (rule.points @ p.reshape(3, -1)).reshape(-1, *p.shape[1:])
-    return np.ascontiguousarray(pts.transpose(2, 0, 1))
+    return np.stack([mesh.vertices[:, i][mesh.triangles] @ rule.points.T for i in (0, 1)], axis=-1)
 
 
 @dataclass

@@ -12,7 +12,7 @@ runs the loop, one `SweepKernel.run_scattered` over all directions per
 sweep after a first `run()`, the only sweep without scattering, and both
 residual norms in one pass over blocks of directions. The iterate is kept
 as coefficient planes (3, L+1, nt), the layout the sweep kernel works in,
-and transposed once into the (L+1, nt, 3) `DGSolution`; the global forms
+and the (L+1, nt, 3) `DGSolution` is a view of them; the global forms
 and error norms that measure the result live in `analysis`.
 """
 
@@ -162,7 +162,7 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     del tables, pts, ss  # the kernel keeps what it reads of them
     planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
     report = SolveReport(iterations=sweeps, residual_history=history, delta_used=float(delta))
-    return DGSolution(np.ascontiguousarray(np.moveaxis(planes, 0, -1)), mesh, quad), report
+    return DGSolution(np.moveaxis(planes, 0, -1), mesh, quad), report
 
 
 def iterate(kernel, G, weights, area, config: SolverConfig):

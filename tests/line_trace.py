@@ -4,8 +4,8 @@ Traces the package's files with sys.settrace while it runs four sources:
 - every solve of the three benchmark workloads (perfbench/workloads.py) at
   seed 7, with its error norms and checks; the two ladders run levels 0-2;
 - perfbench's replay_solve of each of those solves at level 0 or 1;
-- rte2d.cli.main on the command lines of the CI's console-script step, the
-  config-file and mesh-file runs included;
+- rte2d.cli.main on every run that tests/cli_runs.py lists, checked as
+  it lists them;
 - tests/test_acceptance.py, run in-process by pytest.
 
 Then it prints each statement that never ran, as path:line: first line,
@@ -20,10 +20,8 @@ process from the repo root:
 import ast
 import contextlib
 import io
-import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,47 +73,6 @@ def run_workloads():
         workloads.finest_dodsd_eh(specs, rows)
 
 
-def _turned(v, angle, scale, shift):
-    c, s = math.cos(angle), math.sin(angle)
-    return (v @ [[c, s], [-s, c]]) * scale + shift
-
-
-def run_cli():
-    from helpers import hanging_node_cells, write_mesh_text
-    from rte2d import build_structured_unit_square
-    from rte2d.cli import main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        d = Path(tmp)
-        (d / "bad.cfg").write_text("phase = foo\n")
-        (d / "good.cfg").write_text("n0 = 2\nn-dirs = 4\nlevels = 1\n")
-        (d / "tri.mesh").write_text("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
-        (d / "accent.mesh").write_bytes("3 1\n0 0\n1 0\n0 1\n0 1 2 é\n".encode())
-        (d / "accent.cfg").write_bytes("n0 = 2 # café\n".encode())
-        v, t = hanging_node_cells()
-        write_mesh_text(d / "hanging.mesh", v, t)
-        write_mesh_text(d / "hanging-far.mesh", v * 1e-3 + 1e6, t)
-        write_mesh_text(d / "hanging-turned.mesh", _turned(v, 2.0, 1e-2, 1e5), t)
-        grid = build_structured_unit_square(6)
-        write_mesh_text(d / "grid-turned.mesh",
-                        _turned(grid.vertices, 2.1476, 0.015, 2370.0), grid.triangles)
-        runs = [
-            "compare --case 1 --levels 2 --n0 4 --n-dirs 8 --out {d}/cli",
-            "quad-check --config {d}/bad.cfg --out {d}/cli-bad",
-            "convergence --case 1 --config {d}/good.cfg --out {d}/cli-good",
-            "solve --case 1 --mesh {d}/tri.mesh --n0 7 --out {d}/cli-tri-n0",
-            "solve --case 1 --mesh {d}/tri.mesh --out {d}/cli-tri",
-            "solve --case 1 --mesh {d}/accent.mesh --out {d}/cli-accent",
-            "solve --case 1 --config {d}/accent.cfg --out {d}/cli-accent",
-            *(f"solve --case 1 --n-dirs 4 --mesh {{d}}/{m}.mesh --out {{d}}/cli-{m}"
-              for m in ("hanging", "hanging-far", "hanging-turned", "grid-turned")),
-            *(f"solve --case 1 --n-dirs 8 --dump-schedule {l} --mesh {{d}}/grid-turned.mesh"
-              f" --out {{d}}/cli-dump-{l}" for l in (0, 4)),
-        ]
-        for run in runs:
-            main(run.format(d=d).split())
-
-
 def run_acceptance():
     import pytest
 
@@ -160,9 +117,11 @@ def main():
     trace = LineTrace()
     sys.settrace(trace)
     try:
+        from cli_runs import check_all, in_process  # imports rte2d, whose module lines count
+
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             run_workloads()
-            run_cli()
+            check_all(in_process)
             run_acceptance()
     finally:
         sys.settrace(None)

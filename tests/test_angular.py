@@ -75,6 +75,21 @@ def test_quadrature_rejects_bad_weights_and_directions(bad):
         AngularQuadrature(d, w, angles=q.angles)
 
 
+@pytest.mark.parametrize(
+    "directions, weights",
+    [
+        (np.eye(4), np.full(4, np.pi)),  # unit vectors of a 4-D rule, weights summing to 4 pi
+        (trapezoid_circle(4).directions, np.full(3, 2 * np.pi / 3)),  # one weight short
+        (np.array([1.0, 0.0]), np.array([2 * np.pi])),  # a single direction, not a row of one
+    ],
+    ids=["4-d directions", "3 weights for 4 directions", "1-d directions"],
+)
+def test_quadrature_rejects_shapes_it_cannot_serve(directions, weights):
+    with pytest.raises(ValueError) as exc:
+        AngularQuadrature(directions, weights)
+    assert f"directions {directions.shape} and weights {weights.shape}" in str(exc.value)
+
+
 def test_sphere_rule_normalization_and_moments():
     q = gauss_legendre_sphere(4)
     assert q.n_directions == 32

@@ -13,7 +13,8 @@ from rte2d import (
 from rte2d import analysis, cli
 from rte2d.cli import main
 from rte2d.analysis import compare_methods, convergence_study, make_case
-from helpers import hanging_node_cells, perturbed_mesh, read_table_csv, write_mesh_text
+from cli_runs import RUNS, check, in_process
+from helpers import perturbed_mesh, read_table_csv
 
 
 def run(tmp_path, *argv):
@@ -79,12 +80,7 @@ def test_compare_outputs(tmp_path):
         tmp_path, "compare", "--case", "1",
         "--levels", "2", "--n0", "4", "--n-dirs", "8",
     )
-    assert code == 0
-    for name in (
-        "table_dodsd.csv", "rates_dodsd.csv",
-        "table_dodg.csv", "rates_dodg.csv", "delta_effect.csv",
-    ):
-        assert (tmp_path / name).exists()
+    assert code == 0  # the compare row of tests/cli_runs.py checks that it writes all five CSVs
     lines = (tmp_path / "delta_effect.csv").read_text().splitlines()
     assert lines[0] == "level,h,eh_dodsd,eh_dodg,ratio"
     assert len(lines) == 3
@@ -200,63 +196,10 @@ def test_schedule_dump_is_the_slice_that_solve_sweeps(tmp_path):
     assert dumps[4] != [" ".join(map(str, layer)) for layer in alone.layers]
 
 
-def test_exit_code_mesh_without_triangles(tmp_path, capsys):
-    mesh_file = tmp_path / "empty.mesh"
-    mesh_file.write_text("3 0\n0 0\n1 0\n0 1\n")
-    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
-    assert code == 7
-    assert "error[mesh]: mesh has no triangles" in capsys.readouterr().err
-
-
-def test_exit_code_mesh_token_not_a_number(tmp_path, capsys):
-    mesh_file = tmp_path / "bad.mesh"
-    mesh_file.write_text("3 1\n0 0\n1 0\nzero 1\n0 1 2\n")
-    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
-    assert code == 7
-    err = capsys.readouterr().err
-    assert f"error[mesh]: {mesh_file}: could not convert string to float: 'zero'" in err
-
-
-def test_exit_code_mesh_negative_count(tmp_path, capsys):
-    mesh_file = tmp_path / "bad.mesh"
-    mesh_file.write_text("-1 2\n0 1 2 3\n")
-    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
-    assert code == 7
-    want = f"error[mesh]: {mesh_file}: negative count in the header: -1 vertices, 2 triangles"
-    assert want in capsys.readouterr().err
-
-
-def test_exit_code_mesh_non_ascii_byte(tmp_path, capsys):
-    mesh_file = tmp_path / "bad.mesh"
-    mesh_file.write_bytes("3 1\n0 0\n1 0\n0 1\n0 1 2  # coin supérieur\n".encode("utf-8"))
-    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
-    assert code == 7
-    err = capsys.readouterr().err
-    assert err.startswith(f"error[mesh]: {mesh_file}: 'ascii' codec can't decode byte 0xc3")
-
-
-def test_exit_code_mesh_with_hanging_nodes(tmp_path, capsys):
-    mesh_file = tmp_path / "strips.mesh"
-    write_mesh_text(mesh_file, *hanging_node_cells())
-    code = run(tmp_path, "solve", "--case", "1", "--mesh", str(mesh_file), "--n-dirs", "4")
-    assert code == 7
-    assert "error[mesh]: nonconforming mesh: vertex" in capsys.readouterr().err
-    assert not (tmp_path / "field.csv").exists()
-
-
-def test_exit_code_infinite_tol(tmp_path, capsys):
-    code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--tol", "inf")
-    assert code == 2
-    assert "error[config]: tol must be positive and finite" in capsys.readouterr().err
-
-
-def test_exit_code_nonconvergence(tmp_path, capsys):
-    code = run(
-        tmp_path, "solve", "--case", "1",
-        "--n0", "2", "--n-dirs", "4", "--max-iter", "1",
-    )
-    assert code == 3
-    assert "error[nonconvergence]" in capsys.readouterr().err
+@pytest.mark.parametrize("row", RUNS, ids=[row.name for row in RUNS])
+def test_cli_run(tmp_path, row):
+    problem = check(row, tmp_path, in_process)
+    assert problem is None, problem
 
 
 def test_exit_code_bad_dump_index(tmp_path, capsys, monkeypatch):
@@ -288,12 +231,6 @@ def test_exit_code_negative_level(tmp_path, capsys, monkeypatch, source):
     assert code == 2
     err = capsys.readouterr().err
     assert "error[config]" in err and "level" in err
-
-
-def test_exit_code_nan_eta(tmp_path, capsys):
-    code = run(tmp_path, "solve", "--case", "1", "--n0", "2", "--n-dirs", "4", "--eta", "nan")
-    assert code == 2
-    assert "error[config]: anisotropy factor" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,27 +273,6 @@ def test_config_file_flags_override(tmp_path):
     assert len(rows) == 2  # levels from the file
     assert rows[0][2] == 2 * 4 * 4  # n0 from the file
     assert rows[0][3] == 8  # the explicit flag wins
-
-
-def test_config_file_bad_key(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n0 = 4\nwibble = 3\n")
-    code = main([
-        "convergence", "--case", "1", "--config", str(cfg), "--out", str(tmp_path),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "error[config]" in err
-    assert "wibble" in err
-
-
-def test_config_file_bad_value(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n0 = lots\n")
-    code = main([
-        "convergence", "--case", "1", "--config", str(cfg), "--out", str(tmp_path),
-    ])
-    assert code == 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rte2d import (
 )
 from rte2d.mesh import BOUNDARY
 from rte2d.quadrature import triangle_rule
+from rte2d import solver
 from rte2d.solver import iterate
 from helpers import perturbed_mesh, project_exact, random_solution
 from oracle import assemble_local, scattering_source, sweep_direction
@@ -250,6 +252,26 @@ def test_solve_samples_the_inflow_data_once_per_direction():
 
     solve(isotropic_problem(quad, inflow=inflow), mesh)
     assert sorted(calls) == list(range(quad.n_directions))
+
+
+def test_solve_hands_the_fill_one_sample_of_f_at_a_time(monkeypatch):
+    # when the kernel fill asks for direction l's sample of f, l - 1's is gone: a level-3
+    # solve that held every sample through the fill peaked 7-10 MB higher
+    quad = trapezoid_circle(6)
+    fill, dead = solver.build_kernel, []
+
+    def watched(tables, schedules, delta, f_vals, **kwargs):
+        def samples():
+            for f in f_vals:
+                assert not dead or dead[-1]() is None, f"sample {len(dead) - 1} outlived its direction"
+                dead.append(weakref.ref(f))
+                yield f
+
+        return fill(tables, schedules, delta, f_vals=samples(), **kwargs)
+
+    monkeypatch.setattr(solver, "build_kernel", watched)
+    solve(isotropic_problem(quad, f=lambda x, y, l: np.cos(x + l) * y), perturbed_mesh(4, seed=33))
+    assert len(dead) == quad.n_directions
 
 
 def test_solve_matches_point_source_iteration():
