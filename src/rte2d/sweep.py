@@ -255,12 +255,13 @@ def inverse_3x3(a: np.ndarray, direction=None, out=None) -> np.ndarray:
     """Adjugate inverses of 3x3 blocks stored as planes (3, 3, n), from explicit cofactors,
     in out (3, 3, n) if given; StabilityError on a block that check_nonsingular rejects."""
     adj, t = np.empty_like(a) if out is None else out, np.empty_like(a[0, 0])
-    for i, j in np.ndindex(3, 3):  # adj[j, i] = a[i1, j1] a[i2, j2] - a[i1, j2] a[i2, j1], mod 3
-        (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
-        np.multiply(a[i1, j1], a[i2, j2], out=adj[j, i])
-        adj[j, i] -= np.multiply(a[i1, j2], a[i2, j1], out=t)
-    det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[1, 0] + a[0, 2] * adj[2, 0]
-    check_nonsingular(a, det, direction=direction)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN det fails the check
+        for i, j in np.ndindex(3, 3):  # adj[j, i] = a[i1, j1] a[i2, j2] - a[i1, j2] a[i2, j1]
+            (i1, i2), (j1, j2) = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+            np.multiply(a[i1, j1], a[i2, j2], out=adj[j, i])
+            adj[j, i] -= np.multiply(a[i1, j2], a[i2, j1], out=t)
+        det = a[0, 0] * adj[0, 0] + a[0, 1] * adj[1, 0] + a[0, 2] * adj[2, 0]
+        check_nonsingular(a, det, direction=direction)
     adj /= det
     return adj
 

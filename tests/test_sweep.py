@@ -774,3 +774,11 @@ def test_inverse_3x3_rejects_singular_block():
         inverse_3x3(a.transpose(1, 2, 0), direction=7)
     assert exc.value.element == 2
     assert exc.value.direction == 7
+
+
+def test_inverse_3x3_rejects_an_overflowing_block():
+    # I + J is regular, but at 1e160 its cofactors overflow: the NaN det fails, with no warning
+    a = np.repeat(1e160 * (np.eye(3) + 1.0)[..., None], 2, axis=2)
+    with pytest.raises(StabilityError) as exc:
+        inverse_3x3(a)
+    assert exc.value.element == 0
