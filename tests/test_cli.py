@@ -50,6 +50,15 @@ def test_config_file_error_names_the_file_once(runs, row):
     assert done[row].proc.stderr.count(str(d)) == 1
 
 
+@pytest.mark.parametrize("row", ["config-phase-foo", "mesh-and-n0"], ids=["config phase foo", "mesh and n0"])
+def test_setting_the_subcommand_does_not_take_is_a_config_error(runs, row):
+    d, done = runs
+    proc = done[row].proc
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[config]: ") and "usage" not in proc.stderr
+    assert not (d / row).exists()  # nothing ran, no CSV written
+
+
 def test_quad_check_isotropic(runs):
     d, done = runs
     out = done["quad-check-hg"].proc.stdout
