@@ -122,8 +122,9 @@ def make_case(case_id: int, eta: float = None) -> ManufacturedCase:
         c = sig_a / (sig_a + 6.0 * sigma_s)
 
         def field(x, y):
-            u = np.exp(-a * x - b * y)
-            return u, np.stack(np.broadcast_arrays(-a * u, -b * u), axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):  # far off: the sampler rejects inf
+                u = np.exp(-a * x - b * y)
+                return u, np.stack(np.broadcast_arrays(-a * u, -b * u), axis=-1)
 
         def angular(theta):
             return 1.0 + c * np.cos(theta), 1.0 + 0.25 * c * np.cos(theta)
@@ -133,8 +134,9 @@ def make_case(case_id: int, eta: float = None) -> ManufacturedCase:
     def exact_f(x, y, theta):
         u, grad = field(x, y)
         a_u, a_s = angular(theta)
-        adv = np.cos(theta) * grad[..., 0] + np.sin(theta) * grad[..., 1]
-        return a_u * (adv + sigma_t * u) - sigma_s * a_s * u
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf field gives nan, rejected
+            adv = np.cos(theta) * grad[..., 0] + np.sin(theta) * grad[..., 1]
+            return a_u * (adv + sigma_t * u) - sigma_s * a_s * u
 
     return ManufacturedCase(
         id=case_id,
@@ -379,21 +381,31 @@ def convergence_study(
     The initial mesh is the structured n0 x n0 split of the unit square
     unless mesh0 is given; each level halves h by midpoint refinement.
     """
+    config = SolverConfig() if config is None else config
+    return _ladder_tables(case, levels, (config,), n0, n_dirs, mesh0)[0]
+
+
+def _ladder_tables(case, levels, configs, n0, n_dirs, mesh0) -> list:
+    """One ConvergenceTable per config, from one mesh ladder walked level by level: at each
+    level every config solves on the same mesh object, in order, so a later solve reuses
+    the mesh's stored schedule, and only one level's mesh and solution are alive at a time."""
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    if config is None:
-        config = SolverConfig()
     quad = case_quadrature(case, n_dirs)
     problem = case_problem(case, quad)
     mesh = build_structured_unit_square(n0) if mesh0 is None else mesh0
-    rows = []
+    rows = [[] for _ in configs]
     for level in range(levels):
         if level > 0:
             mesh = refine_regular(mesh)
-        sol, report = solve(problem, mesh, config)
-        rows.append(error_norms(sol, case, mesh, quad, level=level, iterations=report.iterations))
-    return ConvergenceTable(case_id=case.id, method=config.method, n_dirs=quad.n_directions,
-                            rows=rows)
+        for config, config_rows in zip(configs, rows):
+            sol, report = solve(problem, mesh, config)
+            config_rows.append(
+                error_norms(sol, case, mesh, quad, level=level, iterations=report.iterations)
+            )
+            del sol
+    return [ConvergenceTable(case_id=case.id, method=c.method, n_dirs=quad.n_directions, rows=r)
+            for c, r in zip(configs, rows)]
 
 
 @dataclass
@@ -419,12 +431,10 @@ def compare_methods(
     """Run the stabilized and plain methods on identical meshes/quadratures.
 
     Both studies take config's c_bar, tol and max_iter; its method is set to
-    dodsd, then dodg."""
+    dodsd, then dodg. They walk one mesh ladder: each level solves DODSD, then
+    DODG, on the same mesh."""
     config = SolverConfig() if config is None else config
-    sd, dg = [
-        convergence_study(
-            case, levels, replace(config, method=m), n0=n0, n_dirs=n_dirs, mesh0=mesh0
-        )
-        for m in ("dodsd", "dodg")
-    ]
+    sd, dg = _ladder_tables(
+        case, levels, [replace(config, method=m) for m in ("dodsd", "dodg")], n0, n_dirs, mesh0
+    )
     return MethodComparison(case_id=case.id, dodsd=sd, dodg=dg)

@@ -10,9 +10,11 @@ both sides: the neighbour's normal is this one negated, exactly.
 `build_mesh` alone numbers the edges; the numbering serves refinement.
 
 Meshes are immutable after construction (arrays are write-protected).
+A mesh also holds the sweep schedules that `solve` peeled on it, which
+depend only on the mesh and the directions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,9 @@ class TriangleMesh:
     tri_area: np.ndarray  # (nt,)
     tri_h: np.ndarray  # (nt,) longest edge per triangle
     h: float
+    # solve's SweepSchedule of each direction set, keyed by the directions' bytes: only their
+    # directions and narrow layers, no inflow mask; it lives exactly as long as the mesh
+    _schedules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self):

@@ -26,7 +26,7 @@ from .angular import AngularQuadrature, PhaseFunction, m_bound, scatter_matrix
 from .dg_core import DGSolution
 from .errors import AssumptionError, NonConvergenceError, sample
 from .mesh import TriangleMesh
-from .sweep import build_kernel, build_schedules, space_tables
+from .sweep import SweepSchedule, build_kernel, build_schedules, space_tables
 
 
 @dataclass
@@ -123,7 +123,10 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     sampled coefficients violate sigma_s >= 0, sigma_t - sigma_s > 0 or,
     with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
     > 0, m being the row-sum bound of the scatter matrix, and before the
-    iteration when a sample of the inflow data is not finite.
+    iteration when a sample of the inflow data is not finite. The sweep
+    schedule depends only on the mesh and the directions, so the mesh keeps
+    it, without the inflow mask that the fill never reads: a later solve on
+    the same mesh and directions skips the peel.
     """
     if config is None:
         config = SolverConfig()
@@ -153,9 +156,9 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
             )
 
     delta = delta_value(config, mesh)
-    # inline and one by one: the fill frees the schedule's inflow mask, then each spent sample
+    # the samples one by one: the fill frees each spent one
     kernel = build_kernel(
-        tables, build_schedules(mesh, quad.directions), delta,
+        tables, _stored_schedule(mesh, quad.directions), delta,
         f_vals=(f_vals.pop(0) for _ in range(nl)),
         inflow_data=problem.inflow, scatter_w=tables.areaw * ss if scattering else None,
     )
@@ -163,6 +166,21 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     planes, history, sweeps = iterate(kernel, G, quad.weights, mesh.tri_area, config)
     report = SolveReport(iterations=sweeps, residual_history=history, delta_used=float(delta))
     return DGSolution(np.moveaxis(planes, 0, -1), mesh, quad), report
+
+
+def _stored_schedule(mesh: TriangleMesh, directions) -> SweepSchedule:
+    """mesh's stored schedule of the directions (nl, 2), peeled by build_schedules on first
+    use: a read-only copy of the directions and their narrow layers, with inflow None, as
+    the fill reads no more. Keyed by the directions' bytes, so each direction set solved on
+    a mesh has its own entry, freed with the mesh."""
+    omega = np.array(directions, dtype=float)  # a copy: an entry keeps the directions of its key
+    key = omega.tobytes()
+    sched = mesh._schedules.get(key)
+    if sched is None:
+        omega.flags.writeable = False
+        layer_of = build_schedules(mesh, omega).layer_of
+        sched = mesh._schedules[key] = SweepSchedule(omega, layer_of, None)
+    return sched
 
 
 def iterate(kernel, G, weights, area, config: SolverConfig):

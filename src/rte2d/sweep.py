@@ -36,12 +36,14 @@ class SweepSchedule:
     -EPS_N with n = mesh.tri_normal[k, s], outward from k; the upwind
     neighbour across an inflow edge is mesh.tri_neighbors there. One
     direction's schedule has no leading direction axis. The layer count
-    and the layers are derived from layer_of.
+    and the layers are derived from layer_of, which build_schedules
+    returns in the narrowest integer type that holds them. A schedule
+    that solve stores on a mesh keeps no inflow mask: its inflow is None.
     """
 
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     layer_of: np.ndarray  # (nl, nt), or (nt,)
-    inflow: np.ndarray  # bool (nl, nt, 3), or (nt, 3)
+    inflow: np.ndarray  # bool (nl, nt, 3), or (nt, 3); None in a mesh's stored schedule
 
     @property
     def n_layers(self) -> int:
@@ -59,7 +61,7 @@ def _sweep_order(layer_of):
     """The pair ids (n,) in (layer, pair) order and the layer bounds, a tuple of n_layers + 1."""
     flat = layer_of.reshape(-1)
     # stable radix sort on the narrowest integer type that holds the layers
-    order = np.argsort(flat.astype(np.min_scalar_type(flat.max())), kind="stable")
+    order = np.argsort(flat.astype(np.min_scalar_type(flat.max()), copy=False), kind="stable")
     return order, (0, *np.cumsum(np.bincount(flat)).tolist())
 
 
@@ -124,7 +126,7 @@ def build_schedules(mesh: TriangleMesh, directions) -> SweepSchedule:
             f"{om[l, 1]:.6g}), has a cycle touching {ks.size} elements",
             elements=tuple(int(k) for k in ks[:20]),
         )
-    layer_of = np.empty((nl, nt), dtype=np.int64)
+    layer_of = np.empty((nl, nt), dtype=np.min_scalar_type(steps - 1))  # the narrowest that holds them
     layer_of[peel] = layer.reshape(-1, nt)
     for l in np.flatnonzero(mirror >= 0):  # the reverse topological order of the partner's peel
         layer_of[l] = layer_of[mirror[l]].max() - layer_of[mirror[l]]
@@ -165,7 +167,10 @@ def space_tables(mesh: TriangleMesh, sigma_t, basis: np.ndarray = None) -> Space
 
 
 def _volume_rhs(qw, bary, delta, d):  # planes (..., 3, nt) of qw (..., nq, nt) and d (..., 3, nt)
-    return bary.T @ qw + (delta * qw.sum(axis=-2))[..., None, :] * d
+    rhs = bary.T @ qw
+    if delta:  # the streamline term, exactly zero at delta = 0
+        rhs += (delta * qw.sum(axis=-2))[..., None, :] * d
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -321,7 +326,8 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
     4 live columns (3, 4, nt) and the index (4, nt) of each one's upwind coefficient in a
     field's rows (3, nt) (3 nt, a zero slot after them, for none), and S + delta d s^T or
     None; C, and a and S + delta d s^T (the halves of one (6, 3, nt) array), are buffers
-    that the next direction refills."""
+    that the next direction refills. At delta = 0 the delta terms are skipped, as they are
+    exactly zero, and S itself is yielded."""
     bary = tables.rule.points
     # element moments as planes: phi_i phi_j (3, 3, nq) and phi_i (3, nq) against weights (nq, nt)
     pp = bary.T[:, None, :] * bary.T[None, :, :]
@@ -331,7 +337,8 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
     ab, coupling, t = np.empty((6, 3, nt)), np.empty((12, nt)), np.empty((3, nt))
     a, scat = ab[:3], None
     if scatter_w is not None:
-        s_vec, s_mat, scat = bary.T @ scatter_w.T, pp @ scatter_w.T, ab[3:]
+        s_vec, s_mat = bary.T @ scatter_w.T, pp @ scatter_w.T
+        scat = ab[3:] if delta else s_mat
     # the gradients and the edge data as planes (3, nt); vectors as (3, nt, 2) views of them
     grad, normal = (np.moveaxis(v.T.copy(), 0, -1) for v in (tables.grad, mesh.tri_normal))
     neg_len, interior = -mesh.tri_edge_length.T.copy(), mesh.tri_neighbors.T.copy() != BOUNDARY
@@ -339,13 +346,15 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
     pick_off, elem = _UPWIND_PICK.T * nt, np.arange(nt)
     for l, om in enumerate(omega):
         dl, dot = omega_dot(grad, om), omega_dot(normal, om)
-        ddl, inflow = delta * dl, dot < -EPS_N
+        inflow = dot < -EPS_N
         edge_w = np.where(inflow, np.multiply(neg_len, dot, out=dot), 0.0)
         # in place, as m_sig + s1 d^T and S + delta d s^T: a sum has the same bits either way
         np.add(np.multiply(s1[:, None], dl, out=a), m_sig, out=a)
-        np.add(np.multiply(w_sum, dl, out=t), s_sig, out=t)
-        for i in range(3):  # dot is spent: it holds a row of delta d (W d + s_sigma)^T
-            a[i] += np.multiply(ddl[i], t, out=dot)
+        if delta:
+            ddl = delta * dl
+            np.add(np.multiply(w_sum, dl, out=t), s_sig, out=t)
+            for i in range(3):  # dot is spent: it holds a row of delta d (W d + s_sigma)^T
+                a[i] += np.multiply(ddl[i], t, out=dot)
         # edge masses: 1/3 |e| |omega . n| on the diagonal by BLAS (its fused sums), 1/6 off it
         a.reshape(9, nt)[::4] += np.matmul(_EDGE_DIAG, edge_w, out=t)
         for s, e in enumerate(np.multiply(edge_w, EDGE_MASS_2[0, 1], out=t)):
@@ -359,7 +368,7 @@ def _local_forms(tables: SpaceTables, omega, delta, scatter_w):
         coupling.reshape(3, 2, 2, nt)[...] *= edge_w.take(pick)[:, None]
         up = across.take(pick[:, None] + [[0], [3 * nt]])  # [j, c]
         np.copyto(up, 3 * nt, where=~live.take(pick)[:, None])
-        if scat is not None:
+        if scat is not None and delta:
             np.add(np.multiply(ddl[:, None], s_vec, out=scat), s_mat, out=scat)
         yield dl, inflow, edge_w, a, coupling.reshape(3, 4, nt), up.reshape(4, nt), scat
 
@@ -379,9 +388,10 @@ def build_kernel(
     _local_forms) the blocks hold the scattering moments, for run_scattered. It folds each
     inverted local matrix into C's live columns and the scattering moments: blocks and b0
     into the direction's column slice, fold and nbr into the steps of its pairs. A stack
-    keeps no schedule: only its directions and layers are read, and its inflow mask is freed
-    before the fill if the caller passed the schedule inline (CPython 3.11+ hands such an
-    argument's only reference to the callee). ValueError if the schedule's element count is
+    keeps no schedule: only its directions and layers are read, so its inflow mask may be
+    None, and the mask of a schedule passed inline is freed before the fill (CPython 3.11+
+    hands such an argument's only reference to the callee). At delta = 0 the fill skips the
+    delta terms, which are then exactly zero. ValueError if the schedule's element count is
     not the tables'."""
     one, omega, layer_of = schedule.omega.ndim == 1, schedule.omega, schedule.layer_of
     if layer_of.shape[-1] != tables.mesh.n_triangles:

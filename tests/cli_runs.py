@@ -41,6 +41,7 @@ INPUTS = {
     "mesh-n0.cfg": "mesh = {d}/m2.mesh\nn0 = 10\n",
     "nowhere.cfg": None,
     "tri.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 2\n",
+    "far.mesh": "3 1\n-1000 -1000\n-999 -1000\n-1000 -999\n0 1 2\n",
     "accent.mesh": "3 1\n0 0\n1 0\n0 1\n0 1 2  # coin supérieur\n",
     "empty.mesh": "3 0\n0 0\n1 0\n0 1\n",
     "zero.mesh": "3 1\n0 0\n1 0\nzero 1\n0 1 2\n",
@@ -117,6 +118,9 @@ RUNS = [
     Run("nonconvergence", f"{SOLVE4} --n0 2 --max-iter 1", 3, "error[nonconvergence]: "),
     Run("c-bar-overflow", f"{SOLVE4} --n0 2 --c-bar 1e300", 4,
         "error[stability]: near-singular local system at element 0, direction 0 (|det| nan"),
+    # case 4's exp(-a x - b y) overflows this far off: the sampler's error, and no warning
+    Run("far-mesh", "solve --case 4 --n-dirs 4 --mesh {d}/far.mesh", 6,
+        "error[assumption]: f (direction 0) has 6 non-finite samples, the first at "),
     Run("mesh-and-n0", f"{SOLVE} --mesh {{d}}/tri.mesh --n0 7", 2, CONFIG + EXCLUSIVE),
     Run("config-mesh-and-n0", f"{SOLVE4} --config {{d}}/mesh-n0.cfg", 2,
         CONFIG + "{d}/mesh-n0.cfg: " + EXCLUSIVE),

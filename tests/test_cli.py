@@ -177,14 +177,15 @@ def test_solve_runs_on_numpy_alone(tmp_path):
 
 
 def test_compare_hands_its_settings_to_both_studies(tmp_path, monkeypatch):
+    # both studies walk one ladder: each level solves with the DODSD, then the DODG config
     seen = []
-    study = analysis.convergence_study
+    solve = analysis.solve
 
-    def recording(case, levels, config=None, **kwargs):
+    def recording(problem, mesh, config=None):
         seen.append(config)
-        return study(case, levels, config, **kwargs)
+        return solve(problem, mesh, config)
 
-    monkeypatch.setattr(analysis, "convergence_study", recording)
+    monkeypatch.setattr(analysis, "solve", recording)
     assert run(tmp_path, "compare", "--case", "1", "--levels", "1", "--n0", "2", "--n-dirs", "4",
                "--c-bar", "0.5", "--tol", "1e-9", "--max-iter", "50") == 0
     assert seen == [SolverConfig("dodsd", 0.5, 1e-9, 50), SolverConfig("dodg", 0.5, 1e-9, 50)]

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import re
 import tracemalloc
 import weakref
@@ -508,10 +510,65 @@ def test_solve_rejects_non_finite_samples_before_set_up(monkeypatch, name, field
 
     # the kernel build samples the inflow data: it is rejected there, before the iteration
     stages = ["iterate"] if field == "inflow" else ["build_schedules", "build_kernel"]
+    # the patched stages are those that solve calls: on finite data on a fresh mesh, each runs
+    with count_calls(monkeypatch, *stages) as calls:
+        solve(isotropic_problem(quad), build_structured_unit_square(4))
+    assert calls == {stage: 1 for stage in stages}
     for stage in stages:
         monkeypatch.setattr(f"rte2d.solver.{stage}", no_set_up)
     with pytest.raises(AssumptionError, match=rf"^{re.escape(name)} has \d+ non-finite"):
         solve(problem, mesh)
+
+
+@contextlib.contextmanager
+def count_calls(monkeypatch, *stages):
+    """{stage: calls} of the named functions of rte2d.solver while the block runs."""
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(stage, real):
+        def counted(*args, **kwargs):
+            calls[stage] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    with monkeypatch.context() as m:
+        for stage in stages:
+            m.setattr(solver, stage, counting(stage, getattr(solver, stage)))
+        yield calls
+
+
+def test_solves_on_one_mesh_share_its_schedule(monkeypatch):
+    # a second solve on the mesh and directions peels nothing and keeps the bits of a solve
+    # on a fresh mesh; another direction set gets its own entry
+    mesh = perturbed_mesh(5, seed=33)
+    quad = trapezoid_circle(8)
+    problem = isotropic_problem(quad, inflow=lambda x, y, l: 1.0 + 0.1 * l * x)
+    dodg = SolverConfig(method="dodg")
+    with count_calls(monkeypatch, "build_schedules") as calls:
+        solve(problem, mesh)
+        assert calls == {"build_schedules": 1}
+        sol, _ = solve(problem, mesh, dodg)
+        assert calls == {"build_schedules": 1}
+        solve(isotropic_problem(trapezoid_circle(6)), mesh)
+        assert calls == {"build_schedules": 2} and len(mesh._schedules) == 2
+    fresh = build_mesh(mesh.vertices, mesh.triangles)
+    want, _ = solve(problem, fresh, dodg)
+    np.testing.assert_array_equal(sol.coeffs, want.coeffs)
+    # the stored schedule keeps the directions and the layers, and no inflow mask
+    stored = solver._stored_schedule(mesh, quad.directions)
+    peeled = build_schedules(mesh, quad.directions)
+    np.testing.assert_array_equal(stored.omega, peeled.omega)
+    np.testing.assert_array_equal(stored.layer_of, peeled.layer_of)
+    assert stored.inflow is None and not stored.omega.flags.writeable
+
+
+def test_a_meshs_stored_schedules_die_with_it():
+    mesh, quad = perturbed_mesh(4, seed=34), trapezoid_circle(4)
+    sol, _ = solve(isotropic_problem(quad), mesh)
+    dead = weakref.ref(solver._stored_schedule(mesh, quad.directions).layer_of)
+    del mesh, sol
+    gc.collect()
+    assert dead() is None
 
 
 def test_solve_ignores_non_finite_inflow_data_on_outflow_edges():

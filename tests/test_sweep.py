@@ -28,7 +28,7 @@ from rte2d.quadrature import triangle_rule
 from rte2d.sweep import (
     _EDGE_COUPLING, _LIVE_COUPLING, _UPWIND_PICK, inverse_3x3, upwind_pattern,
 )
-from helpers import perturbed_mesh, random_solution, unit_direction
+from helpers import grid_cells, perturbed_mesh, random_solution, unit_direction
 from oracle import NO_UPWIND, classify_edges, scattering_source, sweep_direction, upwind_map
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -729,6 +729,26 @@ def test_stacked_sweep_steps_are_global_layers():
     one = build_kernel(space_tables(mesh, const(1.0)), scheds[0], 0.1)
     assert len(one.steps) == one.schedule.n_layers == scheds[0].n_layers
     assert kern.schedule is None
+
+
+def test_layers_come_in_the_narrowest_type_and_order_as_int64_layers():
+    # a strip of 130 squares: +x and its mirror -x take 260 layers, more than uint8 holds
+    mesh = build_mesh(*grid_cells(0.0, 13.0, 130, 1))
+    quad = trapezoid_circle(4)
+    stack = build_schedules(mesh, quad.directions)
+    assert stack.n_layers >= 256 and stack.layer_of.dtype == np.min_scalar_type(stack.n_layers - 1)
+    np.testing.assert_array_equal(stack.layer_of[2], mirrored_layers(mesh, quad, 2))
+    wide = dataclasses.replace(stack, layer_of=stack.layer_of.astype(np.int64))
+    assert stack.n_layers == wide.n_layers
+    for got, want in zip(stack.layers, wide.layers, strict=True):
+        np.testing.assert_array_equal(got, want)
+    tables = space_tables(mesh, const(2.0))
+    kern, want = (build_kernel(tables, s, 0.1, scatter_w=0.5 * tables.areaw) for s in (stack, wide))
+    np.testing.assert_array_equal(kern.slots, want.slots)
+    for (span, fold, nbr), (w_span, w_fold, w_nbr) in zip(kern.steps, want.steps, strict=True):
+        assert span == w_span
+        np.testing.assert_array_equal(fold, w_fold)
+        np.testing.assert_array_equal(nbr, w_nbr)
 
 
 def test_every_step_reads_and_writes_contiguous_blocks():
