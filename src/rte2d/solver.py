@@ -87,25 +87,30 @@ def weighted_norm(coeffs, quad_weights, tri_area) -> float:
     return float(np.sqrt(quad_weights @ _norms_sq(np.moveaxis(coeffs, -1, 0), tri_area / 12)[0]))
 
 
-def _norms_sq(new, a12, old=None):
+def _norms_sq(new, a12, old=None, scratch=None):
     """Per direction sum_K ||v^l||^2_{0,K} (2, nl) of the planes new (3, nl, nt) and of new -
     old, or again of new if old is None, in one pass over blocks of directions sized for a
     core's L2 cache: ~2^15 pairs in 4k directions. BLAS sums q @ a12 4 rows at a time, so
-    each sum keeps the bits of one product over all directions."""
+    each sum keeps the bits of one product over all directions. new - old is formed in old,
+    and a flat float64 scratch of at least 2 nl nt entries, if given, holds the mass form's
+    block temporaries."""
     nl, nt = new.shape[1:]
     block, sq = min(nl, 4 * max(1, 2**13 // nt)), np.empty((2, nl))
-    for d in (slice(b, b + block) for b in range(0, nl, block)):
-        sq[:, d] = _mass_form(new[:, d]) @ a12
+    for b in range(0, nl, block):
+        d = slice(b, min(b + block, nl))
+        qt = () if scratch is None else scratch[: 2 * nt * (d.stop - b)].reshape(2, -1, nt)
+        sq[:, d] = _mass_form(new[:, d], *qt) @ a12
         if old is not None:
-            sq[1, d] = _mass_form(new[:, d] - old[:, d]) @ a12
+            sq[1, d] = _mass_form(np.subtract(new[:, d], old[:, d], out=old[:, d]), *qt) @ a12
     return sq
 
 
-def _mass_form(planes):
+def _mass_form(planes, q=None, t=None):
     """c^T M c / (area/12) = ((c0^2 + c1^2) + c2^2) + s^2, s = sum c_i, of each pair of
-    the planes (3, ...), M = (area/12)(I + ones) the P1 mass matrix; formed in place."""
+    the planes (3, ...), M = (area/12)(I + ones) the P1 mass matrix; formed in place, in q
+    and t if given."""
     c0, c1, c2 = planes
-    q, t = c0 * c0, c1 * c1
+    q, t = np.multiply(c0, c0, out=q), np.multiply(c1, c1, out=t)
     q += t
     q += np.multiply(c2, c2, out=t)
     s = np.add(c0, c1, out=t)
@@ -189,10 +194,12 @@ def iterate(kernel, G, weights, area, config: SolverConfig):
     The iterate is kept as coefficient planes (3, nl, nt); the first sweep is kernel.run(),
     with no G @ 0, and with G None (no scattering) the only one. Each later sweep forms
     G @ u in a spare plane set that run_scattered overwrites with the new planes, then swaps
-    it with u: the loop holds u, the spare set and the sweep's buffer. Each later relative
-    update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the first sweep)
-    is recorded unless it is 0, an exact fixed point, and the loop stops once r <= config.tol.
-    Both norms come from one weighted_norm pass. Returns (planes, residual history, sweeps);
+    it with u: the loop holds u, the spare set and the kernel's sweep buffer. Each later
+    relative update r = ||u_j - u_{j-1}||_w / ||u_j||_w (0 for 0/0, inf for x/0, 1 at the
+    first sweep) is recorded unless it is 0, an exact fixed point, and the loop stops once r
+    <= config.tol. Both norms come from one weighted_norm pass, which forms u_j - u_{j-1} in
+    u_{j-1}, dead after it, and borrows the sweep buffer, dead between sweeps, as its block
+    scratch. Returns (planes, residual history, sweeps);
     NonConvergenceError with the history at config.max_iter sweeps or at a non-finite iterate.
     """
     a12, u, spare, history = area / 12, None, None, []
@@ -200,7 +207,7 @@ def iterate(kernel, G, weights, area, config: SolverConfig):
         gu = None if u is None else np.matmul(G, u, out=spare)
         new = np.moveaxis(kernel.run(), -1, 0) if gu is None else kernel.run_scattered(gu)
         # per direction ||u_j||^2 and ||u_j - u_{j-1}||^2, equal for u_0 = 0
-        den, num = (float(np.sqrt(weights @ s)) for s in _norms_sq(new, a12, u))
+        den, num = (float(np.sqrt(weights @ s)) for s in _norms_sq(new, a12, u, kernel.buf))
         u, spare = new, u
         if not (np.isfinite(num) and np.isfinite(den)):
             history.append(float("nan"))

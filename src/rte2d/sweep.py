@@ -180,14 +180,18 @@ class SweepKernel:
     The sweep visits the (direction, element) pairs in (layer, direction,
     element) order; layer i of every direction is step i. blocks and b0 are
     planes in direction order (pair l * nt + k). A sweep scatters b0 +
-    blocks @ x through slots into a (3n + 1,) coefficient buffer whose last
-    slot stays zero, and a step adds fold times the upwind coefficients that
-    nbr gathers (the zero slot for none), all in contiguous per-step blocks.
-    blocks are the inverted local matrices, for run(rhs), or, built with
-    scatter_w, those times the scattering moments, for run_scattered(G @ u).
-    d = omega . grad phi is derived on demand. One direction's kernel is a
-    stack of one without the leading direction axis on omega, on the input
-    and on the output; it keeps its schedule, and a stack keeps none."""
+    blocks @ x through slots into the kernel's (3n + 1,) coefficient buffer,
+    whose last slot it sets to zero, and a step adds fold times the upwind
+    coefficients that nbr gathers (the zero slot for none), all in
+    contiguous per-step blocks that steps holds as views, made once per
+    kernel. blocks are the inverted local matrices, for run(rhs), or, built
+    with scatter_w, those times the scattering moments, for
+    run_scattered(G @ u). d = omega . grad phi is derived on demand. One
+    direction's kernel is a stack of one without the leading direction axis
+    on omega, on the input and on the output; it keeps its schedule, and a
+    stack keeps none. A kernel runs one sweep at a time: the buffer and the
+    step scratch are its own, so one kernel must not sweep in two threads.
+    Between sweeps the buffer is dead, and iterate borrows it as scratch."""
 
     schedule: SweepSchedule  # of a one-direction kernel; None for a stack
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
@@ -195,12 +199,13 @@ class SweepKernel:
     delta: float
     bary: np.ndarray  # (nq, 3)
     slots: np.ndarray  # (2, n) int64 buffer offsets of coefficients 0, 1 (2: 2 slots[1] - slots[0])
-    steps: tuple  # (buffer slice (3, m), fold block (4, 3, m), nbr block (4, m)) of each step
+    steps: tuple  # views (buf (3, m), fold (4, 3, m), nbr (4, m), scratch (4, m), (3, m)) per step
     scattering: bool  # built with scatter_w: blocks hold the scattering moments
     blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], direction order
     b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), direction order
     fold: np.ndarray  # (12n,) inverted local matrix @ coupling to 2 upwind coefficients per edge
     nbr: np.ndarray  # (4n,) int32 buffer offsets of those coefficients
+    buf: np.ndarray  # (3n + 1,) step-blocked coefficients of a sweep; its last slot is zero
 
     def volume_rhs(self, qw: np.ndarray) -> np.ndarray:
         """RHS (nl, nt, 3) of a volume source given area-weighted point values (nl, nt, nq)."""
@@ -231,7 +236,7 @@ class SweepKernel:
         """Coefficient planes (3, [nl,] nt) of the sweep from b0 + blocks @ x: from b0 in a new
         array if x is None, else written over x, C-contiguous float64 planes of that shape
         (so that its reshape is no copy); each chunk of x is read before it is written."""
-        n, b0 = self.b0.shape[1], self.b0
+        n, b0, buf = self.b0.shape[1], self.b0, self.buf
         if x is None:
             c = b0.copy()
         else:
@@ -239,18 +244,16 @@ class SweepKernel:
             for lo in range(0, n, 4096):  # a chunk's product stays in a core's L2 cache
                 k = slice(lo, lo + 4096)
                 np.add(_einsum("ijk,jk->ik", blocks[:, :, k], c[:, k]), b0[:, k], out=c[:, k])
-        buf = np.empty(3 * n + 1)  # each slot but the zero last one takes a coefficient
-        buf[-1] = 0.0
+        buf[-1] = 0.0  # each slot but this one takes a coefficient
         s0, s1 = self.slots
         buf[s0], buf[s1] = c[0], c[1]
         # row 0 is in the buffer now, so its memory holds row 2's offsets until the end
         s2 = np.multiply(s1, 2, out=c[0].view(np.int64))
         s2 -= s0
         buf[s2] = c[2]
-        for span, fold, nbr in self.steps:
-            step = buf[span].reshape(3, -1)
-            step += _einsum("jik,jk->ik", fold, buf.take(nbr))
         # an in-range index is never clipped; mode="raise" would buffer out= first
+        for step, fold, nbr, g, t in self.steps:
+            step += _einsum("jik,jk->ik", fold, buf.take(nbr, out=g, mode="clip"), out=t)
         for row, off in ((2, s2), (0, s0), (1, s1)):
             buf.take(off, out=c[row], mode="clip")
         return c.reshape((3, *self.omega.shape[:-1], self.grad.shape[0]))
@@ -458,14 +461,20 @@ def build_kernel(
     if next(f_vals, end) is not end:
         raise ValueError(f"f_vals has more than {nl} samples")
 
-    # fold is transposed: einsum would sum a contiguous (3, 4, 1) block in another order
+    # The sweep's plan: each step's blocks of the buffer, fold and nbr, and the gathered
+    # coefficients and the product in two scratch arrays as wide as the widest step. The
+    # buffer is np.empty, so the first sweep touches its pages, after the fill's temporaries.
+    # fold is transposed: einsum would sum a contiguous (3, 4, 1) block in another order.
+    buf, wide = np.empty(3 * n + 1), int(width.max())
+    gathered, product = np.empty(4 * wide), np.empty(3 * wide)
     steps = tuple(
-        (slice(3 * a, 3 * b), fold[12 * a : 12 * b].reshape(4, 3, -1),
-         nbr[4 * a : 4 * b].reshape(4, -1))
+        (buf[3 * a : 3 * b].reshape(3, -1), fold[12 * a : 12 * b].reshape(4, 3, -1),
+         nbr[4 * a : 4 * b].reshape(4, -1), gathered[: 4 * (b - a)].reshape(4, -1),
+         product[: 3 * (b - a)].reshape(3, -1))
         for a, b in zip(bounds[:-1], bounds[1:])
     )
     return SweepKernel(
         schedule=kept, omega=omega, grad=tables.grad, delta=delta,
         bary=bary, slots=slots, steps=steps, scattering=scatter_w is not None,
-        blocks=blocks, b0=b0, fold=fold, nbr=nbr,
+        blocks=blocks, b0=b0, fold=fold, nbr=nbr, buf=buf,
     )

@@ -148,11 +148,14 @@ RUNS = [
 
 def check(run, d, call):
     """Write run's inputs into d, run it through call(argv) -> a CompletedProcess, and
-    return its Answer."""
+    return its Answer; an exception out of call is this row's problem, with no proc."""
     out, want = d / run.name, run.err.format(d=d)
     for name in input_names(run.argv):
         write_input(d / name)
-    proc = call([a.format(d=d) for a in run.argv.split()] + ["--out", str(out)])
+    try:
+        proc = call([a.format(d=d) for a in run.argv.split()] + ["--out", str(out)])
+    except Exception as exc:  # such as a warning that -W error or pytest turns into one
+        return Answer(None, f"{run.name}: raised {type(exc).__name__}: {exc}")
     code, err = proc.returncode, proc.stderr
     if code != run.code or not err.startswith(want) or len(err.splitlines()) != bool(want):
         return Answer(proc, f"{run.name}: exit {code}, stderr {err!r}; expected {run.code}, {want!r}")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,27 @@ def run(tmp_path, *argv):
 def test_cli_run(runs, row):
     problem = runs[1][row.name].problem
     assert problem is None, problem
+
+
+def test_a_row_that_raises_is_only_that_rows_problem(tmp_path):
+    # a stand-in CLI answers every row as the table expects, but one row's call raises
+    rows = {row.name: row for row in RUNS}
+
+    def call(argv):
+        out = Path(argv[-1])
+        row = rows[out.name]
+        if row.name == "far-mesh":
+            raise RuntimeWarning("overflow encountered in exp")
+        if not row.code:
+            out.mkdir()
+            for name in row.writes:
+                (out / name).write_text("x\n")
+        err = row.err.format(d=tmp_path)
+        return subprocess.CompletedProcess(argv, row.code, "", err and err + "\n")
+
+    answers = run_all(tmp_path, call)
+    assert [name for name, a in answers.items() if a.problem] == ["far-mesh"]
+    assert answers["far-mesh"] == (None, "far-mesh: raised RuntimeWarning: overflow encountered in exp")
 
 
 def test_run_table_is_honest():

@@ -211,7 +211,8 @@ def test_first_sweep_is_the_kernel_run_with_residual_one():
 
 def test_iterate_holds_at_most_three_plane_sets():
     # the iterate, the spare set that takes G @ u and is swept in place into the new
-    # planes, and the sweep's buffer; the norms' scratch is a few block rows
+    # planes, and the kernel's sweep buffer, built before the traced region; the
+    # norms form u_j - u_{j-1} in u_{j-1} and take their block scratch from that buffer
     mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
     quad = trapezoid_circle(20)
     problem = isotropic_problem(quad)
@@ -224,7 +225,7 @@ def test_iterate_holds_at_most_three_plane_sets():
     finally:
         tracemalloc.stop()
     assert sweeps > 2
-    assert peak <= 3.2 * planes.nbytes
+    assert peak + kernel.buf.nbytes <= 3.2 * planes.nbytes
 
 
 def test_blocked_residual_norms_are_weighted_norms():

@@ -228,6 +228,12 @@ def const(v):
     return lambda x, y: np.full(np.shape(x), v)
 
 
+def buffer_span(kern, step):
+    """The slice of kern.buf that a step's (3, m) buffer view covers."""
+    start = (step.ctypes.data - kern.buf.ctypes.data) // kern.buf.itemsize
+    return slice(start, start + step.size)
+
+
 def test_sweep_constant_patch():
     mesh = perturbed_mesh(5, seed=4)
     omega = unit_direction(0.9)
@@ -474,7 +480,7 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
     # zero last slot 3n of the (3n + 1,) coefficient buffer
     n = nl * nt
     padding = 0
-    for _, fold, nbr in kern.steps:
+    for _, fold, nbr, _, _ in kern.steps:
         assert (fold.transpose(1, 0, 2)[:, nbr == 3 * n] == 0.0).all()
         padding += (nbr == 3 * n).sum()
     assert padding > 0
@@ -494,7 +500,8 @@ def test_run_scattered_matches_reference_over_two_upwind_edges(structured):
 
 def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     # blocks 72, b0 24, fold 96, nbr 16, slots 16; a second 3x3 block array,
-    # a 3x6 fold, a third slots row or a stored (nl, nt, 3) d would break it
+    # a 3x6 fold, a third slots row or a stored (nl, nt, 3) d would break it.
+    # The sweep buffer is its own row: 3n + 1 floats, 24 bytes per pair more
     mesh = perturbed_mesh(6, seed=18)
     quad = trapezoid_circle(20)
     nt = mesh.n_triangles
@@ -505,7 +512,8 @@ def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     n = kern.b0.shape[1]
     assert n == quad.n_directions * nt
     fields = [getattr(kern, f.name) for f in dataclasses.fields(kern) if f.name != "schedule"]
-    arrays = [a for a in fields if isinstance(a, np.ndarray)]
+    arrays = [a for a in fields if isinstance(a, np.ndarray) and a is not kern.buf]
+    assert kern.buf.nbytes == 8 * (3 * n + 1)
     # per-pair arrays, planes or step-blocked flat arrays, hold a multiple of n entries
     per_pair = sum(a.nbytes for a in arrays if a.size % n == 0)
     assert per_pair <= 224 * n
@@ -513,14 +521,17 @@ def test_stacked_scattering_kernel_holds_224_bytes_per_pair():
     rest = sum(a.nbytes for a in arrays if a.size % n != 0)
     assert rest <= 48 * nt + kern.bary.nbytes + kern.omega.nbytes
     # the step views share the flat arrays' memory
-    assert all(f.base is kern.fold and b.base is kern.nbr for _, f, b in kern.steps)
+    for step, fold, nbr, _, _ in kern.steps:
+        assert step.base is kern.buf and fold.base is kern.fold and nbr.base is kern.nbr
 
 
-def test_run_scattered_allocates_one_plane_set_beyond_its_result():
-    # Beyond the planes it returns, a sweep holds one plane set (3n floats):
-    # the (3, n + 1) coefficient buffer, as the gathered input is freed before
-    # the result is allocated. One more (3, n) temporary would double that,
-    # and peak RSS follows it.
+def test_warm_run_scattered_allocates_no_plane_set():
+    # A sweep writes its result over its input and its coefficients into the
+    # kernel's buffer, so a warm sweep allocates no plane set, only chunk-sized
+    # scratch (the start's product over 4096 pairs, and numpy's buffers for the
+    # add of a short last chunk) and step-sized scratch (the intp cast of a
+    # step's nbr). A per-sweep buffer or a (3, n) temporary would add a plane
+    # set, and peak RSS follows it.
     mesh = refine_regular(refine_regular(build_structured_unit_square(10)))
     quad = trapezoid_circle(20)
     nl, nt = quad.n_directions, mesh.n_triangles
@@ -537,9 +548,9 @@ def test_run_scattered_allocates_one_plane_set_beyond_its_result():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    plane_set = 3 * nl * nt * 8
-    assert out.nbytes == plane_set
-    assert peak - base - out.nbytes <= 1.1 * plane_set
+    plane_set, chunk = 3 * nl * nt * 8, 3 * 4096 * 8
+    assert out.nbytes == plane_set and np.shares_memory(out, gc) and chunk < plane_set / 10
+    assert peak - base <= 2 * chunk
 
 
 def test_kernel_fill_holds_few_planes_beyond_its_inputs_and_the_kernel():
@@ -562,7 +573,7 @@ def test_kernel_fill_holds_few_planes_beyond_its_inputs_and_the_kernel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    own = sum(x.nbytes for x in (kern.blocks, kern.b0, kern.fold, kern.nbr, kern.slots))
+    own = sum(x.nbytes for x in (kern.blocks, kern.b0, kern.fold, kern.nbr, kern.slots, kern.buf))
     assert (peak - base - own) / (3 * nt * 8) <= 47
 
 
@@ -584,6 +595,50 @@ def test_run_scattered_writes_over_its_input():
     assert np.shares_memory(got, gc)
     np.testing.assert_array_equal(gc, want)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "one-direction"])
+def test_held_plan_sweeps_repeat_bit_for_bit(stacked):
+    # the kernel keeps its buffer, step views and step scratch from sweep to
+    # sweep; whatever a sweep or a borrower leaves in them, every sweep gives
+    # the bits of a freshly built kernel's first one and leaves the zero slot 0
+    mesh = perturbed_mesh(6, seed=33)
+    quad = trapezoid_circle(8)
+    nl, nt = quad.n_directions, mesh.n_triangles
+    tables = space_tables(mesh, lambda x, y: 2.0 + x * y)
+    px, py = tables.points[..., 0], tables.points[..., 1]
+    sw = (0.5 + 0.2 * py) * tables.areaw
+    g = lambda x, y, l: 1.0 + 0.1 * l * x - y
+    if stacked:
+        sched, fv, inflow, shape = (build_schedules(mesh, quad.directions),
+                                    [np.cos(px + l) for l in range(nl)], g, (3, nl, nt))
+    else:
+        sched, fv, inflow, shape = (build_schedule(mesh, quad.directions[3]), np.cos(px + 3),
+                                    lambda x, y: g(x, y, 3), (3, nt))
+
+    def kernel(**scatter):
+        return build_kernel(tables, sched, 0.6 * mesh.h, f_vals=fv, inflow_data=inflow, **scatter)
+
+    def swept(kern, sweep, *args):
+        out = sweep(*(a.copy() for a in args))
+        assert kern.buf[-1] == 0.0
+        kern.buf[:] = np.nan  # dead between sweeps: a borrower may leave anything in it
+        return out
+
+    rng = np.random.default_rng(9)
+    gc, rhs = rng.standard_normal(shape), rng.standard_normal(shape[1:] + (3,))
+    scat, plain = kernel(scatter_w=sw), kernel()
+    want = {"run": swept(scat, scat.run), "scattered": swept(scat, scat.run_scattered, gc),
+            "rhs": swept(plain, plain.run, rhs)}
+    np.testing.assert_array_equal(swept(scat, scat.run), want["run"])
+    np.testing.assert_array_equal(swept(plain, plain.run, rhs), want["rhs"])
+    u = want["scattered"]
+    for _ in range(10):  # ten sweeps of other inputs through the same plan
+        u = swept(scat, scat.run_scattered, u)
+    np.testing.assert_array_equal(swept(scat, scat.run_scattered, gc), want["scattered"])
+    np.testing.assert_array_equal(kernel(scatter_w=sw).run_scattered(gc.copy()), want["scattered"])
+    np.testing.assert_array_equal(kernel().run(rhs), want["rhs"])
+    assert np.isfinite(want["scattered"]).all() and np.isfinite(u).all()
 
 
 def test_run_sweeps_a_copy_of_its_rhs():
@@ -685,7 +740,7 @@ def test_stack_and_one_direction_kernels_give_the_same_bits():
         gl = lambda x, y: g(x, y, l)
         one = build_kernel(tables, build_schedule(mesh, omega), delta, f_vals=fv[l], inflow_data=gl)
         np.testing.assert_array_equal(one.run(), got[l])
-        one_pair_steps += sum(nbr.shape[1] == 1 for _, _, nbr in one.steps)
+        one_pair_steps += sum(nbr.shape[1] == 1 for _, _, nbr, _, _ in one.steps)
     assert one_pair_steps > 0  # einsum sums a contiguous one-pair block in another order
 
 
@@ -719,9 +774,9 @@ def test_stacked_sweep_steps_are_global_layers():
     # fills the first row of the step's buffer block
     assert len(stack.layers) == n_steps
     first = kern.slots[0]
-    for i, (span, _, _) in enumerate(kern.steps):
+    for i, (step, *_) in enumerate(kern.steps):
         want = [l * nt + np.flatnonzero(lo == i) for l, lo in enumerate(want_layer_of)]
-        m = (span.stop - span.start) // 3
+        span, m = buffer_span(kern, step), step.shape[1]
         step = np.flatnonzero((first >= span.start) & (first < span.start + m))
         np.testing.assert_array_equal(first[step], span.start + np.arange(m))
         np.testing.assert_array_equal(step, np.concatenate(want))
@@ -745,17 +800,19 @@ def test_layers_come_in_the_narrowest_type_and_order_as_int64_layers():
     tables = space_tables(mesh, const(2.0))
     kern, want = (build_kernel(tables, s, 0.1, scatter_w=0.5 * tables.areaw) for s in (stack, wide))
     np.testing.assert_array_equal(kern.slots, want.slots)
-    for (span, fold, nbr), (w_span, w_fold, w_nbr) in zip(kern.steps, want.steps, strict=True):
-        assert span == w_span
+    for (step, fold, nbr, *_), (w_step, w_fold, w_nbr, *_) in zip(kern.steps, want.steps, strict=True):
+        assert buffer_span(kern, step) == buffer_span(want, w_step)
         np.testing.assert_array_equal(fold, w_fold)
         np.testing.assert_array_equal(nbr, w_nbr)
 
 
 def test_every_step_reads_and_writes_contiguous_blocks():
-    # step i owns the (3, m) block 3 lo:3 hi of the (3n + 1,) buffer and the
-    # (4, 3, m) and (4, m) blocks 12 lo:12 hi of fold and 4 lo:4 hi of nbr:
-    # C-contiguous views, one after another; nbr points into earlier steps'
-    # blocks or at the zero last slot; slots is a bijection onto the blocks
+    # step i owns the (3, m) block 3 lo:3 hi of the kernel's (3n + 1,) buffer and
+    # the (4, 3, m) and (4, m) blocks 12 lo:12 hi of fold and 4 lo:4 hi of nbr:
+    # C-contiguous views, made once, one after another; its (4, m) gather and
+    # (3, m) product are the heads of two scratch arrays as wide as the widest
+    # step; nbr points into earlier steps' blocks or at the zero last slot;
+    # slots is a bijection onto the blocks
     mesh = perturbed_mesh(5, seed=23)
     quad = trapezoid_circle(8)
     tables = space_tables(mesh, const(2.0))
@@ -763,14 +820,19 @@ def test_every_step_reads_and_writes_contiguous_blocks():
         tables, build_schedules(mesh, quad.directions), 0.1, scatter_w=0.5 * tables.areaw
     )
     n = quad.n_directions * mesh.n_triangles
-    buf = np.zeros(3 * n + 1)
+    assert kern.buf.shape == (3 * n + 1,) and kern.buf.dtype == np.float64
+    wide = max(nbr.shape[1] for _, _, nbr, _, _ in kern.steps)
+    g0, t0 = kern.steps[0][3].base, kern.steps[0][4].base
+    assert g0.shape == (4 * wide,) and t0.shape == (3 * wide,)
     lo = 0
-    for span, fold, nbr in kern.steps:
-        step = buf[span].reshape(3, -1)
+    for step, fold, nbr, g, t in kern.steps:
         m = step.shape[1]
-        assert span.start == 3 * lo and fold.shape == (4, 3, m) and nbr.shape == (4, m)
-        for block, flat, width in ((step, buf, 3), (fold, kern.fold, 12), (nbr, kern.nbr, 4)):
-            assert block.flags.c_contiguous and np.shares_memory(block, flat)
+        assert step.shape == (3, m) and fold.shape == (4, 3, m) and nbr.shape == (4, m)
+        assert g.shape == (4, m) and t.shape == (3, m)
+        for block, flat, width in (
+            (step, kern.buf, 3), (fold, kern.fold, 12), (nbr, kern.nbr, 4), (g, g0, 0), (t, t0, 0),
+        ):
+            assert block.flags.c_contiguous and block.base is flat
             assert block.ctypes.data == flat.ctypes.data + width * lo * flat.itemsize
         assert ((nbr < 3 * lo) | (nbr == 3 * n)).all()
         lo += m
