@@ -38,6 +38,7 @@ from .errors import (
     SweepCycleError,
 )
 from .mesh import (
+    EPS_N,
     TriangleMesh,
     build_mesh,
     build_structured_unit_square,
@@ -54,7 +55,6 @@ from .solver import (
     weighted_norm,
 )
 from .sweep import (
-    EPS_N,
     SweepKernel,
     SweepSchedule,
     build_kernel,

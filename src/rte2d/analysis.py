@@ -388,7 +388,7 @@ def convergence_study(
 def _ladder_tables(case, levels, configs, n0, n_dirs, mesh0) -> list:
     """One ConvergenceTable per config, from one mesh ladder walked level by level: at each
     level every config solves on the same mesh object, in order, so a later solve reuses
-    the mesh's stored schedule, and only one level's mesh and solution are alive at a time."""
+    the schedule solve stored for it, and only one level's mesh and solution are alive."""
     if levels < 1:
         raise ValueError("levels must be at least 1")
     quad = case_quadrature(case, n_dirs)

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AngularQuadrature:
     directions: np.ndarray  # (L+1, dim) unit vectors
     weights: np.ndarray  # (L+1,) positive

@@ -42,8 +42,8 @@ from .errors import (
     SweepCycleError,
 )
 from .mesh import build_structured_unit_square, load_mesh, refine_regular
-from .solver import SolverConfig, _stored_schedule, solve
-from .sweep import SweepSchedule
+from .solver import SolverConfig, solve
+from .sweep import SweepSchedule, build_schedules
 
 ERROR_CODES = (
     (NonConvergenceError, "nonconvergence", 3),
@@ -193,8 +193,8 @@ def _cmd_solve(args):
     sol, report = solve(problem, mesh, _config(args))
 
     if l is not None:  # direction l's slice of the stacked peel that solve swept
-        stack = _stored_schedule(mesh, quad.directions)
-        sched = SweepSchedule(stack.omega[l], stack.layer_of[l], None)
+        stack = build_schedules(mesh, quad.directions)
+        sched = SweepSchedule(stack.omega[l], stack.layer_of[l], stack.inflow[l])
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "schedule.txt"), "w", encoding="ascii") as fh:
             for layer in sched.layers:

@@ -34,7 +34,7 @@ def quad_points(mesh: TriangleMesh, rule: TriangleRule):
     return np.stack([mesh.vertices[:, i][mesh.triangles] @ rule.points.T for i in (0, 1)], axis=-1)
 
 
-@dataclass
+@dataclass(eq=False)
 class DGSolution:
     """Per-direction P1 coefficient fields: coeffs[l, K, j]."""
 

@@ -9,12 +9,11 @@ the unit outward normal and the length. An interior edge is seen from
 both sides: the neighbour's normal is this one negated, exactly.
 `build_mesh` alone numbers the edges; the numbering serves refinement.
 
-Meshes are immutable after construction (arrays are write-protected).
-A mesh also holds the sweep schedules that `solve` peeled on it, which
-depend only on the mesh and the directions.
+Meshes are immutable after construction (arrays are write-protected),
+and two meshes compare equal only if they are the same object.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ BOUNDARY = -1
 EPS_N = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleMesh:
     vertices: np.ndarray  # (nv, 2) float
     triangles: np.ndarray  # (nt, 3) int, counterclockwise
@@ -39,9 +38,6 @@ class TriangleMesh:
     tri_area: np.ndarray  # (nt,)
     tri_h: np.ndarray  # (nt,) longest edge per triangle
     h: float
-    # solve's SweepSchedule of each direction set, keyed by the directions' bytes: only their
-    # directions and narrow layers, no inflow mask; it lives exactly as long as the mesh
-    _schedules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self):

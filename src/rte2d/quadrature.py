@@ -23,7 +23,7 @@ _DEG6_3ORBITS = [
 _DEG6_6ORBIT = (0.082851075618374, 0.310352451033785, 0.636502499121399)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriangleRule:
     """Quadrature points in barycentric coordinates; weights sum to 1."""
 

@@ -18,6 +18,7 @@ and error norms that measure the result live in `analysis`.
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,9 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     with scattering, the discrete coercivity c0' = min(sigma_t - m sigma_s)
     > 0, m being the row-sum bound of the scatter matrix, and before the
     iteration when a sample of the inflow data is not finite. The sweep
-    schedule depends only on the mesh and the directions, so the mesh keeps
-    it, without the inflow mask that the fill never reads: a later solve on
-    the same mesh and directions skips the peel.
+    schedule depends only on the mesh and the directions, so solve keeps it
+    while the mesh lives, without the inflow mask that the fill never reads:
+    a later solve on the same mesh and directions skips the peel.
     """
     if config is None:
         config = SolverConfig()
@@ -173,18 +174,20 @@ def solve(problem: TransportProblem, mesh: TriangleMesh, config: SolverConfig = 
     return DGSolution(np.moveaxis(planes, 0, -1), mesh, quad), report
 
 
+_SCHEDULES = weakref.WeakKeyDictionary()  # mesh -> {directions' bytes: SweepSchedule}
+
+
 def _stored_schedule(mesh: TriangleMesh, directions) -> SweepSchedule:
-    """mesh's stored schedule of the directions (nl, 2), peeled by build_schedules on first
-    use: a read-only copy of the directions and their narrow layers, with inflow None, as
-    the fill reads no more. Keyed by the directions' bytes, so each direction set solved on
-    a mesh has its own entry, freed with the mesh."""
+    """The schedule of the directions (nl, 2) stored for mesh, peeled by build_schedules on
+    first use: a read-only copy of the directions and their narrow layers, inflow None, as
+    the fill reads no more. One entry per direction set solved on a mesh, freed with it."""
     omega = np.array(directions, dtype=float)  # a copy: an entry keeps the directions of its key
-    key = omega.tobytes()
-    sched = mesh._schedules.get(key)
+    key, stored = omega.tobytes(), _SCHEDULES.setdefault(mesh, {})
+    sched = stored.get(key)
     if sched is None:
         omega.flags.writeable = False
         layer_of = build_schedules(mesh, omega).layer_of
-        sched = mesh._schedules[key] = SweepSchedule(omega, layer_of, None)
+        sched = stored[key] = SweepSchedule(omega, layer_of, None)
     return sched
 
 

@@ -8,7 +8,7 @@ layer are mutually independent. One peel serves a stack of directions, and
 layer i of the stack (pairs l * nt + k) is one step of the kernel's sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ except ImportError:  # numpy < 2
     _einsum = np.einsum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSchedule:
     """Layered solve order of a stack of directions: what the peel decides.
 
@@ -38,12 +38,12 @@ class SweepSchedule:
     direction's schedule has no leading direction axis. The layer count
     and the layers are derived from layer_of, which build_schedules
     returns in the narrowest integer type that holds them. A schedule
-    that solve stores on a mesh keeps no inflow mask: its inflow is None.
+    that solve stores for a mesh keeps no inflow mask: its inflow is None.
     """
 
     omega: np.ndarray  # (nl, 2), or (2,) for one direction
     layer_of: np.ndarray  # (nl, nt), or (nt,)
-    inflow: np.ndarray  # bool (nl, nt, 3), or (nt, 3); None in a mesh's stored schedule
+    inflow: np.ndarray  # bool (nl, nt, 3), or (nt, 3); None in one that solve stores
 
     @property
     def n_layers(self) -> int:
@@ -139,7 +139,7 @@ def build_schedule(mesh: TriangleMesh, omega) -> SweepSchedule:
     return SweepSchedule(omega=stack.omega[0], layer_of=stack.layer_of[0], inflow=stack.inflow[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTables:
     """Direction-independent element data shared by all kernels on a mesh."""
 
@@ -173,7 +173,7 @@ def _volume_rhs(qw, bary, delta, d):  # planes (..., 3, nt) of qw (..., nq, nt) 
     return rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepKernel:
     """Batched transport solve of a stack of directions.
 
@@ -199,7 +199,8 @@ class SweepKernel:
     delta: float
     bary: np.ndarray  # (nq, 3)
     slots: np.ndarray  # (2, n) int64 buffer offsets of coefficients 0, 1 (2: 2 slots[1] - slots[0])
-    steps: tuple  # views (buf (3, m), fold (4, 3, m), nbr (4, m), scratch (4, m), (3, m)) per step
+    # per step, views buf (3, m), fold (4, 3, m), nbr (4, m), scratch (4, m), (3, m); not in repr
+    steps: tuple = field(repr=False)
     scattering: bool  # built with scatter_w: blocks hold the scattering moments
     blocks: np.ndarray  # (3, 3, n) inverted local matrices [@ scattering moments], direction order
     b0: np.ndarray  # (3, n) inverted local matrix @ (volume source + inflow data), direction order

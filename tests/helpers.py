@@ -60,6 +60,11 @@ def random_solution(mesh, quad, seed=0, scale=1.0):
     return DGSolution(coeffs, mesh, quad)
 
 
+def const(v):
+    """The coefficient (x, y) -> v at every point."""
+    return lambda x, y: np.full(np.shape(x), v)
+
+
 def unit_direction(theta):
     return np.array([np.cos(theta), np.sin(theta)])
 

@@ -12,7 +12,7 @@ from rte2d import (
 )
 from rte2d.dg_core import quad_points
 from rte2d.quadrature import triangle_rule
-from helpers import perturbed_mesh, project_exact, unit_direction
+from helpers import const, perturbed_mesh, project_exact, unit_direction
 from oracle import LocalSystem, assemble_local, classify_edges, solve_local
 
 ONE_TRI_VERTS = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
@@ -66,10 +66,6 @@ def test_green_identity_per_element():
             rhs[s] += w
             rhs[(s + 1) % 3] += w
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
-
-
-def const(v):
-    return lambda x, y: np.full(np.shape(x), v)
 
 
 def test_assemble_local_matches_closed_form():

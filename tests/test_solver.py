@@ -37,12 +37,8 @@ from rte2d.mesh import BOUNDARY
 from rte2d.quadrature import triangle_rule
 from rte2d import solver
 from rte2d.solver import iterate
-from helpers import perturbed_mesh, project_exact, random_solution
+from helpers import const, perturbed_mesh, project_exact, random_solution
 from oracle import assemble_local, scattering_source, sweep_direction
-
-
-def const(v):
-    return lambda x, y: np.full(np.shape(x), v)
 
 
 def isotropic_problem(quad, sigma_t=3.0, sigma_s=0.5, f=None, inflow=None):
@@ -551,7 +547,7 @@ def test_solves_on_one_mesh_share_its_schedule(monkeypatch):
         sol, _ = solve(problem, mesh, dodg)
         assert calls == {"build_schedules": 1}
         solve(isotropic_problem(trapezoid_circle(6)), mesh)
-        assert calls == {"build_schedules": 2} and len(mesh._schedules) == 2
+        assert calls == {"build_schedules": 2} and len(solver._SCHEDULES[mesh]) == 2
     fresh = build_mesh(mesh.vertices, mesh.triangles)
     want, _ = solve(problem, fresh, dodg)
     np.testing.assert_array_equal(sol.coeffs, want.coeffs)
@@ -567,9 +563,38 @@ def test_a_meshs_stored_schedules_die_with_it():
     mesh, quad = perturbed_mesh(4, seed=34), trapezoid_circle(4)
     sol, _ = solve(isotropic_problem(quad), mesh)
     dead = weakref.ref(solver._stored_schedule(mesh, quad.directions).layer_of)
+    assert list(solver._SCHEDULES[mesh]) == [quad.directions.tobytes()]
     del mesh, sol
     gc.collect()
     assert dead() is None
+
+
+def twin_instances(kind):
+    """Two distinct instances of the type kind, built from the same inputs."""
+    mesh, quad = build_structured_unit_square(2), trapezoid_circle(4)
+    tables = space_tables(mesh, const(1.0))
+    sched = build_schedules(mesh, quad.directions)
+    make = {
+        "TriangleMesh": lambda: build_structured_unit_square(2),
+        "TriangleRule": lambda: triangle_rule(4),
+        "AngularQuadrature": lambda: trapezoid_circle(4),
+        "SweepSchedule": lambda: build_schedules(mesh, quad.directions),
+        "SpaceTables": lambda: space_tables(mesh, const(1.0)),
+        "SweepKernel": lambda: build_kernel(tables, sched, 0.1),
+        "DGSolution": lambda: random_solution(mesh, quad, seed=3),
+    }[kind]
+    return make(), make()
+
+
+@pytest.mark.parametrize("kind", ["TriangleMesh", "TriangleRule", "AngularQuadrature",
+                                  "SweepSchedule", "SpaceTables", "SweepKernel", "DGSolution"])
+def test_array_holding_types_compare_and_hash_by_identity(kind):
+    # their fields are numpy arrays, so a generated __eq__ raises and a generated hash fails
+    a, b = twin_instances(kind)
+    assert type(a).__name__ == kind and a is not b
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a: 0, b: 1}) == 2
 
 
 def test_solve_ignores_non_finite_inflow_data_on_outflow_edges():

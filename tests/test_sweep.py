@@ -28,7 +28,7 @@ from rte2d.quadrature import triangle_rule
 from rte2d.sweep import (
     _EDGE_COUPLING, _LIVE_COUPLING, _UPWIND_PICK, inverse_3x3, upwind_pattern,
 )
-from helpers import grid_cells, perturbed_mesh, random_solution, unit_direction
+from helpers import const, grid_cells, perturbed_mesh, random_solution, unit_direction
 from oracle import NO_UPWIND, classify_edges, scattering_source, sweep_direction, upwind_map
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -222,10 +222,6 @@ def test_cycle_error_carries_elements():
     err = SweepCycleError("cycle found", elements=(3, 1, 4))
     assert tuple(err.elements) == (3, 1, 4)
     assert "cycle" in str(err)
-
-
-def const(v):
-    return lambda x, y: np.full(np.shape(x), v)
 
 
 def buffer_span(kern, step):
@@ -742,6 +738,14 @@ def test_stack_and_one_direction_kernels_give_the_same_bits():
         np.testing.assert_array_equal(one.run(), got[l])
         one_pair_steps += sum(nbr.shape[1] == 1 for _, _, nbr, _, _ in one.steps)
     assert one_pair_steps > 0  # einsum sums a contiguous one-pair block in another order
+
+
+def test_kernel_repr_leaves_out_the_step_views():
+    # each of 46 steps holds five views; the numpy fields print summarized
+    mesh, quad = perturbed_mesh(10, seed=35), trapezoid_circle(20)
+    kern = build_kernel(space_tables(mesh, const(1.0)), build_schedules(mesh, quad.directions), 0.1)
+    assert len(kern.steps) > 40 and "steps=" not in repr(kern)
+    assert len(repr(kern)) < 10_000
 
 
 def test_stacked_kernel_releases_its_schedules():

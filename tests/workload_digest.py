@@ -10,7 +10,6 @@ line. Not a pytest module; run from the repo root:
 """
 
 import argparse
-import contextlib
 import hashlib
 import sys
 from pathlib import Path
@@ -20,15 +19,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from rte2d import solve  # noqa: E402
+from spans import NullTracer  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
-
-
-class _NoSpans:
-    """The workloads' tracer, timing nothing."""
-
-    @staticmethod
-    def span(name):
-        return contextlib.nullcontext()
 
 
 def solve_digest(sol, report) -> str:
@@ -44,7 +36,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     total, n = hashlib.sha1(), 0
     for name, workload in WORKLOADS.items():
-        for spec in workload.setup(args.seed, _NoSpans()):
+        for spec in workload.setup(args.seed, NullTracer()):
             sol, report = solve(spec.problem, spec.mesh, spec.config)
             digest = solve_digest(sol, report)
             total.update(digest.encode())
